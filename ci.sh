@@ -1,16 +1,22 @@
 #!/usr/bin/env bash
 # Tiered verification for the Ekya workspace. Run from the repo root.
 #
-#   ./ci.sh quick   — fmt + clippy + a quick-mode harness smoke across
-#                     several bins (including a 2-shard + grid_merge
-#                     byte-identity check and a supervised ekya_grid run
-#                     with an injected shard kill) + the harness perf
-#                     gate. Minutes, not tens of minutes; what the CI
-#                     quick job runs.
+#   ./ci.sh quick   — fmt + clippy + ekya-lint + a quick-mode harness
+#                     smoke across several bins (including a 2-shard +
+#                     grid_merge byte-identity check and a supervised
+#                     ekya_grid run with an injected shard kill) + the
+#                     serving smoke (ekya_serve ≡ ekya_loadgen snapshot
+#                     bytes) + the repo benchmark's four-workload
+#                     `--smoke --trace 1` pass (so a change to the API
+#                     examples/ekya_e2e pins breaks here, not at the next
+#                     benchmark run) + the harness perf gate. Minutes,
+#                     not tens of minutes; what the CI quick job runs.
 #   ./ci.sh full    — the complete sweep: formatting, lints, rustdoc
 #                     (deny warnings), the release build, every target
-#                     (examples, benches, bins), and the full test
-#                     suite. The default.
+#                     (examples, benches, bins), and the full test suite
+#                     — built first, then run under a 4 GB address-space
+#                     cap, so an unbounded queue fails as an allocation
+#                     error in seconds. The default.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -118,6 +124,17 @@ case "$MODE" in
     cmp results/serve_status.json target/serve_status_daemon.json
     echo "    loadgen snapshot ≡ daemon snapshot ✓"
 
+    # The repo benchmark is a package of its own (not a workspace member),
+    # so nothing above compiles it. Its smoke pass builds it against this
+    # checkout and runs every workload once, plain and traced, with its
+    # own output checks (non-zero exit on any) — ≈15 s after the build.
+    # The metric tables go to results/e2e/; stdout is only a copy.
+    echo "==> benchmark smoke: ekya_e2e (four workloads, --smoke --trace 1)"
+    for workload in serve-steady retrain-window fleet-plan grid-fig06; do
+      cargo run --release --offline --quiet --manifest-path examples/ekya_e2e/Cargo.toml -- \
+        --workload "$workload" --seed 1 --smoke --trace 1 >/dev/null
+    done
+
     echo "==> harness smoke: harness_bench (serial ≡ parallel + throughput)"
     EKYA_WINDOWS=2 cargo run --release -q -p ekya-bench --bin harness_bench
 
@@ -156,8 +173,17 @@ case "$MODE" in
     echo "==> cargo build --examples --benches --bins"
     cargo build --examples --benches --bins
 
-    echo "==> cargo test -q"
-    cargo test -q
+    # Build the tests uncapped (rustc and the linker map far more than
+    # they use), then run them under an address-space cap: a mailbox or
+    # queue that grows without bound dies here with an allocation error
+    # in seconds instead of taking the runner down.
+    echo "==> cargo test -q --no-run"
+    cargo test -q --no-run
+    echo "==> cargo test -q (ulimit -v 4000000)"
+    (
+      ulimit -v 4000000
+      cargo test -q
+    )
 
     echo "ci.sh full: all green"
     ;;

@@ -9,7 +9,7 @@
 //! This module is the same abstraction on OS threads + crossbeam
 //! channels — CPU-bound work belongs on threads, not an async runtime.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::thread::JoinHandle;
 
 /// A message-handling actor. One instance runs on one thread; `handle`
@@ -69,36 +69,6 @@ impl<R> Pending<R> {
     }
 }
 
-/// Shared body of [`Address::try_send_many`] / [`ActorHandle::try_send_many`].
-fn try_send_many_on<A: Actor>(
-    sender: &Sender<Envelope<A>>,
-    batch: &mut Vec<A::Msg>,
-) -> Result<usize, ActorError> {
-    let mut pending = std::mem::take(batch).into_iter();
-    let mut sent = 0usize;
-    let mut result = Ok(());
-    for msg in pending.by_ref() {
-        match sender.try_send(Envelope::Tell(msg)) {
-            Ok(()) => sent += 1,
-            Err(TrySendError::Full(env)) => {
-                if let Envelope::Tell(msg) = env {
-                    batch.push(msg);
-                }
-                break;
-            }
-            Err(TrySendError::Disconnected(env)) => {
-                if let Envelope::Tell(msg) = env {
-                    batch.push(msg);
-                }
-                result = Err(ActorError::Stopped);
-                break;
-            }
-        }
-    }
-    batch.extend(pending);
-    result.map(|()| sent)
-}
-
 /// A cloneable, lifecycle-free address of an actor: lets other actors (or
 /// threads) send messages without owning the actor's join handle. Sends
 /// fail with [`ActorError::Stopped`] once the actor shuts down.
@@ -139,16 +109,6 @@ impl<A: Actor> Address<A> {
         let (tx, rx) = bounded(1);
         self.sender.send(Envelope::Ask(msg, tx)).map_err(|_| ActorError::Stopped)?;
         Ok(Pending { rx })
-    }
-
-    /// Fire-and-forget a *batch*: sends messages from the front of
-    /// `batch`, in order, for as long as the mailbox accepts them
-    /// **without blocking**, removing the sent prefix from `batch`.
-    /// Returns the number sent; the unsent tail stays in `batch` (FIFO
-    /// intact), so the caller keeps the backpressure decision — block
-    /// via [`Address::tell`], retry later, or shed load.
-    pub fn try_send_many(&self, batch: &mut Vec<A::Msg>) -> Result<usize, ActorError> {
-        try_send_many_on(&self.sender, batch)
     }
 }
 
@@ -194,11 +154,6 @@ impl<A: Actor> ActorHandle<A> {
         Ok(Pending { rx })
     }
 
-    /// Non-blocking batch send (see [`Address::try_send_many`]).
-    pub fn try_send_many(&self, batch: &mut Vec<A::Msg>) -> Result<usize, ActorError> {
-        try_send_many_on(&self.sender, batch)
-    }
-
     /// Number of messages waiting in the mailbox.
     pub fn mailbox_len(&self) -> usize {
         self.sender.len()
@@ -224,42 +179,25 @@ impl<A: Actor> Drop for ActorHandle<A> {
     }
 }
 
-/// Spawns `actor` on a dedicated thread with an unbounded mailbox.
-pub fn spawn<A: Actor>(name: impl Into<String>, actor: A) -> ActorHandle<A> {
-    let (tx, rx): (Sender<Envelope<A>>, Receiver<Envelope<A>>) = unbounded();
-    spawn_on(name.into(), actor, tx, rx)
-}
-
 /// Spawns `actor` on a dedicated thread with a **bounded** mailbox of
-/// `capacity` messages (floored at 1).
+/// `capacity` messages (floored at 1); messages are handled strictly in
+/// arrival order.
 ///
 /// Backpressure, not buffering: a `tell` or `ask` issued while the
 /// mailbox is full *blocks the producer* until the actor drains a slot.
 /// This is what keeps a fast producer (e.g. a load generator pumping
 /// inference batches) from growing an unbounded queue behind a slow
 /// consumer — the §5 concern that a busy trainer must not let the
-/// inference queue eat all memory. Message order is unchanged: arrival
-/// order, exactly as with [`spawn`].
+/// inference queue eat all memory.
 pub fn spawn_bounded<A: Actor>(
     name: impl Into<String>,
-    actor: A,
+    mut actor: A,
     capacity: usize,
 ) -> ActorHandle<A> {
-    let (tx, rx): (Sender<Envelope<A>>, Receiver<Envelope<A>>) = bounded(capacity.max(1));
-    spawn_on(name.into(), actor, tx, rx)
-}
-
-/// The shared dispatch loop of [`spawn`] and [`spawn_bounded`]: one
-/// thread, messages handled strictly in arrival order.
-fn spawn_on<A: Actor>(
-    name: String,
-    mut actor: A,
-    tx: Sender<Envelope<A>>,
-    rx: Receiver<Envelope<A>>,
-) -> ActorHandle<A> {
-    let thread_name = name.clone();
+    let name = name.into();
+    let (tx, rx) = bounded::<Envelope<A>>(capacity.max(1));
     let join = std::thread::Builder::new()
-        .name(thread_name)
+        .name(name.clone())
         .spawn(move || {
             while let Ok(envelope) = rx.recv() {
                 match envelope {
@@ -281,6 +219,7 @@ fn spawn_on<A: Actor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
     use std::time::Duration;
 
     struct Counter {
@@ -315,7 +254,7 @@ mod tests {
 
     #[test]
     fn ask_roundtrip() {
-        let h = spawn("counter", Counter { count: 0 });
+        let h = spawn_bounded("counter", Counter { count: 0 }, 8);
         assert_eq!(h.ask(CounterMsg::Add(5)).unwrap(), 5);
         assert_eq!(h.ask(CounterMsg::Add(3)).unwrap(), 8);
         assert_eq!(h.ask(CounterMsg::Get).unwrap(), 8);
@@ -324,7 +263,7 @@ mod tests {
 
     #[test]
     fn tell_is_processed_in_order() {
-        let h = spawn("counter", Counter { count: 0 });
+        let h = spawn_bounded("counter", Counter { count: 0 }, 8);
         for _ in 0..100 {
             h.tell(CounterMsg::Add(1)).unwrap();
         }
@@ -336,7 +275,7 @@ mod tests {
     fn requests_queue_during_slow_reload() {
         // Messages sent while the actor is busy reloading must queue and
         // then be served — the §5 checkpoint-reload behaviour.
-        let h = spawn("model", Counter { count: 7 });
+        let h = spawn_bounded("model", Counter { count: 7 }, 8);
         h.tell(CounterMsg::SlowReload(Duration::from_millis(100))).unwrap();
         let start = std::time::Instant::now();
         // This ask arrives during the reload and waits its turn.
@@ -347,7 +286,7 @@ mod tests {
 
     #[test]
     fn stop_after_drain() {
-        let h = spawn("counter", Counter { count: 0 });
+        let h = spawn_bounded("counter", Counter { count: 0 }, 8);
         h.tell(CounterMsg::Add(2)).unwrap();
         h.tell(CounterMsg::Add(2)).unwrap();
         h.stop(); // must not lose the queued adds
@@ -356,7 +295,7 @@ mod tests {
 
     #[test]
     fn ask_after_stop_fails() {
-        let h = spawn("counter", Counter { count: 0 });
+        let h = spawn_bounded("counter", Counter { count: 0 }, 8);
         let sender = h.sender.clone();
         h.stop();
         // `stop` joins the actor thread, which owns the receiver, so the
@@ -366,7 +305,7 @@ mod tests {
 
     #[test]
     fn mailbox_length_visible() {
-        let h = spawn("model", Counter { count: 0 });
+        let h = spawn_bounded("model", Counter { count: 0 }, 8);
         h.tell(CounterMsg::SlowReload(Duration::from_millis(50))).unwrap();
         h.tell(CounterMsg::Add(1)).unwrap();
         h.tell(CounterMsg::Add(1)).unwrap();
@@ -379,7 +318,7 @@ mod tests {
 
     #[test]
     fn address_is_cloneable_and_routes() {
-        let h = spawn("counter", Counter { count: 0 });
+        let h = spawn_bounded("counter", Counter { count: 0 }, 8);
         let addr = h.address();
         let addr2 = addr.clone();
         assert_eq!(addr.name(), "counter");
@@ -455,40 +394,23 @@ mod tests {
         h.stop();
     }
 
-    /// `try_send_many` on a full bounded mailbox must stop at the first
-    /// rejection — never block, never reorder — leaving the unsent tail
-    /// with the caller, and the tail must drain FIFO once the consumer
-    /// frees up.
+    /// An unsupervised actor that dies takes its mailbox with it: asks
+    /// already queued behind the fatal message must fail, not hang —
+    /// their reply senders are dropped with the discarded queue.
     #[test]
-    fn try_send_many_respects_backpressure_and_fifo() {
+    fn asks_queued_behind_a_fatal_panic_all_fail() {
         let (gate_tx, gate_rx) = unbounded::<()>();
-        let h = spawn_bounded("gated", Gated { release: gate_rx, seen: Vec::new() }, 2);
-        let addr = h.address();
-        let mut batch: Vec<GatedMsg> = (0..10).map(GatedMsg::Record).collect();
-        // Stalled consumer: at most 1 in the handler + 2 queued slots.
-        let sent = addr.try_send_many(&mut batch).unwrap();
-        assert!(sent <= 3, "sent {sent} messages past a full capacity-2 mailbox");
-        assert_eq!(batch.len(), 10 - sent, "unsent tail stays with the caller");
-        // Release the gate and push the tail through blocking tells.
-        for _ in 0..10 {
-            gate_tx.send(()).unwrap();
+        let h = spawn_bounded("doomed", Gated { release: gate_rx, seen: Vec::new() }, 8);
+        // Message 1 parks in the handler; 2..=5 queue behind it.
+        let pending: Vec<_> =
+            (1..=5).map(|v| h.ask_deferred(GatedMsg::Record(v)).unwrap()).collect();
+        // Closing the gate makes the handler's `expect("gate token")`
+        // panic on message 1, killing the actor thread.
+        drop(gate_tx);
+        for p in pending {
+            assert_eq!(p.wait().err(), Some(ActorError::Panicked));
         }
-        for msg in batch.drain(..) {
-            addr.tell(msg).unwrap();
-        }
-        let seen = h.ask(GatedMsg::Seen).unwrap();
-        assert_eq!(seen, (0..10).collect::<Vec<u64>>(), "coalesced send must stay FIFO");
-        h.stop();
-    }
-
-    #[test]
-    fn try_send_many_reports_stopped_actor() {
-        let h = spawn_bounded("counter", Counter { count: 0 }, 4);
-        let addr = h.address();
-        h.stop();
-        let mut batch = vec![CounterMsg::Add(1), CounterMsg::Add(2)];
-        assert_eq!(addr.try_send_many(&mut batch), Err(ActorError::Stopped));
-        assert_eq!(batch.len(), 2, "nothing is silently dropped on a dead mailbox");
+        assert_eq!(h.ask(GatedMsg::Seen).err(), Some(ActorError::Stopped));
     }
 
     /// Deferred asks let one producer put work on several actors before
@@ -496,8 +418,8 @@ mod tests {
     /// actor's answer.
     #[test]
     fn ask_deferred_overlaps_requests() {
-        let a = spawn("counter-a", Counter { count: 10 });
-        let b = spawn("counter-b", Counter { count: 20 });
+        let a = spawn_bounded("counter-a", Counter { count: 10 }, 8);
+        let b = spawn_bounded("counter-b", Counter { count: 20 }, 8);
         let pa = a.ask_deferred(CounterMsg::Add(1)).unwrap();
         let pb = b.address().ask_deferred(CounterMsg::Add(2)).unwrap();
         assert_eq!(pb.wait().unwrap(), 22);
@@ -515,7 +437,7 @@ mod tests {
 
     #[test]
     fn address_usable_from_other_threads() {
-        let h = spawn("counter", Counter { count: 0 });
+        let h = spawn_bounded("counter", Counter { count: 0 }, 8);
         let addr = h.address();
         let threads: Vec<_> = (0..4)
             .map(|_| {

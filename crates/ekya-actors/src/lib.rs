@@ -10,20 +10,17 @@
 //! actor is busy (the §5 model-reload behaviour), and supervised restart
 //! on panic (the §5 "failure recovery").
 //!
-//! Implemented: typed actors, blocking ask, ordered mailboxes, panic
-//! supervision with state rebuild, named registries with coordinated
-//! shutdown, and backpressure-bounded mailboxes ([`spawn_bounded`],
-//! [`spawn_supervised_bounded`]) so a slow consumer (a trainer hogging
-//! its thread) blocks producers instead of growing an unbounded queue.
+//! Implemented: typed actors, blocking and deferred ask, ordered
+//! mailboxes, and panic supervision with state rebuild. Every mailbox is
+//! **bounded** — [`spawn_bounded`] and [`spawn_supervised_bounded`] are
+//! the only constructors — so a slow consumer (a trainer hogging its
+//! thread, a shard mid-reload) blocks its producers instead of growing a
+//! queue until the box runs out of memory.
 //! Omitted: distribution across machines, actor migration — neither is
 //! needed for a single edge server.
 
 pub mod actor;
 pub mod supervisor;
-pub mod system;
 
-pub use actor::{spawn, spawn_bounded, Actor, ActorError, ActorHandle, Address, Pending};
-pub use supervisor::{
-    spawn_supervised, spawn_supervised_bounded, SupervisedHandle, SupervisorStats,
-};
-pub use system::ActorSystem;
+pub use actor::{spawn_bounded, Actor, ActorError, ActorHandle, Address, Pending};
+pub use supervisor::{spawn_supervised_bounded, SupervisedHandle, SupervisorStats};

@@ -8,7 +8,7 @@
 //! panic observes [`ActorError::Panicked`].
 
 use crate::actor::{Actor, ActorError, ActorHandle, Address, Envelope};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -59,23 +59,13 @@ impl<A: Actor> SupervisedHandle<A> {
     }
 }
 
-/// Spawns a supervised actor. `factory` builds (and rebuilds) the actor
-/// state.
-pub fn spawn_supervised<A, F>(name: impl Into<String>, factory: F) -> SupervisedHandle<A>
-where
-    A: Actor,
-    F: Fn() -> A + Send + 'static,
-{
-    let (tx, rx): (Sender<Envelope<A>>, Receiver<Envelope<A>>) = unbounded();
-    supervise_on(name.into(), factory, tx, rx)
-}
-
 /// Spawns a supervised actor with a **bounded** mailbox of `capacity`
-/// messages (floored at 1): [`spawn_supervised`]'s failure recovery plus
-/// [`crate::spawn_bounded`]'s producer backpressure. A restart does not
-/// disturb the mailbox — the channel outlives the actor state, so
-/// messages queued behind a panic are served in their original order by
-/// the rebuilt actor.
+/// messages (floored at 1): restart-on-panic failure recovery plus
+/// [`crate::spawn_bounded`]'s producer backpressure. `factory` builds
+/// (and rebuilds) the actor state. A restart does not disturb the
+/// mailbox — the channel outlives the actor state, so messages queued
+/// behind a panic are served in their original order by the rebuilt
+/// actor.
 pub fn spawn_supervised_bounded<A, F>(
     name: impl Into<String>,
     factory: F,
@@ -85,28 +75,12 @@ where
     A: Actor,
     F: Fn() -> A + Send + 'static,
 {
-    let (tx, rx): (Sender<Envelope<A>>, Receiver<Envelope<A>>) = bounded(capacity.max(1));
-    supervise_on(name.into(), factory, tx, rx)
-}
-
-/// The shared supervise loop of [`spawn_supervised`] and
-/// [`spawn_supervised_bounded`]: rebuild actor state on panic, keep
-/// draining the same mailbox.
-fn supervise_on<A, F>(
-    name: String,
-    factory: F,
-    tx: Sender<Envelope<A>>,
-    rx: Receiver<Envelope<A>>,
-) -> SupervisedHandle<A>
-where
-    A: Actor,
-    F: Fn() -> A + Send + 'static,
-{
+    let name = name.into();
+    let (tx, rx) = bounded::<Envelope<A>>(capacity.max(1));
     let stats = Arc::new(Mutex::new(SupervisorStats::default()));
     let thread_stats = Arc::clone(&stats);
-    let thread_name = name.clone();
     let join = std::thread::Builder::new()
-        .name(thread_name)
+        .name(name.clone())
         .spawn(move || {
             'supervise: loop {
                 let mut actor = factory();
@@ -181,7 +155,7 @@ mod tests {
 
     #[test]
     fn survives_panics_and_restarts() {
-        let h = spawn_supervised("flaky", || Flaky { value: 0 });
+        let h = spawn_supervised_bounded("flaky", || Flaky { value: 0 }, 8);
         assert_eq!(h.ask(FlakyMsg::Set(42)).unwrap(), 42);
         // Panic: the asker sees the failure...
         assert_eq!(h.ask(FlakyMsg::Boom), Err(ActorError::Panicked));
@@ -195,7 +169,7 @@ mod tests {
 
     #[test]
     fn multiple_restarts() {
-        let h = spawn_supervised("flaky", || Flaky { value: 7 });
+        let h = spawn_supervised_bounded("flaky", || Flaky { value: 7 }, 8);
         for _ in 0..5 {
             assert_eq!(h.ask(FlakyMsg::Boom), Err(ActorError::Panicked));
         }
@@ -206,7 +180,7 @@ mod tests {
 
     #[test]
     fn tell_panics_do_not_kill_service() {
-        let h = spawn_supervised("flaky", || Flaky { value: 1 });
+        let h = spawn_supervised_bounded("flaky", || Flaky { value: 1 }, 8);
         h.tell(FlakyMsg::Boom).unwrap();
         h.tell(FlakyMsg::Boom).unwrap();
         assert_eq!(h.ask(FlakyMsg::Get).unwrap(), 1);
@@ -216,7 +190,7 @@ mod tests {
 
     #[test]
     fn queued_messages_survive_restart() {
-        let h = spawn_supervised("flaky", || Flaky { value: 0 });
+        let h = spawn_supervised_bounded("flaky", || Flaky { value: 0 }, 8);
         h.tell(FlakyMsg::Boom).unwrap();
         h.tell(FlakyMsg::Set(9)).unwrap(); // queued behind the panic
         assert_eq!(h.ask(FlakyMsg::Get).unwrap(), 9, "message after panic must be served");
@@ -270,78 +244,6 @@ mod tests {
         h.stop();
     }
 
-    /// A recorder whose `Record` handler waits for one gate token per
-    /// message — a deterministic stand-in for a stalled consumer.
-    struct GatedRecorder {
-        gate: crossbeam::channel::Receiver<()>,
-        log: Arc<Mutex<Vec<i64>>>,
-    }
-
-    impl Actor for GatedRecorder {
-        type Msg = RecorderMsg;
-        type Reply = ();
-
-        fn handle(&mut self, msg: RecorderMsg) {
-            match msg {
-                RecorderMsg::Record(v) => {
-                    self.gate.recv().expect("gate token");
-                    self.log.lock().push(v);
-                }
-                RecorderMsg::Boom => panic!("injected failure"),
-            }
-        }
-    }
-
-    /// Coalesced (`try_send_many`) batches must keep both bounded-mailbox
-    /// contracts across a supervised restart: the non-blocking send stops
-    /// at capacity while the consumer stalls (backpressure stays with the
-    /// caller — a capacity-2 mailbox absorbs at most 1 in-handler + 2
-    /// queued), and everything eventually delivered — including messages
-    /// queued behind a panic — is served in original FIFO order by the
-    /// rebuilt actor.
-    #[test]
-    fn coalesced_sends_preserve_backpressure_and_fifo_across_restart() {
-        let (gate_tx, gate_rx) = unbounded::<()>();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let factory_log = Arc::clone(&log);
-        let h = spawn_supervised_bounded(
-            "recorder",
-            move || GatedRecorder { gate: gate_rx.clone(), log: Arc::clone(&factory_log) },
-            2,
-        );
-        let addr = h.address();
-        let mut batch = vec![
-            RecorderMsg::Record(1),
-            RecorderMsg::Boom,
-            RecorderMsg::Record(2),
-            RecorderMsg::Record(3),
-            RecorderMsg::Record(4),
-            RecorderMsg::Record(5),
-        ];
-        // Gate closed: the first coalesced send cannot push the whole
-        // batch — at most Record(1) into the handler plus two queued.
-        let sent = addr.try_send_many(&mut batch).unwrap();
-        assert!(sent <= 3, "sent {sent} messages past a stalled capacity-2 mailbox");
-        assert_eq!(batch.len(), 6 - sent, "unsent tail stays with the caller");
-        // Open the gate (one token per Record, Boom takes none) and keep
-        // coalescing the tail through; the panic + restart happens
-        // mid-batch.
-        for _ in 0..5 {
-            gate_tx.send(()).unwrap();
-        }
-        while !batch.is_empty() {
-            if addr.try_send_many(&mut batch).unwrap() == 0 {
-                std::thread::yield_now();
-            }
-        }
-        // Synchronise: the ask drains everything queued before it.
-        gate_tx.send(()).unwrap();
-        h.ask(RecorderMsg::Record(6)).unwrap();
-        assert_eq!(*log.lock(), vec![1, 2, 3, 4, 5, 6], "FIFO must survive the restart");
-        assert_eq!(h.stats().restarts, 1, "the Boom mid-batch restarts the actor once");
-        h.stop();
-    }
-
     #[test]
     fn bounded_supervised_panics_surface_to_asker() {
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -360,7 +262,7 @@ mod tests {
 
     #[test]
     fn supervised_address_routes_and_survives_panics() {
-        let h = spawn_supervised("flaky", || Flaky { value: 3 });
+        let h = spawn_supervised_bounded("flaky", || Flaky { value: 3 }, 8);
         let addr = h.address();
         assert_eq!(addr.ask(FlakyMsg::Boom), Err(ActorError::Panicked));
         assert_eq!(addr.ask(FlakyMsg::Get).unwrap(), 3, "address keeps working after restart");

@@ -135,7 +135,7 @@ impl Workspace {
 }
 
 /// Reusable forward-pass buffers for batched prediction — the public,
-/// serving-path analogue of the private training [`Workspace`]. One
+/// serving-path analogue of the private training `Workspace`. One
 /// scratch serves any sequence of [`Mlp::predict_into`] /
 /// [`Mlp::accuracy_with`] calls: batch features, per-layer activations
 /// and ReLU masks, softmax probabilities, and the prediction vector all

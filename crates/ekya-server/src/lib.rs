@@ -4,21 +4,18 @@
 //!
 //! The paper's evaluation has two halves: a real system implementation on
 //! Ray actors (§5) and a trace-driven simulator (§6.1). `ekya-sim` covers
-//! the simulator; this crate covers the deployment shape: per-stream
-//! **inference actors** that keep classifying live frames while
-//! **trainer actors** run real SGD on other threads, hot-swapping
-//! improved checkpoints into serving, with the micro-profiler and thief
-//! scheduler planning every window.
+//! the simulator; this crate covers the deployment: **inference shards**
+//! that keep classifying live frames while **trainer actors** run real
+//! SGD on other threads, hot-swapping improved checkpoints into serving,
+//! with the micro-profiler and thief scheduler planning every window.
 //!
-//! Two deployment shapes share the trainer substrate:
-//! * [`EdgeServer`] — one inference actor and one trainer actor per
-//!   stream; the architectural proof at small scale.
-//! * [`EdgeDaemon`] — the multi-tenant serving path: a fixed pool of
-//!   bounded-mailbox inference shards multiplexing hundreds of admitted
-//!   streams, a supervised trainer pool, typed admission control, and a
-//!   deterministic status snapshot ([`StatusSnapshot`]).
+//! There is one serving shape, [`EdgeDaemon`]: a fixed pool of
+//! bounded-mailbox [`InferenceShard`]s multiplexing the admitted streams
+//! (one stream on one shard is the smallest deployment, hundreds of
+//! streams the largest), a supervised trainer pool, typed admission
+//! control, and a deterministic status snapshot ([`StatusSnapshot`]).
 //!
-//! Implemented: inference/trainer actors, checkpoint hot-swaps with
+//! Implemented: shard/trainer actors, checkpoint hot-swaps with
 //! reload-time queueing, end-to-end windowed operation, liveness metrics
 //! (frames served during retraining), admission control and per-stream
 //! serving ledgers. Omitted: real GPU binding and fractional-share
@@ -27,17 +24,13 @@
 //! `ekya-sim`'s virtual-time runner. Use this crate to validate the
 //! architecture; use `ekya-sim` to evaluate scheduling policy.
 
-pub mod inference;
 pub mod metrics;
 pub mod serve;
-pub mod server;
 pub mod trainer;
 
-pub use inference::{InferenceActor, InferenceMsg, InferenceReply, InferenceStats};
 pub use metrics::{StatusSnapshot, StatusView, StreamStatus};
 pub use serve::{
     AdmissionError, ArrivalPattern, ClassifyJob, DaemonClient, EdgeDaemon, InferenceShard,
     ServeConfig, ServeError, ServeWindowReport, ShardLive, ShardMsg, ShardReply,
 };
-pub use server::{EdgeServer, EdgeServerConfig, StreamWindowOutcome};
 pub use trainer::{SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply};

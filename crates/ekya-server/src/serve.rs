@@ -1,15 +1,15 @@
 //! The live multi-tenant serving daemon.
 //!
-//! [`crate::EdgeServer`] proves the paper's architecture with one
-//! inference actor and one trainer actor *per stream* — fine for tens of
-//! cameras, but two OS threads per camera does not admit the "hundreds
-//! of streams" a production edge box serves. [`EdgeDaemon`] is the
-//! serving-path shape: a small fixed pool of **inference shards** (each
+//! Two OS threads per camera does not admit the "hundreds of streams" a
+//! production edge box serves, so [`EdgeDaemon`] — the workspace's one
+//! serving shape — is a small fixed pool of **inference shards** (each
 //! a bounded-mailbox actor multiplexing many stream slots and batching
 //! classification requests), a supervised **trainer pool** that absorbs
 //! panics without dropping any stream's serving, **admission control**
 //! with typed rejections, and checkpoint hot-swaps whose model pulls are
-//! accounted against an `ekya-net` link model.
+//! accounted against an `ekya-net` link model. Every mailbox has a
+//! capacity: a producer that outruns a shard blocks, it never grows a
+//! queue.
 //!
 //! Two metric planes, deliberately separated:
 //! * the **logical plane** — a deterministic arrival/queue ledger
@@ -89,6 +89,14 @@ pub enum ServeError {
     Unavailable,
     /// No admitted stream has this id.
     UnknownStream,
+    /// A frame's feature vector does not fit the stream's serving model.
+    /// The whole request is refused; nothing was classified.
+    MalformedFrame {
+        /// Feature dimension the serving model takes.
+        expected: usize,
+        /// Length of the first offending frame.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -96,6 +104,9 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Unavailable => write!(f, "serving daemon unavailable"),
             ServeError::UnknownStream => write!(f, "unknown stream"),
+            ServeError::MalformedFrame { expected, got } => {
+                write!(f, "malformed frame: {got} features, serving model takes {expected}")
+            }
         }
     }
 }
@@ -296,7 +307,6 @@ struct Slot {
     scratch: PredictScratch,
     version: u64,
     num_classes: usize,
-    config: InferenceConfig,
 }
 
 /// Live counters of one shard (wall plane, never serialised).
@@ -338,7 +348,10 @@ pub enum ShardMsg {
         /// Number of classes.
         num_classes: usize,
     },
-    /// Classify a batch of frames for one stream.
+    /// Classify a batch of frames for one stream. This is the outside
+    /// boundary ([`DaemonClient::classify`]), so frame shapes are checked
+    /// here: one frame of the wrong length refuses the whole batch with
+    /// [`ShardReply::MalformedFrame`].
     ClassifyBatch {
         /// Stream id.
         stream: u32,
@@ -372,13 +385,6 @@ pub enum ShardMsg {
         /// Stream id.
         stream: u32,
     },
-    /// Change a stream's inference configuration.
-    SetConfig {
-        /// Stream id.
-        stream: u32,
-        /// The new configuration.
-        config: InferenceConfig,
-    },
     /// Current live counters.
     LiveStats,
 }
@@ -411,12 +417,18 @@ pub enum ShardReply {
         /// Its version.
         version: u64,
     },
-    /// Configuration updated.
-    ConfigSet,
     /// Live counters.
     Live(ShardLive),
     /// The stream id has no slot on this shard.
     NoSuchStream,
+    /// A `ClassifyBatch` frame does not fit the slot's serving model;
+    /// nothing was classified.
+    MalformedFrame {
+        /// Feature dimension the serving model takes.
+        expected: usize,
+        /// Length of the first offending frame.
+        got: usize,
+    },
 }
 
 /// One inference shard: a single actor thread multiplexing many stream
@@ -437,18 +449,16 @@ impl Actor for InferenceShard {
             ShardMsg::Admit { stream, model, num_classes } => {
                 self.slots.insert(
                     stream,
-                    Slot {
-                        model,
-                        scratch: PredictScratch::new(),
-                        version: 0,
-                        num_classes,
-                        config: InferenceConfig { frame_sampling: 1.0, resolution: 1.0 },
-                    },
+                    Slot { model, scratch: PredictScratch::new(), version: 0, num_classes },
                 );
                 ShardReply::Admitted
             }
             ShardMsg::ClassifyBatch { stream, frames } => match self.slots.get_mut(&stream) {
                 Some(slot) => {
+                    let expected = slot.model.arch().input_dim;
+                    if let Some(bad) = frames.iter().find(|s| s.x.len() != expected) {
+                        return ShardReply::MalformedFrame { expected, got: bad.x.len() };
+                    }
                     self.live.served += frames.len() as u64;
                     ShardReply::Predictions {
                         preds: slot.model.predict_into(&frames, &mut slot.scratch).to_vec(),
@@ -499,13 +509,6 @@ impl Actor for InferenceShard {
                 }
                 None => ShardReply::NoSuchStream,
             },
-            ShardMsg::SetConfig { stream, config } => match self.slots.get_mut(&stream) {
-                Some(slot) => {
-                    slot.config = config;
-                    ShardReply::ConfigSet
-                }
-                None => ShardReply::NoSuchStream,
-            },
             ShardMsg::LiveStats => ShardReply::Live(self.live),
         }
     }
@@ -520,7 +523,9 @@ pub struct DaemonClient {
 
 impl DaemonClient {
     /// Classifies a batch of frames for `stream`; returns the predictions
-    /// and the serving-model version that produced them.
+    /// and the serving-model version that produced them. A frame whose
+    /// feature vector does not fit the serving model refuses the whole
+    /// batch with [`ServeError::MalformedFrame`] — the shard stays up.
     pub fn classify(
         &self,
         stream: StreamId,
@@ -530,6 +535,9 @@ impl DaemonClient {
         match shard.ask(ShardMsg::ClassifyBatch { stream: stream.0, frames }) {
             Ok(ShardReply::Predictions { preds, version }) => Ok((preds, version)),
             Ok(ShardReply::NoSuchStream) => Err(ServeError::UnknownStream),
+            Ok(ShardReply::MalformedFrame { expected, got }) => {
+                Err(ServeError::MalformedFrame { expected, got })
+            }
             _ => Err(ServeError::Unavailable),
         }
     }
@@ -857,11 +865,6 @@ impl EdgeDaemon {
         // ---- Phase C: dispatch retraining round-robin over the
         // supervised pool; one waiter thread per trainer drains its jobs
         // in order.
-        for (s, st) in self.streams.iter().enumerate() {
-            let _ = self
-                .shard_for(st.id.0)
-                .ask(ShardMsg::SetConfig { stream: st.id.0, config: plan.streams[s].infer_config });
-        }
         let mut queues: Vec<Vec<(usize, TrainJobSpec)>> =
             (0..self.trainers.len()).map(|_| Vec::new()).collect();
         let mut planned = vec![false; n];
@@ -885,7 +888,7 @@ impl EdgeDaemon {
                 hyper: self.cfg.hyper,
                 seed: self.cfg.seed.wrapping_add((w_idx as u64) << 20).wrapping_add(s as u64),
                 checkpoint_every: self.cfg.checkpoint_every,
-                swap_target: Some(SwapTarget::Shard {
+                swap_target: Some(SwapTarget {
                     addr: self.shards[st.id.0 as usize % self.shards.len()].address(),
                     stream: st.id.0,
                 }),

@@ -6,7 +6,6 @@
 //! accuracy by checkpointing the model during retraining and dynamically
 //! loading it as the inference model").
 
-use crate::inference::{InferenceActor, InferenceMsg, InferenceReply};
 use crate::serve::{InferenceShard, ShardMsg, ShardReply};
 use ekya_actors::{Actor, Address};
 use ekya_core::{RetrainConfig, RetrainExecution, TrainHyper};
@@ -15,52 +14,33 @@ use ekya_nn::mlp::Mlp;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Where a trainer hot-swaps improved checkpoints.
-pub enum SwapTarget {
-    /// A dedicated per-stream inference actor (the [`crate::EdgeServer`]
-    /// shape).
-    Actor(Address<InferenceActor>),
-    /// One stream's slot inside a multiplexed inference shard (the
-    /// [`crate::EdgeDaemon`] shape).
-    Shard {
-        /// The shard serving this stream.
-        addr: Address<InferenceShard>,
-        /// Stream id within the shard.
-        stream: u32,
-    },
+/// Where a trainer hot-swaps improved checkpoints: one stream's slot
+/// inside a multiplexed inference shard.
+pub struct SwapTarget {
+    /// The shard serving this stream.
+    pub addr: Address<InferenceShard>,
+    /// Stream id within the shard.
+    pub stream: u32,
 }
 
 impl SwapTarget {
     /// Accuracy the serving side currently achieves on `val` (the bar a
     /// checkpoint must clear before it is worth swapping in).
     fn serving_accuracy(&self, val: &Arc<Vec<Sample>>) -> f64 {
-        match self {
-            SwapTarget::Actor(addr) => match addr.ask(InferenceMsg::Evaluate(Arc::clone(val))) {
-                Ok(InferenceReply::Accuracy(a)) => a,
-                _ => 0.0,
-            },
-            SwapTarget::Shard { addr, stream } => {
-                match addr.ask(ShardMsg::Evaluate { stream: *stream, batch: Arc::clone(val) }) {
-                    Ok(ShardReply::Accuracy(a)) => a,
-                    _ => 0.0,
-                }
-            }
+        match self.addr.ask(ShardMsg::Evaluate { stream: self.stream, batch: Arc::clone(val) }) {
+            Ok(ShardReply::Accuracy(a)) => a,
+            _ => 0.0,
         }
     }
 
-    /// Swaps `model` into serving; `true` when the target applied it.
+    /// Swaps `model` into serving; `true` when the shard applied it.
     /// The `Arc::new` here is the copy-on-write boundary: a freshly
     /// materialised checkpoint enters shared ownership exactly once.
     fn swap(&self, model: Mlp, reload: Duration) -> bool {
-        match self {
-            SwapTarget::Actor(addr) => {
-                addr.ask(InferenceMsg::SwapModel { model: Arc::new(model), reload }).is_ok()
-            }
-            SwapTarget::Shard { addr, stream } => matches!(
-                addr.ask(ShardMsg::Swap { stream: *stream, model: Arc::new(model), reload }),
-                Ok(ShardReply::Swapped { .. })
-            ),
-        }
+        matches!(
+            self.addr.ask(ShardMsg::Swap { stream: self.stream, model: Arc::new(model), reload }),
+            Ok(ShardReply::Swapped { .. })
+        )
     }
 }
 
@@ -182,7 +162,7 @@ impl Actor for TrainerActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ekya_actors::spawn;
+    use ekya_actors::{spawn_bounded, spawn_supervised_bounded};
     use ekya_nn::mlp::MlpArch;
     use rand::Rng;
     use rand::SeedableRng;
@@ -225,7 +205,7 @@ mod tests {
 
     #[test]
     fn trainer_learns_and_reports() {
-        let trainer = spawn("trainer", TrainerActor);
+        let trainer = spawn_bounded("trainer", TrainerActor, 2);
         let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(spec(None)))).unwrap();
         assert_eq!(out.epochs, 20);
         assert!(out.final_accuracy > 0.9, "toy problem learnable: {}", out.final_accuracy);
@@ -234,30 +214,42 @@ mod tests {
     }
 
     #[test]
-    fn trainer_hot_swaps_into_inference() {
-        let trainer = spawn("trainer", TrainerActor);
+    fn trainer_hot_swaps_into_shard() {
+        let trainer = spawn_bounded("trainer", TrainerActor, 2);
         let job = spec(None);
         // Serve the *same untrained base model* the trainer starts from,
         // so the retrained model is better by construction and at least
         // the final swap must land.
-        let infer = spawn("inf", InferenceActor::new((*job.base_model).clone(), 2));
-        let job = TrainJobSpec { swap_target: Some(SwapTarget::Actor(infer.address())), ..job };
+        let shard = spawn_bounded("shard", InferenceShard::default(), 8);
+        assert!(matches!(
+            shard.ask(ShardMsg::Admit {
+                stream: 0,
+                model: Arc::clone(&job.base_model),
+                num_classes: 2
+            }),
+            Ok(ShardReply::Admitted)
+        ));
+        let job = TrainJobSpec {
+            swap_target: Some(SwapTarget { addr: shard.address(), stream: 0 }),
+            ..job
+        };
         let val = Arc::clone(&job.val);
         let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
         assert!(out.checkpoints_swapped >= 1, "at least the final swap should land");
-        // The inference actor now serves a model at least as good as the
-        // trainer's last-swapped checkpoint bar.
-        let InferenceReply::Accuracy(acc) = infer.ask(InferenceMsg::Evaluate(val)).unwrap() else {
+        // The shard now serves a model at least as good as the trainer's
+        // last-swapped checkpoint bar.
+        let Ok(ShardReply::Accuracy(acc)) = shard.ask(ShardMsg::Evaluate { stream: 0, batch: val })
+        else {
             panic!("wrong reply")
         };
         assert!(acc > 0.85, "serving accuracy after swaps: {acc}");
         trainer.stop();
-        infer.stop();
+        shard.stop();
     }
 
     #[test]
     fn injected_fault_panics_through_supervision() {
-        let trainer = ekya_actors::spawn_supervised("trainer", || TrainerActor);
+        let trainer = spawn_supervised_bounded("trainer", || TrainerActor, 2);
         let job = TrainJobSpec { fail_after_epochs: Some(2), ..spec(None) };
         assert_eq!(
             trainer.ask(TrainerMsg::Run(Box::new(job))).err(),

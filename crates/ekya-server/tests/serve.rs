@@ -1,6 +1,7 @@
 //! Serving-path suite for [`ekya_server::EdgeDaemon`]: liveness under
 //! concurrent retraining, hot-swap visibility, typed admission control,
-//! and supervised recovery from trainer faults.
+//! refusal of malformed client frames, and supervised recovery from
+//! trainer faults.
 
 use ekya_nn::data::Sample;
 use ekya_nn::mlp::{Mlp, MlpArch};
@@ -144,6 +145,38 @@ fn admission_control_rejects_typed_not_queued() {
     daemon.shutdown();
 }
 
+/// A client frame of the wrong length is refused at the shard's outside
+/// boundary with a typed error — whole request, nothing classified —
+/// instead of tripping the forward pass's shape assert inside the shard
+/// thread, which would take every stream on that shard down with it.
+#[test]
+fn malformed_client_frame_is_refused_and_shard_survives() {
+    let mut daemon = EdgeDaemon::new(ServeConfig { infer_shards: 1, ..ServeConfig::quick(2.0) });
+    let fleet = tiny_fleet(2, 97);
+    let dim = fleet[0].feature_dim;
+    let probe: Vec<_> = fleet[1].window(0).val.iter().take(4).cloned().collect();
+    let ids: Vec<_> = fleet.into_iter().map(|ds| daemon.admit(ds).unwrap()).collect();
+    let (a, b) = (ids[0], ids[1]);
+    let client = daemon.client();
+
+    for got in [0, dim + 1] {
+        // A well-formed frame ahead of the bad one must not be served.
+        let frames = vec![probe[0].clone(), Sample::new(vec![0.0; got], 0)];
+        assert_eq!(
+            client.classify(a, frames).err(),
+            Some(ServeError::MalformedFrame { expected: dim, got })
+        );
+    }
+    assert_eq!(daemon.live_stats().served, 0, "a refused request classifies nothing");
+
+    // The shard is alive: its other stream still classifies, a window
+    // runs to completion and the ledger validates.
+    assert_eq!(client.classify(b, probe.clone()).unwrap().0.len(), probe.len());
+    assert_eq!(daemon.run_window().len(), 2);
+    assert_eq!(daemon.status_snapshot().validate(), Vec::<String>::new());
+    daemon.shutdown();
+}
+
 /// Hot-swapping a slot to a *smaller* model (fewer layers, narrower
 /// output) must not leak stale bytes from the slot's reused scratch
 /// buffers: predictions through the recycled scratch — on both the
@@ -151,7 +184,7 @@ fn admission_control_rejects_typed_not_queued() {
 /// a fresh allocating `predict`.
 #[test]
 fn classify_after_hot_swap_to_smaller_model_reads_no_stale_tail() {
-    let shard = ekya_actors::spawn("shard", InferenceShard::default());
+    let shard = ekya_actors::spawn_bounded("shard", InferenceShard::default(), 8);
     let big = Mlp::new(MlpArch { input_dim: 6, hidden: vec![32, 24, 16], num_classes: 7 }, 11);
     let small = Mlp::new(MlpArch { input_dim: 6, hidden: vec![4], num_classes: 3 }, 13);
     assert!(matches!(

@@ -10,7 +10,10 @@
 //! * [`video`] (`ekya-video`) — synthetic drifting video workloads;
 //! * [`sim`] (`ekya-sim`) — discrete-event execution + trace replay;
 //! * [`net`] (`ekya-net`) — edge↔cloud links (Table 4);
-//! * [`actors`] (`ekya-actors`) — actor runtime (the paper's Ray, §5);
+//! * [`actors`] (`ekya-actors`) — actor runtime (the paper's Ray, §5):
+//!   typed, bounded mailboxes and supervised restart;
+//! * [`server`] (`ekya-server`) — the live deployment: one serving shape,
+//!   `EdgeDaemon` (inference shards, supervised trainers, hot-swaps);
 //! * [`baselines`] (`ekya-baselines`) — uniform/ablation/cloud/cache
 //!   comparisons;
 //! * [`telemetry`] (`ekya-telemetry`) — two-plane structured tracing:
@@ -60,7 +63,7 @@ pub mod prelude {
     };
     pub use ekya_net::LinkModel;
     pub use ekya_nn::{CostModel, LearningCurve, Mlp, MlpArch};
-    pub use ekya_server::{EdgeServer, EdgeServerConfig};
+    pub use ekya_server::{EdgeDaemon, ServeConfig};
     pub use ekya_sim::{
         record_trace, run_windows, ReplayPolicyHarness, RunReport, RunnerConfig, Trace,
     };

@@ -43,8 +43,8 @@ fn prelude_symbols_importable() {
     let _ = std::any::type_name::<MlpArch>();
 
     // ekya-server
-    let _ = std::any::type_name::<EdgeServer>();
-    let _ = std::any::type_name::<EdgeServerConfig>();
+    let _ = std::any::type_name::<EdgeDaemon>();
+    let _ = std::any::type_name::<ServeConfig>();
 
     // ekya-sim
     let _ = record_trace as *const ();
@@ -180,7 +180,7 @@ fn orchestrator_symbols_importable() {
 /// The facade re-exports all nine sub-crates as modules.
 #[test]
 fn facade_modules_present() {
-    let _ = std::any::type_name::<ekya::actors::ActorSystem<DummyActor>>();
+    let _ = std::any::type_name::<ekya::actors::ActorHandle<DummyActor>>();
     let _ = std::any::type_name::<ekya::baselines::uniform::UniformPolicy>();
     let _ = std::any::type_name::<ekya::core::Schedule>();
     let _ = std::any::type_name::<ekya::net::Direction>();
@@ -230,8 +230,6 @@ fn ekya_lint_registered() {
 #[test]
 fn serving_path_registered() {
     // ekya-server daemon surface.
-    let _ = std::any::type_name::<ekya::server::EdgeServer>();
-    let _ = std::any::type_name::<ekya::server::EdgeServerConfig>();
     let _ = std::any::type_name::<ekya::server::EdgeDaemon>();
     let _ = std::any::type_name::<ekya::server::ServeConfig>();
     let _ = std::any::type_name::<ekya::server::DaemonClient>();
