@@ -9,14 +9,14 @@
 #                     bytes) + the repo benchmark's four-workload
 #                     `--smoke --trace 1` pass (so a change to the API
 #                     examples/ekya_e2e pins breaks here, not at the next
-#                     benchmark run) + the harness perf gate. Minutes,
-#                     not tens of minutes; what the CI quick job runs.
+#                     benchmark run). Minutes, not tens of minutes; what
+#                     the CI quick job runs.
 #   ./ci.sh full    — the complete sweep: formatting, lints, rustdoc
 #                     (deny warnings), the release build, every target
-#                     (examples, benches, bins), and the full test suite
-#                     — built first, then run under a 4 GB address-space
-#                     cap, so an unbounded queue fails as an allocation
-#                     error in seconds. The default.
+#                     (examples, bins), and the full test suite — built
+#                     first, then run under a 4 GB address-space cap, so
+#                     an unbounded queue fails as an allocation error in
+#                     seconds. The default.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -47,10 +47,7 @@ case "$MODE" in
 
     # Quick-mode grid smoke across several bins: the declarative grids
     # shrink under EKYA_QUICK=1 and the harness fans them out across
-    # EKYA_WORKERS threads. harness_bench additionally asserts that the
-    # parallel run is byte-identical to the serial run (for the fig06
-    # grid and the fig03 config sweep) and appends the measurements to
-    # the results/BENCH_series.json trajectory for the perf gate.
+    # EKYA_WORKERS threads.
     echo "==> harness smoke: fig06_streams (quick grid)"
     EKYA_QUICK=1 EKYA_WINDOWS=2 cargo run --release -q -p ekya-bench --bin fig06_streams
 
@@ -135,29 +132,6 @@ case "$MODE" in
         --workload "$workload" --seed 1 --smoke --trace 1 >/dev/null
     done
 
-    echo "==> harness smoke: harness_bench (serial ≡ parallel + throughput)"
-    EKYA_WINDOWS=2 cargo run --release -q -p ekya-bench --bin harness_bench
-
-    echo "==> perf gate"
-    # Throughput is machine-dependent, so the quick tier gates against a
-    # baseline recorded on *this* machine (self-seeded on the first run,
-    # gitignored under target/). Hosted CI overrides EKYA_BENCH_BASELINE
-    # with a runner-cached path; pass ci/bench_baseline.json explicitly
-    # to compare against the committed reference record instead. The
-    # nightly lane sets EKYA_PERF_GATE_FLAGS=--all to require every
-    # baseline record (it measures the full-size one too).
-    # shellcheck disable=SC2086
-    EKYA_BENCH_BASELINE="${EKYA_BENCH_BASELINE:-target/perf_baseline.json}" \
-      ./ci/check_bench.sh ${EKYA_PERF_GATE_FLAGS:-}
-
-    # harness_bench appended its record set above, so by this point the
-    # trajectory file exists even on the very first green run of a fresh
-    # checkout — assert that and render it, so a missing trajectory is a
-    # quick-tier failure rather than a silently empty artifact.
-    echo "==> perf trajectory (results/BENCH_series.json)"
-    test -s results/BENCH_series.json
-    cargo run --release -q -p ekya-bench --bin bench_series
-
     echo "ci.sh quick: all green"
     ;;
 
@@ -170,8 +144,8 @@ case "$MODE" in
     echo "==> cargo build --release"
     cargo build --release
 
-    echo "==> cargo build --examples --benches --bins"
-    cargo build --examples --benches --bins
+    echo "==> cargo build --examples --bins"
+    cargo build --examples --bins
 
     # Build the tests uncapped (rustc and the linker map far more than
     # they use), then run them under an address-space cap: a mailbox or

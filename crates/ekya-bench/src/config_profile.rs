@@ -116,8 +116,7 @@ pub fn merge_config_shards(shards: &[ConfigShard]) -> Result<Vec<ConfigPoint>, S
 
 /// The configuration grid fig03 profiles: the paper's extended
 /// 54-configuration grid, or the 18-configuration default grid under
-/// quick mode (`EKYA_QUICK=1`) — the slice `harness_bench` measures and
-/// the CI perf gate tracks as `fig03_quick_configs`.
+/// quick mode (`EKYA_QUICK=1`).
 pub fn config_grid(quick: bool) -> Vec<RetrainConfig> {
     if quick {
         default_retrain_grid()

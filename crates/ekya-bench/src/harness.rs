@@ -260,7 +260,7 @@ pub fn default_workers() -> usize {
 /// yields `Err(panic message)` in its slot and no other item is
 /// affected. Results depend only on `(index, item)`, never on execution
 /// order, so serial and parallel runs agree exactly.
-pub fn run_parallel<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Result<R, String>>
+pub(crate) fn run_parallel<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Send,
     R: Send,
@@ -489,8 +489,8 @@ impl HarnessReport {
 }
 
 /// Timing and resume bookkeeping for one [`GridExec::run`] — printed by
-/// the bins, recorded in [`BenchRecord`], deliberately **not** part of
-/// the serialized [`HarnessReport`] (see there).
+/// the bins, deliberately **not** part of the serialized
+/// [`HarnessReport`] (see there).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunStats {
     /// Worker threads used.
@@ -535,7 +535,8 @@ impl GridRun {
 
 /// Runs one scenario end to end: generate its streams, build its policy
 /// (inside the calling thread), execute the windows. This is the default
-/// cell evaluator; bins with bespoke cells use [`run_parallel`] directly.
+/// cell evaluator; bins with bespoke cells pass their own to
+/// [`GridExec::run_with`].
 pub fn run_scenario(sc: &Scenario, holdout_seed: u64) -> CellResult {
     // Cells that differ only in policy share a workload; the memoised
     // constructor derives each distinct (dataset, streams, windows, seed)
@@ -1117,100 +1118,6 @@ where
         ekya_telemetry::stop();
     }
     run
-}
-
-// ---------------------------------------------------------------------
-// Perf trajectory
-// ---------------------------------------------------------------------
-
-/// Machine-readable harness throughput record. `harness_bench` measures
-/// one record per gated grid (the quick fig06 scenario grid and the
-/// quick fig03 config sweep) and appends them — as one
-/// [`BenchSeriesEntry`] — to `results/BENCH_series.json`; CI's perf gate
-/// (`ci/check_bench.sh`) compares each record's `cells_per_sec` against
-/// the matching entry of the committed baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Benchmark identity (grid name).
-    pub name: String,
-    /// Cells in the measured grid.
-    pub cells: usize,
-    /// Worker threads in the parallel run.
-    pub workers: usize,
-    /// Serial (1-worker) wall-clock seconds.
-    pub serial_wall_secs: f64,
-    /// Parallel wall-clock seconds.
-    pub parallel_wall_secs: f64,
-    /// `serial_wall_secs / parallel_wall_secs`.
-    pub speedup: f64,
-    /// Parallel throughput in cells per second — the gated metric.
-    pub cells_per_sec: f64,
-}
-
-/// One run of `harness_bench` in the perf trajectory: which revision was
-/// measured and the records it produced. `results/BENCH_series.json`
-/// holds the full history (a JSON array of these, appended to — never
-/// overwritten), so throughput over time can be plotted per machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchSeriesEntry {
-    /// `git describe --always --dirty` of the measured tree (or
-    /// `"unknown"` outside a git checkout).
-    pub git: String,
-    /// One record per measured grid, `fig06_quick_grid` first.
-    pub records: Vec<BenchRecord>,
-}
-
-/// The perf-trajectory file: `results/BENCH_series.json`.
-pub fn bench_series_path() -> PathBuf {
-    results_dir().join("BENCH_series.json")
-}
-
-/// Appends one run's records to the perf trajectory (stamped with
-/// [`git_describe`]) and returns the series path. Refuses to clobber an
-/// unparseable series file — history is the point of the series.
-pub fn append_bench_series(records: Vec<BenchRecord>) -> Result<PathBuf, String> {
-    let path = bench_series_path();
-    let mut series: Vec<BenchSeriesEntry> = match std::fs::read_to_string(&path) {
-        // An empty (e.g. freshly `touch`ed) file is a fresh series, not
-        // a corrupt one.
-        Ok(text) if text.trim().is_empty() => Vec::new(),
-        Ok(text) => serde_json::from_str(&text).map_err(|e| {
-            format!("cannot parse {}: {e} — move it aside to start a fresh series", path.display())
-        })?,
-        Err(_) => Vec::new(),
-    };
-    series.push(BenchSeriesEntry { git: git_describe(), records });
-    crate::write_json(&path, &series)?;
-    Ok(path)
-}
-
-/// The latest entry of a perf-trajectory file — what the perf gate
-/// compares against the committed baseline.
-pub fn latest_bench_entry(path: &Path) -> Result<BenchSeriesEntry, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    if text.trim().is_empty() {
-        return Err(format!("{} is empty — no measurements recorded yet", path.display()));
-    }
-    let series: Vec<BenchSeriesEntry> = serde_json::from_str(&text)
-        .map_err(|e| format!("cannot parse {} as a bench series: {e}", path.display()))?;
-    series.last().cloned().ok_or_else(|| format!("{} holds no entries", path.display()))
-}
-
-/// `git describe --always --dirty` of the workspace, `"unknown"` when
-/// git is unavailable — the revision stamp of a [`BenchSeriesEntry`].
-pub fn git_describe() -> String {
-    let root = results_dir().parent().map(PathBuf::from).unwrap_or_else(|| PathBuf::from("."));
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 #[cfg(test)]

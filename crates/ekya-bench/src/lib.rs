@@ -1,9 +1,9 @@
 //! # ekya-bench — experiment harness
 //!
 //! One binary per table/figure of the paper (run with
-//! `cargo run --release -p ekya-bench --bin figNN_*`) plus Criterion
-//! microbenchmarks (`cargo bench`). Binaries print the same rows/series
-//! the paper reports and write machine-readable JSON to `results/`.
+//! `cargo run --release -p ekya-bench --bin figNN_*`). Binaries print
+//! the same rows/series the paper reports and write machine-readable
+//! JSON to `results/`.
 //!
 //! The paper's result grids — (dataset × streams × GPUs × policy) — are
 //! embarrassingly parallel, so the bins no longer hand-roll serial
@@ -62,10 +62,9 @@ pub use config_profile::{
 };
 pub use grid::{cell_seed, coverage_order, fig06_grid, fnv1a, Grid, Scenario, ShardSpec};
 pub use harness::{
-    append_bench_series, bench_series_path, chunk_ranges, default_workers, git_describe,
-    latest_bench_entry, load_report, merge_reports, report_path, run_grid, run_grid_bin,
-    run_grid_bin_with, run_parallel, run_scenario, trace_path, BenchRecord, BenchSeriesEntry,
-    CellResult, GridExec, GridRun, HarnessReport, Knobs, RunStats,
+    chunk_ranges, default_workers, load_report, merge_reports, report_path, run_grid, run_grid_bin,
+    run_grid_bin_with, run_scenario, trace_path, CellResult, GridExec, GridRun, HarnessReport,
+    Knobs, RunStats,
 };
 
 pub use knob::env_f64;

@@ -1,13 +1,14 @@
 //! Serving-path workloads: synthetic camera fleets plus the loadgen
-//! driver shared by the `ekya_serve` / `ekya_loadgen` bins, the
-//! serving-path tests, and `harness_bench`'s gated `serve_quick` record.
+//! driver shared by the `ekya_serve` / `ekya_loadgen` bins and the
+//! serving-path tests.
 //!
 //! The report produced here ([`LoadgenReport`]) carries only the
 //! daemon's *logical* serving plane — the deterministic status snapshot
 //! and aggregates derived from it. Shard counts, trainer counts, worker
 //! counts and every wall-clock observation are deliberately excluded,
-//! which is what lets `harness_bench` assert a serial (1/1/1) daemon and
-//! a parallel one produce **byte-identical** reports for the same fleet.
+//! which is what lets `tests/serve_path.rs` assert a serial (1/1/1)
+//! daemon and a parallel one produce **byte-identical** reports for the
+//! same fleet.
 
 use ekya_server::{ArrivalPattern, EdgeDaemon, ServeConfig, ShardLive, StatusSnapshot};
 use ekya_video::{DatasetKind, DatasetSpec, VideoDataset};

@@ -1,9 +1,12 @@
 //! Integration tests for the parallel experiment harness: determinism
-//! (serial ≡ 4 workers, byte for byte), panic isolation at grid level,
+//! (serial ≡ 4 workers, byte for byte — for scenario grids, the fig03
+//! config sweep, and trace-replay grids), panic isolation at grid level,
 //! and knob parsing.
 
 use ekya_baselines::PolicySpec;
-use ekya_bench::{run_grid, Grid, Knobs};
+use ekya_bench::{
+    config_grid, fig07_grid, run_grid, ConfigSweep, Grid, GridExec, Knobs, ReplayTraces,
+};
 use ekya_video::DatasetKind;
 
 /// A small but real grid: every cell runs actual retraining windows.
@@ -40,6 +43,45 @@ fn parallel_run_is_byte_identical_to_serial() {
         assert!(cell.mean_accuracy > 0.0, "cell {} produced no accuracy", cell.scenario.label());
         assert!(cell.report.is_some());
     }
+}
+
+/// The other fan-out path: the fig03 configuration sweep seeds every
+/// configuration from its own label, so which chunk or worker a config
+/// lands on cannot change its point.
+#[test]
+fn config_sweep_is_identical_across_worker_counts() {
+    let configs = config_grid(true);
+    let sweep = ConfigSweep::prepare(42);
+    let serial = sweep.measure(&configs, 1);
+    let parallel = sweep.measure(&configs, 4);
+    assert_eq!(serial, parallel, "parallel config sweep diverged from serial sweep");
+    assert_eq!(serial.len(), configs.len());
+    assert!(serial.iter().all(|p| p.error.is_none()), "config sweep had poisoned configs");
+}
+
+/// The third cell shape: a replay grid run through a custom evaluator
+/// (`GridExec::run_with` over shared, lazily recorded `ReplayTraces`).
+/// Each cell is keyed by its scenario, never by dispatch order, so the
+/// report is the same file at any worker count.
+#[test]
+fn replay_grid_is_byte_identical_across_worker_counts() {
+    let grid = fig07_grid(true, 2, 4, 42);
+    let traces = ReplayTraces::for_grid(&grid);
+    let replay = |workers| {
+        GridExec::new("fig07_quick_replay", workers)
+            .run_with(&grid, |sc| traces.replay(&grid, sc))
+            .report
+    };
+    let serial = replay(1);
+    let parallel = replay(4);
+    assert_eq!(serial, parallel, "parallel replay diverged from serial replay");
+    assert_eq!(
+        serde_json::to_string_pretty(&serial).unwrap(),
+        serde_json::to_string_pretty(&parallel).unwrap(),
+        "serialized replay reports must match byte for byte"
+    );
+    assert_eq!(serial.failed, 0, "replay grid had poisoned cells");
+    assert_eq!(serial.cells.len(), grid.cells().len());
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! daemon — a killed daemon must leave a valid, internally consistent
 //! status snapshot on disk.
 
-use ekya_bench::{run_fleet, FleetConfig};
+use ekya_bench::{build_daemon, run_fleet, FleetConfig};
 use ekya_server::StatusSnapshot;
 use std::path::{Path, PathBuf};
 
@@ -58,6 +58,24 @@ fn fleet_reports_are_deterministic_across_runs_and_shapes() {
     // byte-identity assertions above are vacuous.
     let other = run_fleet(&FleetConfig::serial(8, 2, 43)).0;
     assert_ne!(bytes(&first), bytes(&other), "seed must matter");
+
+    // The live pump is wall plane only on every shape: after a warm-up,
+    // steady-state rounds classify the same frames on a 1-shard and a
+    // multi-shard daemon and move no byte of either status view.
+    let pump = |cfg: &FleetConfig| {
+        let mut daemon = build_daemon(cfg);
+        assert!(daemon.pump_rounds(2) > 0, "warm-up pump must classify frames");
+        let before = serde_json::to_string_pretty(&daemon.status_view()).expect("serialise");
+        let frames = daemon.pump_rounds(3);
+        let after = serde_json::to_string_pretty(&daemon.status_view()).expect("serialise");
+        daemon.shutdown();
+        assert_eq!(before, after, "pumping must not move the logical plane");
+        (frames, after)
+    };
+    let (serial_frames, serial_view) = pump(&FleetConfig::serial(32, 1, 42));
+    let (parallel_frames, parallel_view) = pump(&FleetConfig::parallel(32, 1, 42, 4));
+    assert_eq!(serial_frames, parallel_frames, "shapes classified different frame counts");
+    assert_eq!(serial_view, parallel_view, "daemon shapes disagree on the status view");
 }
 
 /// Two `ekya_loadgen` processes with the same `EKYA_SEED` write

@@ -79,8 +79,9 @@ impl Default for Config {
                 // results_dir() resolves EKYA_RESULTS_DIR/CARGO_MANIFEST_DIR
                 // to decide *where* reports go — never what's in them.
                 ("ambient-env", "crates/ekya-bench/src/lib.rs"),
-                // RunStats measures harness wall time for the perf gate;
-                // it is reported next to, never inside, cell results.
+                // RunStats measures harness wall time for the bins'
+                // stats footer; it is reported next to, never inside,
+                // cell results.
                 ("wallclock-in-cell", "crates/ekya-bench/src/harness.rs"),
                 // The telemetry wall-clock plane: `wall_span` /
                 // `wall_gauge_max` live here by design, aggregate into
@@ -94,8 +95,7 @@ impl Default for Config {
                 ("wallclock-in-cell", "crates/ekya-orchestrate/src/retry.rs"),
                 ("wallclock-in-cell", "crates/ekya-orchestrate/src/bin/ekya_grid.rs"),
                 // Bench mains time whole passes for human-readable
-                // stderr/perf-series output, not for cell content.
-                ("wallclock-in-cell", "crates/ekya-bench/src/bin/harness_bench.rs"),
+                // stderr output, not for cell content.
                 ("wallclock-in-cell", "crates/ekya-bench/src/bin/scheduler_runtime.rs"),
                 ("wallclock-in-cell", "crates/ekya-bench/src/bin/fig10_delta.rs"),
                 // ekya_loadgen times the whole fleet run for its

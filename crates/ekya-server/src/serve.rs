@@ -1114,7 +1114,8 @@ impl EdgeDaemon {
     /// window's frames without running a window: pure wall plane — the
     /// logical ledger, status snapshots and traces are untouched.
     /// Returns the number of frames classified. This is the serving hot
-    /// path in isolation, used by the `serve_throughput` benchmark.
+    /// path in isolation, what the repo benchmark's `serve-steady`
+    /// workload times.
     ///
     /// # Panics
     /// Panics when any admitted stream's dataset has no window at the

@@ -24,9 +24,8 @@
 //!
 //! Telemetry is off by default. Every hook begins with a branch on a
 //! relaxed atomic ([`enabled`]), so instrumented hot paths cost one
-//! predictable-untaken branch when tracing is off — `harness_bench`
-//! asserts the enabled-vs-disabled throughput ratio stays within the
-//! perf-gate tolerance.
+//! predictable-untaken branch when tracing is off — the repo benchmark
+//! reports the enabled-vs-disabled cost as `telemetry.overhead_pct`.
 //!
 //! The crate is dependency-light on purpose (vendored `serde`,
 //! `serde_json`, `parking_lot` only) so every layer — `ekya-core`'s

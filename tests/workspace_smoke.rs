@@ -78,11 +78,9 @@ fn harness_symbols_importable() {
     let _ = std::any::type_name::<ekya_bench::Knobs>();
     let _ = std::any::type_name::<ekya_bench::CellResult>();
     let _ = std::any::type_name::<ekya_bench::HarnessReport>();
-    let _ = std::any::type_name::<ekya_bench::BenchRecord>();
     let _ = ekya_bench::run_grid as fn(&ekya_bench::Grid, usize) -> ekya_bench::GridRun;
     let _ = ekya_bench::fig06_grid as fn(bool, usize, u64) -> ekya_bench::Grid;
     let _ = ekya_bench::cell_seed as *const ();
-    let _ = ekya_bench::run_parallel::<u8, u8, fn(usize, u8) -> u8> as *const ();
 
     // Sharded + resumable execution surface (EKYA_SHARD / EKYA_RESUME +
     // the grid_merge bin ride on these).
@@ -148,12 +146,6 @@ fn orchestrator_symbols_importable() {
     let _ = std::any::type_name::<ekya::baselines::InferenceOnlyPolicy>();
     let _ = ekya_bench::run_grid_bin_with::<fn(&ekya_bench::Scenario) -> ekya_bench::CellResult>
         as *const ();
-
-    // ekya-bench: perf trajectory.
-    let _ = std::any::type_name::<ekya_bench::BenchSeriesEntry>();
-    let _ = ekya_bench::append_bench_series as *const ();
-    let _ = ekya_bench::latest_bench_entry as *const ();
-    let _ = ekya_bench::git_describe as fn() -> String;
 
     // ekya-orchestrate: plan / spawn / monitor / retry / merge.
     let _ = std::any::type_name::<ekya_orchestrate::Plan>();
