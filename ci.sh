@@ -5,8 +5,11 @@
 #                     smoke across several bins (including a 2-shard +
 #                     grid_merge byte-identity check and a supervised
 #                     ekya_grid run with an injected shard kill) + the
-#                     serving smoke (ekya_serve ≡ ekya_loadgen snapshot
-#                     bytes) + the repo benchmark's four-workload
+#                     thief scheduler at fleet scale (scheduler_runtime,
+#                     whose check is that every schedule fits its GPU
+#                     budget) + the serving smoke (ekya_serve ≡
+#                     ekya_loadgen snapshot bytes) + the repo
+#                     benchmark's four-workload
 #                     `--smoke --trace 1` pass (so a change to the API
 #                     examples/ekya_e2e pins breaks here, not at the next
 #                     benchmark run). Minutes, not tens of minutes; what
@@ -96,6 +99,14 @@ case "$MODE" in
     echo "==> harness smoke: fig08_factors (quick replay grid)"
     EKYA_QUICK=1 EKYA_WINDOWS=2 EKYA_STREAMS=4 \
       cargo run --release -q -p ekya-bench --bin fig08_factors
+
+    # The thief scheduler from the paper's 10-stream shape to 100/200/400
+    # streams (≈3 s). The bin's own check is that every schedule fits its
+    # GPU budget; no step here gates on a wall clock, but a scheduler that
+    # went back to re-walking every stream per steal attempt would make
+    # this a ~70 s step in the log.
+    echo "==> scheduler smoke: scheduler_runtime (10 → 400 streams, allocation within budget)"
+    cargo run --release -q -p ekya-bench --bin scheduler_runtime
 
     # Serving-path smoke: a short ekya_serve daemon run (admission +
     # per-window atomic snapshots), its own snapshot validator, and a

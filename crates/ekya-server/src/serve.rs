@@ -820,6 +820,7 @@ impl EdgeDaemon {
         let prep = self.phase_a(w_idx);
 
         // ---- Phase B: plan (pure).
+        let plan_wall = ekya_telemetry::timing::wall_span("server.daemon", "plan");
         let infer_profiles: Vec<_> = (0..n)
             .map(|s| {
                 build_inference_profiles(
@@ -852,6 +853,7 @@ impl EdgeDaemon {
         };
         let mut policy = EkyaPolicy::new(self.cfg.scheduler);
         let plan = policy.plan_window(&ctx);
+        drop(plan_wall);
         if ekya_telemetry::enabled() {
             let retrains = plan.streams.iter().filter(|s| s.retrain.is_some()).count();
             ekya_telemetry::span(
@@ -948,11 +950,15 @@ impl EdgeDaemon {
 
         // ---- Phase E: end-of-window measurement (fanned like Phase A):
         // final serving model + ground-truth accuracy per stream.
-        let finals = self.phase_e(w_idx);
+        let finals = {
+            let _e_wall = ekya_telemetry::timing::wall_span("server.daemon", "phase_e");
+            self.phase_e(w_idx)
+        };
 
         // ---- Phase F: credit swaps, account link transfers, advance the
         // logical ledger — sequential in stream order, fully
         // deterministic.
+        let _f_wall = ekya_telemetry::timing::wall_span("server.daemon", "phase_f");
         self.link.reset();
         let mut reports = Vec::with_capacity(n);
         for (s, (version, accuracy, model_mbits)) in finals.into_iter().enumerate() {

@@ -1,8 +1,8 @@
 //! Property-based tests (proptest) over the core invariants.
 
 use ekya::core::{
-    default_inference_grid, estimate_window, thief_schedule, EstimateParams, InferenceProfile,
-    RetrainConfig, RetrainProfile, RetrainWork, SchedulerParams, StreamInput,
+    default_inference_grid, estimate_window, pick_configs_fixed, thief_schedule, EstimateParams,
+    InferenceProfile, RetrainConfig, RetrainProfile, RetrainWork, SchedulerParams, StreamInput,
 };
 use ekya::nn::{nnls, CostModel, LearningCurve};
 use ekya::sim::{quantize_inv_pow2, Timeline};
@@ -91,24 +91,27 @@ proptest! {
     }
 
     /// The thief scheduler never over-allocates the GPU budget and its
-    /// objective never falls below the no-retraining floor it starts from.
+    /// objective never falls below the no-stealing floor it starts from:
+    /// Algorithm 1's fair allocation with `PickConfigs` applied to it.
     #[test]
     fn thief_respects_budget(
         total_gpus in 0.5f64..8.0,
-        n in 1usize..6,
+        n in 1usize..=12,
+        n_profiles in 0usize..=2,
         serving in 0.2f64..0.9,
         asymptote in 0.5f64..1.0,
     ) {
         let infer = ekya::core::build_inference_profiles(
             &CostModel::default(), 1.0, 30.0, &default_inference_grid());
-        let profiles = vec![RetrainProfile {
+        // Empty for some cases: retraining cannot be chosen at all.
+        let profiles: Vec<RetrainProfile> = (0..n_profiles).map(|i| RetrainProfile {
             config: RetrainConfig {
                 epochs: 10, batch_size: 32, last_layer_neurons: 16,
                 layers_trained: 3, data_fraction: 1.0,
             },
             curve: LearningCurve { a: 1.0, b: 2.0, c: asymptote },
-            gpu_seconds_per_epoch: 3.0,
-        }];
+            gpu_seconds_per_epoch: 3.0 * (1 + i) as f64,
+        }).collect();
         let streams: Vec<StreamInput> = (0..n).map(|i| StreamInput {
             id: StreamId(i as u32),
             serving_accuracy: serving,
@@ -116,13 +119,27 @@ proptest! {
             infer_profiles: &infer,
             in_progress: None,
         }).collect();
-        let schedule = thief_schedule(&streams, 200.0, &SchedulerParams::new(total_gpus));
+        let params = SchedulerParams::new(total_gpus);
+        let schedule = thief_schedule(&streams, 200.0, &params);
         prop_assert!(schedule.total_allocated() <= total_gpus + 1e-6);
-        prop_assert!(schedule.avg_accuracy >= 0.0);
         for d in &schedule.decisions {
             prop_assert!(d.train_gpus >= 0.0);
             prop_assert!(d.infer_gpus >= 0.0);
         }
+
+        // Algorithm 1's fair start in milli-GPU units: floor(G / 1e-3)
+        // units split evenly over the 2n jobs, remainder to the first.
+        let units = (total_gpus / 1e-3).floor() as usize;
+        let job_gpus = |job: usize| {
+            (units / (2 * n) + usize::from(job < units % (2 * n))) as f64 * 1e-3
+        };
+        let fair: Vec<(f64, f64)> =
+            (0..n).map(|s| (job_gpus(2 * s), job_gpus(2 * s + 1))).collect();
+        let floor = pick_configs_fixed(&streams, &fair, 200.0, &params).avg_accuracy;
+        prop_assert!(
+            schedule.avg_accuracy >= floor - 1e-12,
+            "thief {} fell below its fair start {floor}", schedule.avg_accuracy
+        );
     }
 
     /// GPU quantisation never increases the demand (so packing a set of
