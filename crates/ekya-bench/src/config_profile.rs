@@ -188,62 +188,36 @@ impl ConfigSweep {
     /// isolated into its point's `error` field — the same isolation a
     /// grid cell gets — so one poisoned config cannot sink the sweep.
     pub fn measure(&self, configs: &[RetrainConfig], workers: usize) -> Vec<ConfigPoint> {
-        // Configurations cost roughly the same, so chunking is purely
-        // count-based (uniform weights, `EKYA_BATCH` cap) — same
-        // amortisation as the grid harness, reassembled in input order.
-        let weights = vec![1.0; configs.len()];
-        let ranges = crate::harness::chunk_ranges(&weights, workers, crate::knob::batch());
-        let chunks: Vec<Vec<RetrainConfig>> =
-            ranges.iter().map(|r| configs[r.clone()].to_vec()).collect();
-        run_parallel(chunks, workers, |_, chunk: Vec<RetrainConfig>| {
-            chunk
-                .into_iter()
-                .map(|c| {
-                    // Per-config panic isolation, as when each config was
-                    // its own task.
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let cfg_seed =
-                            self.base_seed ^ fnv1a(format!("cfg|{}", c.label()).as_bytes());
-                        let (accuracy, gpu_seconds) = profile_config(
-                            &self.model,
-                            &self.train,
-                            &self.val,
-                            c,
-                            self.num_classes,
-                            TrainHyper::default(),
-                            &self.cost,
-                            cfg_seed,
-                        );
-                        ConfigPoint {
-                            label: c.label(),
-                            gpu_seconds,
-                            accuracy,
-                            on_pareto: false,
-                            error: None,
-                        }
-                    }))
-                    .map_err(crate::harness::panic_message)
+        let profile = |_: usize, c: RetrainConfig| {
+            let cfg_seed = self.base_seed ^ fnv1a(format!("cfg|{}", c.label()).as_bytes());
+            let (accuracy, gpu_seconds) = profile_config(
+                &self.model,
+                &self.train,
+                &self.val,
+                c,
+                self.num_classes,
+                TrainHyper::default(),
+                &self.cost,
+                cfg_seed,
+            );
+            ConfigPoint { label: c.label(), gpu_seconds, accuracy, on_pareto: false, error: None }
+        };
+        run_parallel(configs.to_vec(), workers, profile, |_, _| {})
+            .into_iter()
+            .zip(configs)
+            .map(|(r, c)| {
+                r.unwrap_or_else(|message| {
+                    eprintln!("[fig03: config {} poisoned — {message}]", c.label());
+                    ConfigPoint {
+                        label: c.label(),
+                        gpu_seconds: 0.0,
+                        accuracy: 0.0,
+                        on_pareto: false,
+                        error: Some(message),
+                    }
                 })
-                .collect::<Vec<Result<ConfigPoint, String>>>()
-        })
-        .into_iter()
-        .flat_map(|chunk| {
-            chunk.expect("chunk evaluation cannot panic outside the per-config guard")
-        })
-        .zip(configs)
-        .map(|(r, c)| {
-            r.unwrap_or_else(|message| {
-                eprintln!("[fig03: config {} poisoned — {message}]", c.label());
-                ConfigPoint {
-                    label: c.label(),
-                    gpu_seconds: 0.0,
-                    accuracy: 0.0,
-                    on_pareto: false,
-                    error: Some(message),
-                }
             })
-        })
-        .collect()
+            .collect()
     }
 }
 

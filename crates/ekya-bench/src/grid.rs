@@ -3,7 +3,8 @@
 //! The paper's headline results are grids of independent simulation
 //! cells — (dataset × streams × GPUs × policy × seed). [`Grid`] is the
 //! declarative form of such a sweep; [`Grid::cells`] enumerates it into
-//! [`Scenario`] cells that the harness fans out across a worker pool.
+//! [`Scenario`] cells that the harness fans out across a worker pool,
+//! one cell per task.
 //!
 //! Seeding is deterministic and order-free: each cell's RNG seed is
 //! `base_seed ^ fnv1a(workload identity)`, a pure function of the cell
@@ -65,14 +66,6 @@ impl Scenario {
     /// complete, stable dump of this plain-data struct.
     pub fn fingerprint(&self) -> u64 {
         fnv1a(format!("{self:?}").as_bytes())
-    }
-
-    /// Relative cost estimate used to weight this cell when the harness
-    /// packs cells into chunks ([`crate::chunk_ranges`]): simulation
-    /// work scales with streams × windows. Only chunk *shapes* depend on
-    /// this — results never do — so a rough estimate is fine.
-    pub fn cost_estimate(&self) -> f64 {
-        (self.streams.max(1) * self.windows.max(1)) as f64
     }
 }
 

@@ -3,12 +3,13 @@
 //! sharded across processes and resumable after a kill.
 //!
 //! Grid cells are independent simulations, so the harness fans them out
-//! across threads and still produces **byte-identical** output to a
-//! serial run: every cell's RNG seed is a pure function of the cell
-//! itself (see [`crate::grid`]), results are written back by cell index,
-//! and wall-clock timing lives outside the serialized report (in
-//! [`RunStats`]). A cell that panics is isolated — its slot carries the
-//! panic message and every other cell completes normally.
+//! across threads, one cell per stealable task, and still produces
+//! **byte-identical** output to a serial run: every cell's RNG seed is a
+//! pure function of the cell itself (see [`crate::grid`]), results are
+//! written back by cell index, and wall-clock timing lives outside the
+//! serialized report (in [`RunStats`]). A cell that panics is isolated —
+//! its slot carries the panic message and every other cell completes
+//! normally.
 //!
 //! The same purity is what makes a grid bigger than one machine or one
 //! uninterrupted process tractable:
@@ -18,8 +19,8 @@
 //!   into a file byte-identical to an unsharded run, rejecting
 //!   overlapping or missing slices.
 //! * **Resume** — every completed cell is checkpointed to a
-//!   `*.partial.json` next to the report; a rerun loads prior
-//!   [`CellResult`]s (keyed by the scenario
+//!   `*.partial.json` next to the report as it lands; a rerun loads
+//!   prior [`CellResult`]s (keyed by the scenario
 //!   [`fingerprint`](Scenario::fingerprint)), skips them, and executes
 //!   only the remainder, writing the same merged report the
 //!   uninterrupted run would have written.
@@ -250,29 +251,44 @@ pub fn default_workers() -> usize {
 /// Runs `f` over every item on a work-stealing pool of `workers`
 /// threads and returns the results **in item order**.
 ///
-/// Items are dealt round-robin into per-worker FIFO deques; a worker
-/// that drains its own deque steals from its siblings, so stragglers
-/// (cells vary wildly in cost — more streams, more windows) do not idle
-/// the rest of the pool. With `workers == 1` everything runs inline on
-/// the calling thread.
+/// Every item is its own task. Items are dealt round-robin into
+/// per-worker FIFO deques; a worker that drains its own deque steals
+/// from its siblings one item at a time, so stragglers (cells vary
+/// wildly in cost — more streams, more windows, Ekya vs uniform) do not
+/// idle the rest of the pool. With `workers == 1` everything runs inline
+/// on the calling thread.
 ///
 /// Each item is evaluated under [`catch_unwind`]: a panicking item
 /// yields `Err(panic message)` in its slot and no other item is
-/// affected. Results depend only on `(index, item)`, never on execution
-/// order, so serial and parallel runs agree exactly.
-pub(crate) fn run_parallel<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Result<R, String>>
+/// affected. `done(index, &result)` then runs on the same worker, outside
+/// that guard, for every item — poisoned ones included — which is where
+/// the grid harness checkpoints each completion. Results depend only on
+/// `(index, item)`, never on execution order, so serial and parallel
+/// runs agree exactly.
+pub(crate) fn run_parallel<T, R, F, D>(
+    items: Vec<T>,
+    workers: usize,
+    f: F,
+    done: D,
+) -> Vec<Result<R, String>>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
+    D: Fn(usize, &Result<R, String>) + Sync,
 {
     let n = items.len();
     if n == 0 {
         return Vec::new();
     }
+    let run = |i: usize, item: T| {
+        let result = guard(&f, i, item);
+        done(i, &result);
+        result
+    };
     let workers = workers.clamp(1, n);
     if workers == 1 {
-        return items.into_iter().enumerate().map(|(i, item)| guard(&f, i, item)).collect();
+        return items.into_iter().enumerate().map(|(i, item)| run(i, item)).collect();
     }
 
     let queues: Vec<crossbeam::deque::Worker<(usize, T)>> =
@@ -288,7 +304,7 @@ where
         for (w, local) in queues.into_iter().enumerate() {
             let stealers = &stealers;
             let slots = &slots;
-            let f = &f;
+            let run = &run;
             scope.spawn(move || {
                 loop {
                     // Own deque first, then steal round-robin from the
@@ -300,7 +316,7 @@ where
                             .find_map(steal_retrying)
                     });
                     let Some((i, item)) = task else { break };
-                    let result = guard(f, i, item);
+                    let result = run(i, item);
                     slots
                         .lock()
                         .expect("result slots")
@@ -317,60 +333,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every cell ran to completion"))
         .collect()
-}
-
-/// Packs per-cell cost `weights` (in dispatch order) into contiguous
-/// chunk ranges covering `0..weights.len()`.
-///
-/// Small grid cells lose to the pool's fixed per-task costs — steal
-/// traffic, `catch_unwind`, checkpoint serialization — so the harness
-/// dispatches *chunks* of adjacent cells as one task. Chunks are closed
-/// when their accumulated weight reaches the target (total weight over
-/// `2 × workers`, so stealing still rebalances stragglers) or when they
-/// hit the cell cap. `max_cells` (the `EKYA_BATCH` knob) caps cells per
-/// chunk; `None` caps at the fair share `ceil(n / workers)`, so batching
-/// can never serialize a grid behind one worker. `max_cells = 1`
-/// reproduces the unbatched per-cell dispatch exactly.
-///
-/// Pure function of its inputs: the same weights, worker count, and cap
-/// always produce the same ranges, so chunking never threatens the
-/// parallel ≡ serial ≡ sharded byte-identity guarantees (results are
-/// reassembled in range order, which *is* dispatch order).
-pub fn chunk_ranges(
-    weights: &[f64],
-    workers: usize,
-    max_cells: Option<usize>,
-) -> Vec<std::ops::Range<usize>> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1);
-    let fair = n.div_ceil(workers);
-    let cap = max_cells.unwrap_or(fair).clamp(1, fair);
-    if cap == 1 {
-        return (0..n).map(|i| i..i + 1).collect();
-    }
-    let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-    // ~2 chunks per worker: big enough to amortise per-task overhead,
-    // small enough that work stealing still evens out cost estimates
-    // that turn out wrong.
-    let target = if total > 0.0 { total / (2 * workers) as f64 } else { f64::INFINITY };
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    let mut acc = 0.0f64;
-    for (i, w) in weights.iter().enumerate() {
-        acc += w.max(0.0);
-        if i + 1 - start >= cap || acc >= target {
-            ranges.push(start..i + 1);
-            start = i + 1;
-            acc = 0.0;
-        }
-    }
-    if start < n {
-        ranges.push(start..n);
-    }
-    ranges
 }
 
 /// Steals from a victim, retrying on `Steal::Retry` (a lost race is not
@@ -394,7 +356,7 @@ fn guard<T, R, F: Fn(usize, T) -> R>(f: &F, i: usize, item: T) -> Result<R, Stri
 
 /// Renders a `catch_unwind` payload as the panic message string carried
 /// in a poisoned cell's `error` field.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -583,11 +545,6 @@ pub struct GridExec {
     /// orchestrator's tests and CI can kill a shard mid-grid and prove
     /// retry-with-resume converges. Never set in normal operation.
     pub crash_after: Option<usize>,
-    /// Maximum cells per dispatched chunk (see [`chunk_ranges`]). `None`
-    /// (the default) sizes chunks automatically from the scenarios' cost
-    /// estimates; `Some(1)` restores per-cell dispatch. Wired to the
-    /// `EKYA_BATCH` env knob by [`run_grid_bin`].
-    pub batch: Option<usize>,
 }
 
 impl GridExec {
@@ -618,12 +575,6 @@ impl GridExec {
     /// cells (see the field docs).
     pub fn crash_after(mut self, n: Option<usize>) -> Self {
         self.crash_after = n;
-        self
-    }
-
-    /// Caps cells per dispatched chunk (see the field docs).
-    pub fn batch(mut self, batch: Option<usize>) -> Self {
-        self.batch = batch;
         self
     }
 
@@ -680,75 +631,45 @@ impl GridExec {
         let envelope = (self.name.as_str(), total, self.shard);
         let completed = std::sync::atomic::AtomicUsize::new(0);
 
-        // Pack contiguous runs of pending cells into cost-weighted chunks
-        // so the pool's fixed per-task costs (steal traffic, checkpoint
-        // serialization) amortise across several small cells. Per-cell
-        // seeding, panic isolation, and checkpoint bytes are untouched —
-        // chunks are reassembled in dispatch order, so the report stays
-        // byte-identical to per-cell (and serial, and sharded) dispatch.
-        let weights: Vec<f64> = pending.iter().map(|(_, sc)| sc.cost_estimate()).collect();
-        let ranges = chunk_ranges(&weights, self.workers, self.batch);
-        let chunks: Vec<Vec<(usize, Scenario)>> =
-            ranges.iter().map(|r| pending[r.clone()].to_vec()).collect();
-
+        // One cell, one task: per-cell stealing rebalances however lopsided
+        // cell costs are, and every completion is checkpointed as it lands.
         let started = Instant::now();
-        let chunk_results =
-            run_parallel(chunks, self.workers, |_, chunk: Vec<(usize, Scenario)>| {
-                let _chunk_wall = ekya_telemetry::timing::wall_span("bench.grid", "chunk");
-                let mut out: Vec<Result<CellResult, String>> = Vec::with_capacity(chunk.len());
-                for (idx, sc) in chunk {
-                    // Per-cell panic isolation, exactly as when every cell
-                    // was its own task: a poisoned cell ends up as an Err
-                    // slot and the rest of the chunk still runs.
-                    let result = {
-                        let _cell_wall =
-                            ekya_telemetry::timing::wall_span("bench.grid", "cell_exec");
-                        // Scope deep instrumentation (profiler, scheduler)
-                        // fired during eval to this cell's fingerprint, so
-                        // its logical records sort identically no matter
-                        // which worker — or which shard — ran the cell.
-                        let _cell_ctx = ekya_telemetry::enabled().then(|| {
-                            ekya_telemetry::Ctx::current()
-                                .cell(format!("{:016x}", sc.fingerprint()))
-                                .enter()
-                        });
-                        catch_unwind(AssertUnwindSafe(|| eval(&sc))).map_err(panic_message)
-                    };
-                    if let (Ok(cell), Some((_, state, _))) = (&result, &ckpt) {
-                        state.lock().expect("checkpoint state").insert(idx, cell.clone());
-                    }
-                    out.push(result);
-                    // Fault injection: flush the checkpoint *before* dying,
-                    // so the kill the orchestrator's tests simulate is the
-                    // realistic one — progress survives, the run does not.
-                    let n = completed.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
-                    if self.crash_after.is_some_and(|k| n >= k) {
-                        flush_checkpoint(&ckpt, envelope);
-                        eprintln!(
-                            "[{}: injected crash after {n} cells (EKYA_ORCH_CRASH_AFTER)]",
-                            self.name
-                        );
-                        std::process::exit(17);
-                    }
+        let results = run_parallel(
+            pending.iter().map(|(_, sc)| sc).collect(),
+            self.workers,
+            |_, sc: &Scenario| {
+                let _cell_wall = ekya_telemetry::timing::wall_span("bench.grid", "cell_exec");
+                // Scope deep instrumentation (profiler, scheduler) fired
+                // during eval to this cell's fingerprint, so its logical
+                // records sort identically no matter which worker — or
+                // which shard — ran the cell.
+                let _cell_ctx = ekya_telemetry::enabled().then(|| {
+                    ekya_telemetry::Ctx::current()
+                        .cell(format!("{:016x}", sc.fingerprint()))
+                        .enter()
+                });
+                eval(sc)
+            },
+            |i, result| {
+                if let (Ok(cell), Some((_, state, _))) = (result, &ckpt) {
+                    state.lock().expect("checkpoint state").insert(pending[i].0, cell.clone());
                 }
-                // One checkpoint write per chunk instead of per cell — the
-                // state map already holds every completion, and queued
-                // writers collapse into the newest snapshot.
+                // A poisoned cell counts as a completion too. The flush
+                // precedes the injected exit, so the kill the orchestrator's
+                // tests simulate is the realistic one — progress survives,
+                // the run does not.
+                let n = completed.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
                 flush_checkpoint(&ckpt, envelope);
-                out
-            });
+                if self.crash_after.is_some_and(|k| n >= k) {
+                    eprintln!(
+                        "[{}: injected crash after {n} cells (EKYA_ORCH_CRASH_AFTER)]",
+                        self.name
+                    );
+                    std::process::exit(17);
+                }
+            },
+        );
         let wall_secs = started.elapsed().as_secs_f64();
-
-        // Flatten chunk results back into pending order. A failure outside
-        // any cell's own guard (the checkpoint machinery itself) poisons
-        // the whole chunk: fan its message out to every cell it covered.
-        let mut results: Vec<Result<CellResult, String>> = Vec::with_capacity(executed);
-        for (range, chunk_result) in ranges.iter().zip(chunk_results) {
-            match chunk_result {
-                Ok(cells) => results.extend(cells),
-                Err(message) => results.extend(range.clone().map(|_| Err(message.clone()))),
-            }
-        }
 
         // Merge fresh results (poisoned slots backfilled from the
         // scenario) with the resumed cells, in global grid order.
@@ -829,7 +750,7 @@ pub fn run_grid(grid: &Grid, workers: usize) -> GridRun {
 
 /// Writes the checkpoint if it is stale: records the current completion
 /// count under the state lock, then serializes under the separate IO
-/// lock so other chunks keep completing while the snapshot hits the
+/// lock so other cells keep completing while the snapshot hits the
 /// disk. The count is monotonic (inserts only), so a writer that waited
 /// behind a later completion finds its sequence already covered and
 /// skips — queued writers collapse into the newest one, and only the
@@ -1095,7 +1016,6 @@ where
         .prior(prior)
         .checkpoint(Some(partial.clone()))
         .crash_after(crash_after)
-        .batch(crate::knob::batch())
         .run_with(grid, eval);
 
     if run.stats.resumed > 0 {
@@ -1243,7 +1163,7 @@ mod tests {
     fn run_parallel_preserves_item_order() {
         let items: Vec<u64> = (0..64).collect();
         for workers in [1, 4] {
-            let out = run_parallel(items.clone(), workers, |i, x| x * 2 + i as u64);
+            let out = run_parallel(items.clone(), workers, |i, x| x * 2 + i as u64, |_, _| {});
             let values: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
             let expected: Vec<u64> = (0..64).map(|x| x * 3).collect();
             assert_eq!(values, expected, "workers={workers}");
@@ -1252,10 +1172,20 @@ mod tests {
 
     #[test]
     fn run_parallel_isolates_panics() {
-        let out = run_parallel((0..8).collect::<Vec<i32>>(), 4, |_, x| {
-            assert!(x != 5, "poisoned cell {x}");
-            x + 1
-        });
+        // `done` sees every item once, the poisoned one included.
+        let settled = Mutex::new(Vec::new());
+        let out = run_parallel(
+            (0..8).collect::<Vec<i32>>(),
+            4,
+            |_, x| {
+                assert!(x != 5, "poisoned cell {x}");
+                x + 1
+            },
+            |i, r| settled.lock().expect("settled").push((i, r.is_ok())),
+        );
+        let mut settled = settled.into_inner().expect("settled");
+        settled.sort_unstable();
+        assert_eq!(settled, (0..8).map(|i| (i, i != 5)).collect::<Vec<_>>());
         for (i, r) in out.iter().enumerate() {
             if i == 5 {
                 let msg = r.as_ref().unwrap_err();
@@ -1268,9 +1198,9 @@ mod tests {
 
     #[test]
     fn run_parallel_empty_and_oversubscribed() {
-        assert!(run_parallel(Vec::<u8>::new(), 8, |_, x| x).is_empty());
+        assert!(run_parallel(Vec::<u8>::new(), 8, |_, x| x, |_, _| {}).is_empty());
         // More workers than items clamps to the item count.
-        let out = run_parallel(vec![1, 2], 16, |_, x| x);
+        let out = run_parallel(vec![1, 2], 16, |_, x| x, |_, _| {});
         assert_eq!(out.len(), 2);
     }
 }

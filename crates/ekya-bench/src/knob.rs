@@ -5,23 +5,15 @@
 //! run executes under, and `ekya-lint`'s `ambient-env` rule forbids
 //! `std::env::var` anywhere outside `Knobs::from_env`, `results_dir`,
 //! and this module — an env read that lives here is documented, listed
-//! in the operator guide's env-knob table (`crates/ekya-bench/README.md`),
-//! and therefore coverable by a plan. One accessor per knob; callers
-//! never spell the variable name themselves.
+//! in the operator guide's env-knob table (`crates/ekya-bench/README.md`;
+//! the `knob_tables_match_the_env_reads` test fails when a knob and its
+//! row drift apart), and therefore coverable by a plan. One accessor per
+//! knob; callers never spell the variable name themselves.
 
 /// Reads a float environment knob (used by bin-specific knobs like
 /// `EKYA_THRESHOLD`; the shared grid knobs all live in [`crate::Knobs`]).
 pub fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// `EKYA_BATCH` — maximum grid cells per work-stealing task. Unset
-/// means the harness sizes chunks automatically from per-cell cost
-/// estimates (see [`crate::chunk_ranges`]); `EKYA_BATCH=1` disables
-/// batching (one cell per task, the pre-batching dispatch). Values are
-/// floored at 1.
-pub fn batch() -> Option<usize> {
-    std::env::var("EKYA_BATCH").ok().and_then(|v| v.parse::<usize>().ok()).map(|n| n.max(1))
 }
 
 /// `EKYA_ORCH_CRASH_AFTER` — fault injection for the orchestrator
@@ -92,13 +84,66 @@ mod tests {
         assert_eq!(std::env::var_os("EKYA_SERVE_CRASH_AFTER"), None);
         assert_eq!(std::env::var_os("EKYA_STREAMS_LIVE"), None);
         assert_eq!(std::env::var_os("EKYA_ARRIVAL"), None);
-        assert_eq!(std::env::var_os("EKYA_BATCH"), None);
         assert_eq!(std::env::var_os("EKYA_TRACE"), None);
         assert_eq!(trace(), None);
         assert_eq!(orch_crash_after(), None);
         assert_eq!(serve_crash_after(), None);
         assert_eq!(streams_live(), None);
         assert_eq!(arrival(), "uniform");
-        assert_eq!(batch(), None);
+    }
+
+    /// The leading `[A-Z0-9_]` run of `s` — a knob name without `EKYA_`.
+    fn knob_suffix(s: &str) -> &str {
+        let end = s
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(s.len());
+        &s[..end]
+    }
+
+    /// The operator guide cannot drift from the code: every `"EKYA_*"`
+    /// literal in this crate's non-test sources has exactly one row in
+    /// the guide's knob tables, and every row names a literal that exists.
+    #[test]
+    fn knob_tables_match_the_env_reads() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut read = std::collections::BTreeSet::new();
+        let mut dirs = vec![root.join("src")];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).expect("source dir lists") {
+                let path = entry.expect("source dir entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    let src = std::fs::read_to_string(&path).expect("source reads");
+                    // Only the trailing test module follows the marker.
+                    let code = src.split("#[cfg(test)]").next().unwrap_or_default();
+                    for rest in code.split("\"EKYA_").skip(1) {
+                        let name = knob_suffix(rest);
+                        if rest[name.len()..].starts_with('"') {
+                            read.insert(format!("EKYA_{name}"));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(read.contains("EKYA_TRACE"), "scan found no knobs: {read:?}");
+
+        let guide = std::fs::read_to_string(root.join("README.md")).expect("guide reads");
+        let section = guide.split("\n## Environment knobs").nth(1).expect("knob section");
+        let rows: Vec<String> = section
+            .split("\n## ")
+            .next()
+            .unwrap_or_default()
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `EKYA_"))
+            .map(|rest| format!("EKYA_{}", knob_suffix(rest)))
+            .collect();
+        for name in &read {
+            let n = rows.iter().filter(|r| *r == name).count();
+            assert_eq!(n, 1, "{name} is read in src/ but has {n} knob-table rows in README.md");
+        }
+        for row in &rows {
+            assert!(read.contains(row), "README.md documents {row}, which no code reads");
+        }
     }
 }

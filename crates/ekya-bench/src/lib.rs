@@ -62,7 +62,7 @@ pub use config_profile::{
 };
 pub use grid::{cell_seed, coverage_order, fig06_grid, fnv1a, Grid, Scenario, ShardSpec};
 pub use harness::{
-    chunk_ranges, default_workers, load_report, merge_reports, report_path, run_grid, run_grid_bin,
+    default_workers, load_report, merge_reports, report_path, run_grid, run_grid_bin,
     run_grid_bin_with, run_scenario, trace_path, CellResult, GridExec, GridRun, HarnessReport,
     Knobs, RunStats,
 };

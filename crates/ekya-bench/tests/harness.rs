@@ -46,8 +46,8 @@ fn parallel_run_is_byte_identical_to_serial() {
 }
 
 /// The other fan-out path: the fig03 configuration sweep seeds every
-/// configuration from its own label, so which chunk or worker a config
-/// lands on cannot change its point.
+/// configuration from its own label, so which worker a config lands on
+/// cannot change its point.
 #[test]
 fn config_sweep_is_identical_across_worker_counts() {
     let configs = config_grid(true);
@@ -107,6 +107,35 @@ fn poisoned_cell_does_not_sink_the_run() {
     assert!(poisoned.report.is_none());
     assert!(healthy.error.is_none());
     assert!(healthy.mean_accuracy > 0.0);
+}
+
+#[test]
+fn poisoned_cell_between_healthy_cells_fails_alone() {
+    // The poisoned cell sits between healthy ones in dispatch order; on
+    // one worker both healthy cells run on the thread the poisoned cell
+    // just unwound, and neither may inherit its failure.
+    let grid = Grid::new(2, 42)
+        .datasets(&[DatasetKind::Waymo])
+        .stream_counts(&[0, 1, 2])
+        .gpu_counts(&[1.0])
+        .policies(vec![PolicySpec::Ekya]);
+    for workers in [1, 2] {
+        let report = run_grid(&grid, workers).report;
+
+        assert_eq!(report.cells.len(), 3);
+        assert_eq!(report.failed, 1);
+        let poisoned = report.cells.iter().find(|c| c.scenario.streams == 0).unwrap();
+        assert!(
+            poisoned.error.as_deref().unwrap_or_default().contains("need at least one stream"),
+            "poisoned cell should carry the panic message, got {:?}",
+            poisoned.error
+        );
+        assert!(poisoned.report.is_none());
+        for healthy in report.cells.iter().filter(|c| c.scenario.streams > 0) {
+            assert!(healthy.error.is_none(), "healthy cell failed on {workers} workers");
+            assert!(healthy.mean_accuracy > 0.0);
+        }
+    }
 }
 
 #[test]

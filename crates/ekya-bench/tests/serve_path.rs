@@ -21,7 +21,6 @@ fn run_bin(bin: &str, dir: &Path, extra: &[(&str, &str)]) -> std::process::ExitS
     for var in [
         "EKYA_SHARD",
         "EKYA_RESUME",
-        "EKYA_BATCH",
         "EKYA_ORCH_CRASH_AFTER",
         "EKYA_SERVE_CRASH_AFTER",
         "EKYA_STREAMS_LIVE",

@@ -4,7 +4,8 @@
 //! 1. the union of shard reports is **byte-identical** to an unsharded
 //!    single-process run;
 //! 2. resuming over a truncated report executes only the missing cells
-//!    and still writes the identical report (resume-after-kill);
+//!    and still writes the identical report (resume-after-kill, also
+//!    through a really killed `fig06_streams` process);
 //! 3. merging rejects overlapping and missing shard ranges.
 
 use ekya_baselines::PolicySpec;
@@ -134,4 +135,57 @@ fn checkpoint_file_tracks_completed_cells() {
     assert_eq!(resumed.stats.executed, 0);
     assert_eq!(resumed.report, run.report);
     let _ = std::fs::remove_file(&path);
+}
+
+/// The real kill: run the fig06 bin as a subprocess with crash injection
+/// two cells in, then resume it. The checkpoint flushed before the
+/// injected exit must hold exactly the two completed cells, and the
+/// resumed run's report must be byte-identical to an undisturbed run's.
+#[test]
+fn killed_run_resumes_to_byte_identical_report() {
+    let bin = env!("CARGO_BIN_EXE_fig06_streams");
+    let base: &[(&str, &str)] =
+        &[("EKYA_QUICK", "1"), ("EKYA_WINDOWS", "1"), ("EKYA_SEED", "42"), ("EKYA_WORKERS", "2")];
+    let run = |dir: &std::path::Path, extra: &[(&str, &str)]| {
+        let mut cmd = std::process::Command::new(bin);
+        for var in ["EKYA_SHARD", "EKYA_RESUME", "EKYA_ORCH_CRASH_AFTER"] {
+            cmd.env_remove(var);
+        }
+        cmd.envs(base.iter().copied())
+            .env("EKYA_RESULTS_DIR", dir)
+            .envs(extra.iter().copied())
+            .status()
+            .expect("fig06_streams spawns")
+    };
+    let temp = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("ekya_kill_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    };
+
+    let ref_dir = temp("ref");
+    assert!(run(&ref_dir, &[]).success(), "reference run failed");
+    let reference = std::fs::read(ref_dir.join("fig06_streams.json")).expect("reference report");
+
+    let run_dir = temp("kill");
+    let status = run(&run_dir, &[("EKYA_ORCH_CRASH_AFTER", "2")]);
+    assert_eq!(status.code(), Some(17), "crash injection must exit 17");
+    let partial: HarnessReport = serde_json::from_str(
+        &std::fs::read_to_string(run_dir.join("fig06_streams.partial.json"))
+            .expect("a killed run must leave a checkpoint"),
+    )
+    .expect("checkpoint parses");
+    assert_eq!(partial.cells.len(), 2, "checkpoint must hold exactly the completed cells");
+
+    assert!(run(&run_dir, &[("EKYA_RESUME", "1")]).success(), "resumed run failed");
+    let resumed = std::fs::read(run_dir.join("fig06_streams.json")).expect("resumed report");
+    assert_eq!(resumed, reference, "killed+resumed report must be byte-identical");
+    assert!(
+        !run_dir.join("fig06_streams.partial.json").exists(),
+        "checkpoint must be removed once the final report lands"
+    );
+
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&run_dir);
 }

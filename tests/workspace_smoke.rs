@@ -99,7 +99,6 @@ fn harness_symbols_importable() {
     let _ = ekya_bench::coverage_order as *const ();
 
     // The pool's building blocks in the crossbeam shim.
-    let _ = std::any::type_name::<crossbeam::deque::Injector<u8>>();
     let _ = std::any::type_name::<crossbeam::deque::Worker<u8>>();
     let _ = std::any::type_name::<crossbeam::deque::Stealer<u8>>();
 
