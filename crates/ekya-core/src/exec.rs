@@ -7,10 +7,18 @@
 //! [`RetrainExecution`], so profiling and execution share identical
 //! semantics — the property that makes micro-profiled estimates
 //! meaningful.
+//!
+//! A run pays for its frozen layers once: [`RetrainExecution::new`] runs
+//! the training subsample through them into a [`FrozenInputs`] block, and
+//! every epoch trains from that block. A caller that evaluates on the
+//! same validation split after many epochs does the same with
+//! [`RetrainExecution::freeze`] + [`RetrainExecution::accuracy_frozen`].
+//! Both are bit-identical to recomputing the frozen layers each time,
+//! because frozen weights never change during a run.
 
 use crate::config::RetrainConfig;
 use ekya_nn::data::{subsample, DataView, Sample};
-use ekya_nn::mlp::{Mlp, Sgd};
+use ekya_nn::mlp::{FrozenInputs, Mlp, Sgd};
 use serde::{Deserialize, Serialize};
 
 /// SGD hyperparameters shared by profiling and execution.
@@ -33,12 +41,18 @@ impl Default for TrainHyper {
 /// different width, and freezes all but the configured trailing layers.
 pub fn build_variant(base: &Mlp, config: &RetrainConfig, seed: u64) -> Mlp {
     let mut model = base.clone();
-    let current_width = model.arch().hidden.last().copied().unwrap_or(0);
-    if current_width != config.last_layer_neurons as usize {
+    if resizes_head(base, config) {
         model.resize_last_hidden(config.last_layer_neurons as usize, seed);
     }
     model.set_layers_trained(config.layers_trained as usize);
     model
+}
+
+/// Whether [`build_variant`] re-initialises `base`'s head for `config`.
+/// When it does not, the untrained variant computes exactly what `base`
+/// computes (freezing changes no forward pass).
+pub(crate) fn resizes_head(base: &Mlp, config: &RetrainConfig) -> bool {
+    base.arch().hidden.last().copied().unwrap_or(0) != config.last_layer_neurons as usize
 }
 
 /// An in-flight retraining run for one configuration.
@@ -46,7 +60,8 @@ pub fn build_variant(base: &Mlp, config: &RetrainConfig, seed: u64) -> Mlp {
 pub struct RetrainExecution {
     model: Mlp,
     opt: Sgd,
-    data: Vec<Sample>,
+    /// The training subsample, already run through the frozen layers.
+    data: FrozenInputs,
     config: RetrainConfig,
     num_classes: usize,
     epochs_done: u32,
@@ -55,8 +70,8 @@ pub struct RetrainExecution {
 
 impl RetrainExecution {
     /// Prepares a retraining run: selects `config.data_fraction` of the
-    /// window pool (uniformly at random, seeded) and builds the model
-    /// variant.
+    /// window pool (uniformly at random, seeded), builds the model
+    /// variant, and runs the selection through its frozen layers once.
     pub fn new(
         base_model: &Mlp,
         pool: &[Sample],
@@ -66,7 +81,8 @@ impl RetrainExecution {
         seed: u64,
     ) -> Self {
         let model = build_variant(base_model, &config, seed.wrapping_add(17));
-        let data = subsample(pool, config.data_fraction, seed.wrapping_add(29));
+        let selected = subsample(pool, config.data_fraction, seed.wrapping_add(29));
+        let data = model.frozen_inputs(DataView::new(&selected, num_classes));
         let opt = Sgd::new(&model, hyper.lr, hyper.momentum);
         Self { model, opt, data, config, num_classes, epochs_done: 0, seed }
     }
@@ -77,9 +93,8 @@ impl RetrainExecution {
         if self.is_complete() {
             return 0.0;
         }
-        let view = DataView::new(&self.data, self.num_classes);
-        let loss = self.model.train_epoch(
-            view,
+        let loss = self.model.train_epoch_frozen(
+            &self.data,
             &mut self.opt,
             self.config.batch_size as usize,
             self.seed.wrapping_add(1000 + self.epochs_done as u64),
@@ -135,6 +150,18 @@ impl RetrainExecution {
     /// Validation accuracy of the current model state.
     pub fn accuracy(&self, val: &[Sample]) -> f64 {
         self.model.accuracy(DataView::new(val, self.num_classes))
+    }
+
+    /// `val` run through this run's frozen layers, for repeated
+    /// [`RetrainExecution::accuracy_frozen`] calls over the whole run.
+    pub fn freeze(&self, val: &[Sample]) -> FrozenInputs {
+        self.model.frozen_inputs(DataView::new(val, self.num_classes))
+    }
+
+    /// [`RetrainExecution::accuracy`] on a split from
+    /// [`RetrainExecution::freeze`] — the same value, bit for bit.
+    pub fn accuracy_frozen(&self, val: &FrozenInputs) -> f64 {
+        self.model.accuracy_frozen(val)
     }
 }
 

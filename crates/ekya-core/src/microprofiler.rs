@@ -23,7 +23,7 @@
 //! micro-training run serves all of them.
 
 use crate::config::{CurveKey, RetrainConfig};
-use crate::exec::{build_variant, TrainHyper};
+use crate::exec::{build_variant, resizes_head, TrainHyper};
 use crate::profile::{pareto_distance, RetrainProfile};
 use ekya_nn::cost::CostModel;
 use ekya_nn::data::{subsample, DataView, Sample};
@@ -125,15 +125,30 @@ impl MicroProfiler {
     ) -> ProfileOutput {
         let (selected, pruned) = self.select_configs(configs);
 
-        // One micro-training run per model variant (curve key).
+        // One micro-training run per model variant (curve key). A variant
+        // that keeps the serving head is, untrained, the serving model:
+        // its k = 0 accuracy is evaluated once here and shared.
         let mut curves: BTreeMap<CurveKey, LearningCurve> = BTreeMap::new();
+        let mut serving_accuracy: Option<f64> = None;
         let mut gpu_seconds_spent = 0.0;
         for config in &selected {
             let key = config.curve_key();
             if curves.contains_key(&key) {
                 continue;
             }
-            let (curve, cost) = self.micro_train(model, train_pool, val, config, num_classes, seed);
+            let untrained_accuracy = (!resizes_head(model, config)).then(|| {
+                *serving_accuracy
+                    .get_or_insert_with(|| model.accuracy(DataView::new(val, num_classes)))
+            });
+            let (curve, cost) = self.micro_train(
+                model,
+                train_pool,
+                val,
+                config,
+                num_classes,
+                seed,
+                untrained_accuracy,
+            );
             // Logical-plane telemetry: the micro-training cost comes from
             // the cost model, so the span value is deterministic. The
             // enabled() guard keeps the disabled path allocation-free.
@@ -195,7 +210,11 @@ impl MicroProfiler {
     }
 
     /// Runs the micro-training for one model variant and fits its curve.
+    /// `untrained_accuracy`, when given, is the untrained variant's
+    /// accuracy on `val` (the caller's shared k = 0 point). The sample and
+    /// `val` go through the variant's frozen layers once, not per epoch.
     /// Returns `(curve, gpu_seconds)`.
+    #[allow(clippy::too_many_arguments)]
     fn micro_train(
         &self,
         model: &Mlp,
@@ -204,27 +223,29 @@ impl MicroProfiler {
         config: &RetrainConfig,
         num_classes: usize,
         seed: u64,
+        untrained_accuracy: Option<f64>,
     ) -> (LearningCurve, f64) {
         let frac = self.params.profile_data_fraction.clamp(0.01, 1.0);
         let sample = subsample(train_pool, frac, seed.wrapping_add(31));
         let mut variant = build_variant(model, config, seed.wrapping_add(17));
-        let val_view = DataView::new(val, num_classes);
-        let sample_view = DataView::new(&sample, num_classes);
+        let val_frozen = variant.frozen_inputs(DataView::new(val, num_classes));
+        let sample_frozen = variant.frozen_inputs(DataView::new(&sample, num_classes));
 
         let mut points: Vec<(f64, f64)> =
             Vec::with_capacity(self.params.profile_epochs as usize + 1);
-        points.push((0.0, variant.accuracy(val_view)));
+        let k0 = untrained_accuracy.unwrap_or_else(|| variant.accuracy_frozen(&val_frozen));
+        points.push((0.0, k0));
         let mut opt = Sgd::new(&variant, self.params.hyper.lr, self.params.hyper.momentum);
         for e in 0..self.params.profile_epochs {
-            variant.train_epoch(
-                sample_view,
+            variant.train_epoch_frozen(
+                &sample_frozen,
                 &mut opt,
                 config.batch_size as usize,
                 seed.wrapping_add(500 + e as u64),
             );
             // Training e+1 epochs on `frac` of the pool ≈ (e+1)*frac
             // full-pool epoch equivalents.
-            points.push(((e + 1) as f64 * frac, variant.accuracy(val_view)));
+            points.push(((e + 1) as f64 * frac, variant.accuracy_frozen(&val_frozen)));
         }
         let best_observed = points.iter().map(|p| p.1).fold(0.0, f64::max);
         let curve = LearningCurve::fit_capped(&points, best_observed + self.params.max_headroom);
@@ -502,6 +523,25 @@ mod tests {
         let all = p_all.profile(&model, &w.train_pool, &w.val, &grid, ds.num_classes, 6);
         let one = p_one.profile(&model, &w.train_pool, &w.val, &one_key, ds.num_classes, 6);
         assert!(all.gpu_seconds_spent < one.gpu_seconds_spent * 3.0);
+    }
+
+    /// The shared k = 0 point is exact: for every variant that keeps the
+    /// serving head, the serving model's accuracy equals the untrained
+    /// variant's own evaluation, so the fitted curves are the same bits.
+    #[test]
+    fn shared_untrained_accuracy_matches_the_variants_own() {
+        let (model, ds) = setup();
+        let w = ds.window(0);
+        let p = profiler(0.0, false);
+        let serving = model.accuracy(DataView::new(&w.val, ds.num_classes));
+        let mut checked = 0;
+        for config in default_retrain_grid().iter().filter(|c| !resizes_head(&model, c)) {
+            let run =
+                |k0| p.micro_train(&model, &w.train_pool, &w.val, config, ds.num_classes, 3, k0);
+            assert_eq!(run(Some(serving)), run(None), "{}", config.label());
+            checked += 1;
+        }
+        assert!(checked > 0, "the default grid keeps the serving head somewhere");
     }
 
     #[test]

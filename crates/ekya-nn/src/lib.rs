@@ -39,5 +39,5 @@ pub use fit::{lstsq, nnls, solve_linear, LearningCurve};
 pub use gauss::{sample_gaussian, sample_normal};
 pub use golden::{distill_labels, ModelTeacher, OracleTeacher, Teacher};
 pub use labeling::{label_with_budget, LabelStrategy, LabeledBatch};
-pub use mlp::{Dense, Mlp, MlpArch, PredictScratch, Sgd};
+pub use mlp::{Dense, FrozenInputs, Mlp, MlpArch, PredictScratch, Sgd};
 pub use tensor::Matrix;

@@ -18,6 +18,17 @@
 //! of neurons in the last layer" hyperparameter), seeded determinism.
 //! Omitted (not needed by any experiment): convolutions, dropout,
 //! batch-norm, weight decay, GPU execution.
+//!
+//! Frozen layers are paid for once per training job, not once per epoch:
+//! [`Mlp::frozen_inputs`] runs a dataset through the frozen prefix into a
+//! [`FrozenInputs`] block, and [`Mlp::train_epoch_frozen`] /
+//! [`Mlp::accuracy_frozen`] start their forward pass at the lowest
+//! trainable layer. This is exact, not an approximation: frozen weights
+//! never move (the optimiser skips them and backprop stops at the lowest
+//! trainable layer), and every forward step — GEMM row, bias, ReLU —
+//! computes a row from that row alone, so a row frozen inside the whole
+//! dataset has the bits it would have inside any minibatch.
+//! [`Mlp::train_epoch`] is exactly `frozen_inputs` + `train_epoch_frozen`.
 
 use crate::data::{DataView, Sample};
 use crate::tensor::{relu_inplace_into, softmax_rows, Matrix};
@@ -99,15 +110,43 @@ pub struct Mlp {
     trainable: Vec<bool>,
 }
 
-/// Reusable buffers for one training run: batch features and labels,
-/// per-layer activations/masks, softmax probabilities, the two backprop
-/// delta buffers, and the per-layer gradients. One workspace serves
-/// every minibatch of an epoch (buffers are reshaped in place as batch
-/// sizes change), which removes the per-batch allocation churn the
-/// original loop paid — the dominant cost of many small training runs
-/// like the micro-profiler's.
-struct Workspace {
+/// A dataset as the lowest trainable layer of one model sees it: each
+/// sample's activations after the frozen layers below that layer (the raw
+/// features when nothing is frozen), as one row-major `samples x width`
+/// block, plus the labels and the layer index the block enters at. Built
+/// by [`Mlp::frozen_inputs`]; valid for as long as the model's frozen
+/// layers and freeze depth are unchanged, which holds for a whole
+/// training job. Its size is `samples x width` floats: 16 per sample for
+/// both freeze depths of the paper grid on the 16 → 24 → 16 → k edge
+/// network.
+#[derive(Debug, Clone)]
+pub struct FrozenInputs {
+    layer: usize,
     x: Matrix,
+    labels: Vec<usize>,
+}
+
+impl FrozenInputs {
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// True when the block holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+}
+
+/// Reusable buffers for one training run: batch labels, per-layer
+/// activations/masks (the minibatch itself is gathered straight into the
+/// activation slot of the lowest trainable layer), softmax probabilities,
+/// the two backprop delta buffers, and the per-layer gradients. One
+/// workspace serves every minibatch of an epoch (buffers are reshaped in
+/// place as batch sizes change), which removes the per-batch allocation
+/// churn the original loop paid — the dominant cost of many small
+/// training runs like the micro-profiler's.
+struct Workspace {
     labels: Vec<usize>,
     acts: Vec<Matrix>,
     masks: Vec<Vec<bool>>,
@@ -121,7 +160,6 @@ struct Workspace {
 impl Workspace {
     fn new(model: &Mlp) -> Self {
         Self {
-            x: Matrix::zeros(0, 0),
             labels: Vec::new(),
             acts: (0..=model.layers.len()).map(|_| Matrix::zeros(0, 0)).collect(),
             masks: (1..model.layers.len()).map(|_| Vec::new()).collect(),
@@ -228,6 +266,12 @@ impl Mlp {
         self.trainable.iter().filter(|t| **t).count()
     }
 
+    /// Index of the lowest trainable layer: every layer below it is
+    /// frozen, and it is where [`FrozenInputs`] enter the network.
+    fn lowest_trainable(&self) -> usize {
+        self.trainable.iter().position(|t| *t).unwrap_or(self.layers.len())
+    }
+
     /// Fraction of parameters that are currently trainable, in `[0, 1]`.
     pub fn trainable_param_fraction(&self) -> f64 {
         let total: usize = self.layers.iter().map(Dense::num_params).sum();
@@ -284,22 +328,90 @@ impl Mlp {
         probs: &mut Matrix,
     ) {
         acts[0].copy_from(x);
-        for (i, layer) in self.layers.iter().enumerate() {
+        self.forward_from(0, acts, masks, probs);
+    }
+
+    /// The forward pass from layer `start` up, reading its input from
+    /// `acts[start]`; the slots and masks below `start` are left as they
+    /// are.
+    fn forward_from(
+        &self,
+        start: usize,
+        acts: &mut [Matrix],
+        masks: &mut [Vec<bool>],
+        probs: &mut Matrix,
+    ) {
+        for i in start..self.layers.len() {
             let (prev, rest) = acts.split_at_mut(i + 1);
-            let z = &mut rest[0];
-            prev[i].matmul_into(&layer.w, z);
-            for r in 0..z.rows() {
-                let row = z.row_mut(r);
-                for (v, &b) in row.iter_mut().zip(layer.b.iter()) {
-                    *v += b;
-                }
-            }
-            if i + 1 < self.layers.len() {
-                relu_inplace_into(z, &mut masks[i]);
-            }
+            let mask = masks.get_mut(i);
+            self.layer_into(i, &prev[i], &mut rest[0], mask);
         }
         probs.copy_from(&acts[self.layers.len()]);
         softmax_rows(probs);
+    }
+
+    /// Layer `i` on a batch: `z = x W + b`, then ReLU recording `mask`
+    /// (hidden layers only; the output layer keeps its logits).
+    fn layer_into(&self, i: usize, x: &Matrix, z: &mut Matrix, mask: Option<&mut Vec<bool>>) {
+        let layer = &self.layers[i];
+        x.matmul_into(&layer.w, z);
+        for r in 0..z.rows() {
+            let row = z.row_mut(r);
+            for (v, &b) in row.iter_mut().zip(layer.b.iter()) {
+                *v += b;
+            }
+        }
+        if i + 1 < self.layers.len() {
+            relu_inplace_into(z, mask.expect("a hidden layer has a mask slot"));
+        }
+    }
+
+    /// Runs `data` through the frozen layers once: the block the lowest
+    /// trainable layer reads, for [`Mlp::train_epoch_frozen`] and
+    /// [`Mlp::accuracy_frozen`]. Rows are bit-identical to the
+    /// activations a per-minibatch forward pass would compute.
+    pub fn frozen_inputs(&self, data: DataView<'_>) -> FrozenInputs {
+        let layer = self.lowest_trainable();
+        let mut x = batch_features(data.samples, self.arch.input_dim);
+        let mut z = Matrix::zeros(0, 0);
+        let mut mask = Vec::new();
+        for i in 0..layer {
+            self.layer_into(i, &x, &mut z, Some(&mut mask));
+            std::mem::swap(&mut x, &mut z);
+        }
+        FrozenInputs { layer, x, labels: data.samples.iter().map(|s| s.y).collect() }
+    }
+
+    /// Panics unless `data` was cut at this model's lowest trainable
+    /// layer.
+    fn check_frozen(&self, data: &FrozenInputs) {
+        assert_eq!(
+            data.layer,
+            self.lowest_trainable(),
+            "frozen inputs enter at a layer other than the lowest trainable one"
+        );
+    }
+
+    /// [`Mlp::accuracy`] on a dataset already run through the frozen
+    /// layers — the same value, bit for bit, without recomputing them.
+    ///
+    /// # Panics
+    /// Panics when `data` was frozen at a different layer than this
+    /// model's lowest trainable one.
+    pub fn accuracy_frozen(&self, data: &FrozenInputs) -> f64 {
+        self.check_frozen(data);
+        if data.is_empty() {
+            return 0.0;
+        }
+        let n = self.layers.len();
+        let mut acts: Vec<Matrix> = (0..=n).map(|_| Matrix::zeros(0, 0)).collect();
+        let mut masks: Vec<Vec<bool>> = (1..n).map(|_| Vec::new()).collect();
+        let mut probs = Matrix::zeros(0, 0);
+        acts[data.layer].copy_from(&data.x);
+        self.forward_from(data.layer, &mut acts, &mut masks, &mut probs);
+        let correct =
+            data.labels.iter().enumerate().filter(|&(r, &y)| argmax(probs.row(r)) == y).count();
+        correct as f64 / data.len() as f64
     }
 
     /// Predicted class indices for a batch of samples.
@@ -309,16 +421,7 @@ impl Mlp {
         }
         let x = batch_features(samples, self.arch.input_dim);
         let (_, _, probs) = self.forward_full(&x);
-        (0..probs.rows())
-            .map(|r| {
-                let row = probs.row(r);
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            .collect()
+        (0..probs.rows()).map(|r| argmax(probs.row(r))).collect()
     }
 
     /// [`Mlp::predict`] through caller-owned scratch buffers: the
@@ -343,16 +446,7 @@ impl Mlp {
             x.row_mut(r).copy_from_slice(&s.x);
         }
         self.forward_into(x, acts, masks, probs);
-        for r in 0..probs.rows() {
-            let row = probs.row(r);
-            let best = row
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            preds.push(best);
-        }
+        preds.extend((0..probs.rows()).map(|r| argmax(probs.row(r))));
         &scratch.preds
     }
 
@@ -411,7 +505,7 @@ impl Mlp {
     ) {
         let batch = labels.len();
         let n_layers = self.layers.len();
-        let lowest_trainable = self.trainable.iter().position(|t| *t).unwrap_or(n_layers);
+        let lowest_trainable = self.lowest_trainable();
 
         // dL/dz for the output layer of softmax cross-entropy: (p - y)/batch.
         delta.copy_from(probs);
@@ -454,7 +548,10 @@ impl Mlp {
     /// Runs one epoch of minibatch SGD over `data`, with the given optimiser
     /// state. Sample order is shuffled deterministically from `epoch_seed`.
     ///
-    /// Returns the mean training loss over the epoch.
+    /// Returns the mean training loss over the epoch. A multi-epoch job
+    /// should freeze its data once and call [`Mlp::train_epoch_frozen`]
+    /// per epoch instead: the same bits, without re-running the frozen
+    /// layers every epoch.
     pub fn train_epoch(
         &mut self,
         data: DataView<'_>,
@@ -462,7 +559,26 @@ impl Mlp {
         batch_size: usize,
         epoch_seed: u64,
     ) -> f64 {
+        let frozen = self.frozen_inputs(data);
+        self.train_epoch_frozen(&frozen, opt, batch_size, epoch_seed)
+    }
+
+    /// [`Mlp::train_epoch`] on a dataset already run through the frozen
+    /// layers: each minibatch is gathered from `data`'s rows straight
+    /// into the lowest trainable layer's input.
+    ///
+    /// # Panics
+    /// Panics when `data` was frozen at a different layer than this
+    /// model's lowest trainable one.
+    pub fn train_epoch_frozen(
+        &mut self,
+        data: &FrozenInputs,
+        opt: &mut Sgd,
+        batch_size: usize,
+        epoch_seed: u64,
+    ) -> f64 {
         use rand::seq::SliceRandom;
+        self.check_frozen(data);
         if data.is_empty() {
             return 0.0;
         }
@@ -472,19 +588,18 @@ impl Mlp {
         order.shuffle(&mut rng);
 
         let mut ws = Workspace::new(self);
-        let input_dim = self.arch.input_dim;
+        let (start, width) = (data.layer, data.x.cols());
         let mut total_loss = 0.0f64;
         let mut batches = 0usize;
         for chunk in order.chunks(batch_size) {
             ws.labels.clear();
-            ws.x.resize_zeroed(chunk.len(), input_dim);
+            let x = &mut ws.acts[start];
+            x.resize_zeroed(chunk.len(), width);
             for (r, &i) in chunk.iter().enumerate() {
-                let s = &data.samples[i];
-                assert_eq!(s.x.len(), input_dim, "sample dimensionality mismatch");
-                ws.x.row_mut(r).copy_from_slice(&s.x);
-                ws.labels.push(s.y);
+                x.row_mut(r).copy_from_slice(data.x.row(i));
+                ws.labels.push(data.labels[i]);
             }
-            self.forward_into(&ws.x, &mut ws.acts, &mut ws.masks, &mut ws.probs);
+            self.forward_from(start, &mut ws.acts, &mut ws.masks, &mut ws.probs);
 
             // Batch loss (before the update), for curve fitting.
             let mut loss = 0.0f64;
@@ -512,6 +627,16 @@ impl Mlp {
             total_loss / batches as f64
         }
     }
+}
+
+/// Index of a row's largest probability, the predicted class (ties, and
+/// NaNs, which compare equal, resolve as [`Iterator::max_by`] does).
+fn argmax(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
 }
 
 /// Stacks sample features into a batch matrix.
@@ -778,6 +903,151 @@ mod tests {
         assert_eq!(shallow.predict_into(&batch, &mut scratch).to_vec(), shallow.predict(&batch));
         // And back up to the deep model again.
         assert_eq!(deep.predict_into(&batch, &mut scratch).to_vec(), deep.predict(&batch));
+    }
+
+    /// The per-epoch training loop before frozen inputs: every minibatch
+    /// gathered from `Sample` rows and run through all layers. The oracle
+    /// for [`Mlp::train_epoch`]'s freeze-once path.
+    fn train_epoch_reference(
+        model: &mut Mlp,
+        data: DataView<'_>,
+        opt: &mut Sgd,
+        batch_size: usize,
+        epoch_seed: u64,
+    ) -> f64 {
+        use rand::seq::SliceRandom;
+        if data.is_empty() {
+            return 0.0;
+        }
+        let batch_size = batch_size.max(1);
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut rng = StdRng::seed_from_u64(epoch_seed);
+        order.shuffle(&mut rng);
+
+        let mut ws = Workspace::new(model);
+        let mut x = Matrix::zeros(0, 0);
+        let input_dim = model.arch.input_dim;
+        let mut total_loss = 0.0f64;
+        let mut batches = 0usize;
+        for chunk in order.chunks(batch_size) {
+            ws.labels.clear();
+            x.resize_zeroed(chunk.len(), input_dim);
+            for (r, &i) in chunk.iter().enumerate() {
+                let s = &data.samples[i];
+                assert_eq!(s.x.len(), input_dim, "sample dimensionality mismatch");
+                x.row_mut(r).copy_from_slice(&s.x);
+                ws.labels.push(s.y);
+            }
+            model.forward_into(&x, &mut ws.acts, &mut ws.masks, &mut ws.probs);
+
+            let mut loss = 0.0f64;
+            for (r, &y) in ws.labels.iter().enumerate() {
+                loss -= (ws.probs.get(r, y).max(1e-12) as f64).ln();
+            }
+            total_loss += loss / ws.labels.len() as f64;
+            batches += 1;
+
+            model.backward_into(
+                &ws.acts,
+                &ws.masks,
+                &ws.probs,
+                &ws.labels,
+                &mut ws.delta,
+                &mut ws.delta_next,
+                &mut ws.gw,
+                &mut ws.gb,
+            );
+            opt.apply(model, &ws.gw, &ws.gb);
+        }
+        if batches == 0 {
+            0.0
+        } else {
+            total_loss / batches as f64
+        }
+    }
+
+    fn weight_bits(model: &Mlp) -> Vec<u32> {
+        model
+            .layers
+            .iter()
+            .flat_map(|l| l.w.data().iter().chain(l.b.iter()))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Freeze-once training against the per-epoch reference, bit for bit,
+    /// over 240 seeded instances: 1–3 hidden layers of width 1–32,
+    /// `layers_trained` from 1 to depth + 1 (the clamp), batch sizes from
+    /// 1 to n + 3 (ragged and oversized final minibatches), a third with
+    /// a resized head, 1–4 epochs. The training set is frozen once per
+    /// instance, the validation set once too, and `accuracy_frozen` must
+    /// equal `accuracy` after every epoch.
+    #[test]
+    fn train_epoch_frozen_matches_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0xF0_2E);
+        for case in 0..240u64 {
+            let input_dim = rng.gen_range(1..=8usize);
+            let num_classes = rng.gen_range(2..=5usize);
+            let hidden: Vec<usize> =
+                (0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(1..=32usize)).collect();
+            let mut base = Mlp::new(MlpArch { input_dim, hidden, num_classes }, case);
+            if rng.gen_range(0..3) == 0 {
+                base.resize_last_hidden(rng.gen_range(1..=32), case ^ 0x5EED);
+            }
+            let depth = base.num_layers();
+            base.set_layers_trained(rng.gen_range(1..=depth + 1));
+            let n = rng.gen_range(1..=40usize);
+            let mut samples = |n: usize| -> Vec<Sample> {
+                (0..n)
+                    .map(|_| {
+                        let x = (0..input_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                        Sample::new(x, rng.gen_range(0..num_classes))
+                    })
+                    .collect()
+            };
+            let (train, val) = (samples(n), samples(17));
+            let batch_size = rng.gen_range(1..=n + 3);
+            let epochs = rng.gen_range(1..=4u64);
+            let (lr, momentum) = (rng.gen_range(0.01f32..0.3), rng.gen_range(0.0f32..0.95));
+
+            let (train_view, val_view) =
+                (DataView::new(&train, num_classes), DataView::new(&val, num_classes));
+            let (mut reference, mut model) = (base.clone(), base);
+            let mut ref_opt = Sgd::new(&reference, lr, momentum);
+            let mut opt = Sgd::new(&model, lr, momentum);
+            let frozen_train = model.frozen_inputs(train_view);
+            let frozen_val = model.frozen_inputs(val_view);
+            for e in 0..epochs {
+                let want =
+                    train_epoch_reference(&mut reference, train_view, &mut ref_opt, batch_size, e);
+                let got = model.train_epoch_frozen(&frozen_train, &mut opt, batch_size, e);
+                assert_eq!(got.to_bits(), want.to_bits(), "case {case} epoch {e}: loss");
+                assert_eq!(weight_bits(&model), weight_bits(&reference), "case {case} epoch {e}");
+                assert_eq!(
+                    model.accuracy_frozen(&frozen_val).to_bits(),
+                    reference.accuracy(val_view).to_bits(),
+                    "case {case} epoch {e}: accuracy"
+                );
+            }
+            // The one-shot `train_epoch` is the same path.
+            let mut one_shot = reference.clone();
+            let mut opt = ref_opt.clone();
+            let want =
+                train_epoch_reference(&mut reference, train_view, &mut ref_opt, batch_size, 9);
+            let got = one_shot.train_epoch(train_view, &mut opt, batch_size, 9);
+            assert_eq!(got.to_bits(), want.to_bits(), "case {case}: train_epoch loss");
+            assert_eq!(weight_bits(&one_shot), weight_bits(&reference), "case {case}: train_epoch");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lowest trainable")]
+    fn frozen_inputs_cut_at_another_layer_are_refused() {
+        let data = toy_data(10, 5);
+        let mut model = Mlp::new(MlpArch { input_dim: 2, hidden: vec![4, 4], num_classes: 2 }, 1);
+        let frozen = model.frozen_inputs(DataView::new(&data, 2));
+        model.set_layers_trained(1);
+        let _ = model.accuracy_frozen(&frozen);
     }
 
     #[test]

@@ -125,6 +125,19 @@ impl Matrix {
     /// [`Matrix::matmul`] writing into a caller-owned output matrix
     /// (reshaped and zeroed here), so hot loops can reuse one allocation
     /// across calls. Numerically identical to `matmul`.
+    ///
+    /// Output row `i` is built from input row `i` alone, so a row's bits
+    /// do not depend on which other rows share the batch — the property
+    /// that lets training compute frozen layers once per job
+    /// ([`crate::mlp::Mlp::frozen_inputs`]).
+    ///
+    /// The inner loop has no data-dependent branch. Skipping zero inputs
+    /// (about half of a post-ReLU row) would give the same bits whenever
+    /// `rhs` is finite: each accumulator starts at `+0.0`, a sum of
+    /// round-to-nearest additions starting there is never `-0.0`, and
+    /// adding a `±0.0` product to anything else leaves it unchanged. With
+    /// a non-finite `rhs` entry, IEEE 754 makes `0 · ∞` NaN, and that NaN
+    /// reaches the output, where a zero-skip would hide it.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul inner dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
@@ -137,9 +150,6 @@ impl Matrix {
             let a_row = &self.data[i * k..(i + 1) * k];
             let out_row = &mut out.data[i * n..(i + 1) * n];
             for (kk, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
                 let b_row = &rhs.data[kk * n..(kk + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += a * b;
@@ -158,7 +168,9 @@ impl Matrix {
 
     /// [`Matrix::t_matmul`] writing into a caller-owned output matrix —
     /// the backprop weight-gradient kernel, allocation-free when the
-    /// caller reuses `out`. Numerically identical to `t_matmul`.
+    /// caller reuses `out`. Numerically identical to `t_matmul`. Branch
+    /// free like [`Matrix::matmul_into`], with the same consequence: a
+    /// zero in `self` times a non-finite `rhs` entry yields NaN.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "t_matmul leading dimension mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
@@ -167,9 +179,6 @@ impl Matrix {
             let a_row = &self.data[kk * m..(kk + 1) * m];
             let b_row = &rhs.data[kk * n..(kk + 1) * n];
             for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
                 let out_row = &mut out.data[i * n..(i + 1) * n];
                 for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += a * b;
@@ -432,6 +441,110 @@ mod tests {
             (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * bt.get(j, kk))
         });
         assert_bits("matmul_t", &c, &naive);
+
+        // ReLU-shaped left operands: a third exact `+0.0`, a sixth
+        // `-0.0`. The branch-free kernels must match both the naive fold
+        // and the zero-skip kernels they replaced, bit for bit.
+        for (m, k, n) in [(5, 7, 6), (1, 16, 24), (8, 24, 16), (3, 1, 5), (6, 16, 6)] {
+            let a = relu_fill(m, k, m + k);
+            let b = fill(k, n, n);
+            let label = format!("matmul {m}x{k}x{n} (zeros)");
+            let naive = Matrix::from_fn(m, n, |i, j| {
+                (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * b.get(kk, j))
+            });
+            assert_bits(&label, &a.matmul(&b), &naive);
+            assert_bits(&label, &a.matmul(&b), &matmul_skip_reference(&a, &b));
+
+            let at = relu_fill(k, m, m * k);
+            let label = format!("t_matmul {m}x{k}x{n} (zeros)");
+            let naive = Matrix::from_fn(m, n, |i, j| {
+                (0..k).fold(0.0f32, |acc, kk| acc + at.get(kk, i) * b.get(kk, j))
+            });
+            assert_bits(&label, &at.t_matmul(&b), &naive);
+            assert_bits(&label, &at.t_matmul(&b), &t_matmul_skip_reference(&at, &b));
+        }
+    }
+
+    /// [`fill`] with ReLU's zeros punched in: every third element `+0.0`,
+    /// every sixth (offset by one) `-0.0`.
+    fn relu_fill(rows: usize, cols: usize, salt: usize) -> Matrix {
+        let base = fill(rows, cols, salt);
+        Matrix::from_fn(rows, cols, |r, c| match (r * cols + c + salt) % 6 {
+            0 | 3 => 0.0,
+            1 => -0.0,
+            _ => base.get(r, c),
+        })
+    }
+
+    /// The zero-skip `matmul_into` body the branch-free kernel replaced.
+    fn matmul_skip_reference(a: &Matrix, rhs: &Matrix) -> Matrix {
+        let (m, k, n) = (a.rows, a.cols, rhs.cols);
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            let a_row = &a.data[i * k..(i + 1) * k];
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            for (kk, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let b_row = &rhs.data[kk * n..(kk + 1) * n];
+                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// The zero-skip `t_matmul_into` body the branch-free kernel replaced.
+    fn t_matmul_skip_reference(a: &Matrix, rhs: &Matrix) -> Matrix {
+        let (k, m, n) = (a.rows, a.cols, rhs.cols);
+        let mut out = Matrix::zeros(m, n);
+        for kk in 0..k {
+            let a_row = &a.data[kk * m..(kk + 1) * m];
+            let b_row = &rhs.data[kk * n..(kk + 1) * n];
+            for (i, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out.data[i * n..(i + 1) * n];
+                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// The one documented change of the branch-free kernels: a zero left
+    /// operand no longer hides a non-finite right operand — `0 · ∞` is
+    /// NaN, per IEEE 754.
+    #[test]
+    fn zero_times_infinity_is_nan_in_both_kernels() {
+        let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
+        let b = Matrix::from_vec(2, 1, vec![f32::INFINITY, 2.0]);
+        assert!(a.matmul(&b).get(0, 0).is_nan());
+        assert_eq!(matmul_skip_reference(&a, &b).get(0, 0), 2.0, "the skip hid the infinity");
+        let at = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
+        assert!(at.t_matmul(&b).get(0, 0).is_nan());
+        assert_eq!(t_matmul_skip_reference(&at, &b).get(0, 0), 2.0);
+    }
+
+    /// A row's product does not depend on its batch: row `r` of an
+    /// n-row `matmul` is bit-identical to the 1-row `matmul` of row `r`
+    /// alone — what makes frozen-layer activations computable once for
+    /// a whole training set.
+    #[test]
+    fn matmul_row_is_independent_of_its_batch() {
+        let (n, k, cols) = (9, 16, 24);
+        let a = relu_fill(n, k, 5);
+        let w = fill(k, cols, 6);
+        let batch = a.matmul(&w);
+        for r in 0..n {
+            let one = Matrix::from_vec(1, k, a.row(r).to_vec()).matmul(&w);
+            let want = Matrix::from_vec(1, cols, batch.row(r).to_vec());
+            assert_bits(&format!("row {r}"), &one, &want);
+        }
     }
 
     /// One scratch buffer reused across all three `_into` kernels, each

@@ -5,9 +5,35 @@
 //! checkpoints into serving mid-run (§5 "Ekya can improve inference
 //! accuracy by checkpointing the model during retraining and dynamically
 //! loading it as the inference model").
+//!
+//! The trainer never blocks on the shard for an answer it does not need
+//! yet. The serving bar's `Evaluate` and every checkpoint `Swap` go out
+//! as deferred asks:
+//!
+//! * the bar is queued before the first epoch and read at the first
+//!   checkpoint;
+//! * swap *k* is settled at checkpoint *k + 1*, before that checkpoint's
+//!   `acc > serving_accuracy` comparison, so every decision sees exactly
+//!   the bar a blocking trainer would have seen;
+//! * a job's **final** swap is never awaited. The shard's mailbox is one
+//!   FIFO queue and the swap is enqueued before the trainer replies, so
+//!   the swap is applied before anything sent after that reply — Phase
+//!   E's `GetModel`, the next window's `Evaluate`, any client request.
+//!   Waiting for it would only idle the trainer through the shard's
+//!   modelled reload.
+//!
+//! The shard still sleeps its `reload` per swap, and requests still
+//! queue behind it (§5's serving pause); only the trainer stops waiting.
+//! Because the last swap is not awaited, a [`TrainOutcome`] does not say
+//! how many swaps landed — the daemon credits swaps from the shard's
+//! model versions.
+//!
+//! The job runs `val` through its frozen layers once
+//! ([`RetrainExecution::freeze`]); the accuracy of the last checkpoint is
+//! the job's final accuracy.
 
 use crate::serve::{InferenceShard, ShardMsg, ShardReply};
-use ekya_actors::{Actor, Address};
+use ekya_actors::{Actor, ActorError, Address, Pending};
 use ekya_core::{RetrainConfig, RetrainExecution, TrainHyper};
 use ekya_nn::data::Sample;
 use ekya_nn::mlp::Mlp;
@@ -23,25 +49,33 @@ pub struct SwapTarget {
     pub stream: u32,
 }
 
+/// A shard reply the trainer has asked for but not yet read.
+type Deferred = Result<Pending<ShardReply>, ActorError>;
+
 impl SwapTarget {
-    /// Accuracy the serving side currently achieves on `val` (the bar a
-    /// checkpoint must clear before it is worth swapping in).
-    fn serving_accuracy(&self, val: &Arc<Vec<Sample>>) -> f64 {
-        match self.addr.ask(ShardMsg::Evaluate { stream: self.stream, batch: Arc::clone(val) }) {
-            Ok(ShardReply::Accuracy(a)) => a,
-            _ => 0.0,
-        }
+    /// Queues an evaluation of the serving model on `val`: the bar a
+    /// checkpoint must clear before it is worth swapping in.
+    fn ask_serving_accuracy(&self, val: &Arc<Vec<Sample>>) -> Deferred {
+        self.addr.ask_deferred(ShardMsg::Evaluate { stream: self.stream, batch: Arc::clone(val) })
     }
 
-    /// Swaps `model` into serving; `true` when the shard applied it.
-    /// The `Arc::new` here is the copy-on-write boundary: a freshly
-    /// materialised checkpoint enters shared ownership exactly once.
-    fn swap(&self, model: Mlp, reload: Duration) -> bool {
-        matches!(
-            self.addr.ask(ShardMsg::Swap { stream: self.stream, model: Arc::new(model), reload }),
-            Ok(ShardReply::Swapped { .. })
-        )
+    /// Queues a swap of `model` into serving. The `Arc::new` here is the
+    /// copy-on-write boundary: a freshly materialised checkpoint enters
+    /// shared ownership exactly once.
+    fn ask_swap(&self, model: Mlp, reload: Duration) -> Deferred {
+        self.addr.ask_deferred(ShardMsg::Swap {
+            stream: self.stream,
+            model: Arc::new(model),
+            reload,
+        })
     }
+}
+
+/// Blocks on a deferred shard reply, timed as the wall span
+/// `server.trainer/shard_wait`.
+fn shard_wait(reply: Deferred) -> Result<ShardReply, ActorError> {
+    let _wall = ekya_telemetry::timing::wall_span("server.trainer", "shard_wait");
+    reply?.wait()
 }
 
 /// One retraining job. Model and data inputs are `Arc`-shared: the
@@ -83,8 +117,6 @@ pub struct TrainOutcome {
     pub epochs: u32,
     /// Final accuracy on the job's validation batch.
     pub final_accuracy: f64,
-    /// Checkpoints that were good enough to hot-swap into serving.
-    pub checkpoints_swapped: u32,
 }
 
 /// Messages a trainer actor understands.
@@ -109,6 +141,7 @@ impl Actor for TrainerActor {
 
     fn handle(&mut self, msg: TrainerMsg) -> TrainerReply {
         let TrainerMsg::Run(spec) = msg;
+        let _job_wall = ekya_telemetry::timing::wall_span("server.trainer", "job");
         let mut exec = RetrainExecution::new(
             &spec.base_model,
             &spec.pool,
@@ -117,12 +150,15 @@ impl Actor for TrainerActor {
             spec.hyper,
             spec.seed,
         );
-        // Accuracy the serving side currently has, as the swap bar.
-        let mut serving_accuracy = match &spec.swap_target {
-            Some(target) => target.serving_accuracy(&spec.val),
-            None => 0.0,
-        };
-        let mut checkpoints_swapped = 0u32;
+        let val = exec.freeze(&spec.val);
+        // The swap bar: the serving side's current accuracy, asked for
+        // now and read at the first checkpoint.
+        let mut bar = spec.swap_target.as_ref().map(|t| t.ask_serving_accuracy(&spec.val));
+        let mut serving_accuracy = 0.0;
+        // The newest swap sent, with the accuracy that becomes the bar
+        // once the shard confirms it.
+        let mut in_flight: Option<(Deferred, f64)> = None;
+        let mut last_accuracy = None;
         while !exec.is_complete() {
             exec.step_epoch();
             if spec.fail_after_epochs.is_some_and(|n| exec.epochs_done() >= n) {
@@ -132,29 +168,37 @@ impl Actor for TrainerActor {
                 .checkpoint_every
                 .map(|ck| ck > 0 && exec.epochs_done().is_multiple_of(ck))
                 .unwrap_or(false);
-            let last = exec.is_complete();
-            if at_checkpoint || last {
-                let acc = exec.accuracy(&spec.val);
-                if acc > serving_accuracy {
-                    if let Some(target) = &spec.swap_target {
-                        let mut model = exec.model().clone();
-                        model.set_layers_trained(usize::MAX);
-                        if target.swap(model, spec.swap_reload) {
-                            checkpoints_swapped += 1;
-                            serving_accuracy = acc;
-                        }
-                    }
+            if !(at_checkpoint || exec.is_complete()) {
+                continue;
+            }
+            let acc = exec.accuracy_frozen(&val);
+            last_accuracy = Some(acc);
+            let Some(target) = &spec.swap_target else { continue };
+            if let Some(reply) = bar.take() {
+                if let Ok(ShardReply::Accuracy(a)) = shard_wait(reply) {
+                    serving_accuracy = a;
                 }
             }
+            if let Some((reply, swapped_acc)) = in_flight.take() {
+                if let Ok(ShardReply::Swapped { .. }) = shard_wait(reply) {
+                    serving_accuracy = swapped_acc;
+                }
+            }
+            if acc > serving_accuracy {
+                let mut model = exec.model().clone();
+                model.set_layers_trained(usize::MAX);
+                in_flight = Some((target.ask_swap(model, spec.swap_reload), acc));
+            }
         }
-        let final_accuracy = exec.accuracy(&spec.val);
+        // `in_flight` — the final swap — drops here unread; see the
+        // module doc for why it is still applied before anything later.
+        let final_accuracy = last_accuracy.unwrap_or_else(|| exec.accuracy_frozen(&val));
         let mut model = exec.model().clone();
         model.set_layers_trained(usize::MAX);
         TrainerReply::Done(Box::new(TrainOutcome {
             model,
             epochs: exec.epochs_done(),
             final_accuracy,
-            checkpoints_swapped,
         }))
     }
 }
@@ -206,10 +250,14 @@ mod tests {
     #[test]
     fn trainer_learns_and_reports() {
         let trainer = spawn_bounded("trainer", TrainerActor, 2);
-        let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(spec(None)))).unwrap();
+        let job = spec(None);
+        let val = Arc::clone(&job.val);
+        let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
         assert_eq!(out.epochs, 20);
         assert!(out.final_accuracy > 0.9, "toy problem learnable: {}", out.final_accuracy);
-        assert_eq!(out.checkpoints_swapped, 0, "no swap target configured");
+        // The reused last-checkpoint evaluation is the returned model's.
+        let direct = out.model.accuracy(ekya_nn::data::DataView::new(&val, 2));
+        assert_eq!(out.final_accuracy.to_bits(), direct.to_bits());
         trainer.stop();
     }
 
@@ -234,8 +282,12 @@ mod tests {
             ..job
         };
         let val = Arc::clone(&job.val);
-        let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
-        assert!(out.checkpoints_swapped >= 1, "at least the final swap should land");
+        let TrainerReply::Done(_) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
+        let Ok(ShardReply::Model { version, .. }) = shard.ask(ShardMsg::GetModel { stream: 0 })
+        else {
+            panic!("wrong reply")
+        };
+        assert!(version >= 1, "at least one checkpoint should land");
         // The shard now serves a model at least as good as the trainer's
         // last-swapped checkpoint bar.
         let Ok(ShardReply::Accuracy(acc)) = shard.ask(ShardMsg::Evaluate { stream: 0, batch: val })
@@ -243,6 +295,40 @@ mod tests {
             panic!("wrong reply")
         };
         assert!(acc > 0.85, "serving accuracy after swaps: {acc}");
+        trainer.stop();
+        shard.stop();
+    }
+
+    /// The trainer replies without waiting for its final swap, which the
+    /// shard is still reloading — yet the shard's FIFO mailbox applies
+    /// it before any message sent after the reply.
+    #[test]
+    fn unawaited_final_swap_lands_before_later_messages() {
+        let trainer = spawn_bounded("trainer", TrainerActor, 2);
+        let shard = spawn_bounded("shard", InferenceShard::default(), 8);
+        let job = spec(None);
+        assert!(matches!(
+            shard.ask(ShardMsg::Admit {
+                stream: 0,
+                model: Arc::clone(&job.base_model),
+                num_classes: 2
+            }),
+            Ok(ShardReply::Admitted)
+        ));
+        // No mid-run checkpoints: the only swap is the final one.
+        let job = TrainJobSpec {
+            checkpoint_every: None,
+            swap_target: Some(SwapTarget { addr: shard.address(), stream: 0 }),
+            swap_reload: Duration::from_millis(50),
+            ..job
+        };
+        let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
+        let Ok(ShardReply::Model { model, version }) = shard.ask(ShardMsg::GetModel { stream: 0 })
+        else {
+            panic!("wrong reply")
+        };
+        assert_eq!(version, 1, "the final swap was applied first");
+        assert_eq!(format!("{:?}", *model), format!("{:?}", out.model));
         trainer.stop();
         shard.stop();
     }

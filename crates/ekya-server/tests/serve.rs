@@ -269,6 +269,48 @@ fn pump_rounds_is_wall_plane_only_and_sink_gets_snapshot_bytes() {
     daemon.shutdown();
 }
 
+/// The paper preset, which every other daemon test here swaps for the
+/// quick one: the full retraining grid (head-only configurations
+/// included, so trainers run from frozen-layer blocks) and a real 5 ms
+/// reload per swap, which trainers do not wait out. Four paper streams
+/// over two windows give the same status bytes on one trainer and one
+/// shard as on two of each, run after run — the unawaited swaps land
+/// before Phase E reads the serving models.
+#[test]
+fn paper_preset_with_real_reloads_is_shard_count_invariant() {
+    let run = |trainer_shards: usize, infer_shards: usize| -> (String, u64) {
+        let cfg = ServeConfig {
+            capacity: 4,
+            trainer_shards,
+            infer_shards,
+            seed: 5,
+            ..ServeConfig::new(4.0)
+        };
+        assert_eq!(cfg.swap_reload, Duration::from_millis(5), "the paper preset's reload");
+        let mut daemon = EdgeDaemon::new(cfg);
+        for i in 0..4u64 {
+            let kind = DatasetKind::ALL[i as usize % DatasetKind::ALL.len()];
+            daemon.admit(VideoDataset::generate(DatasetSpec::new(kind, 2, 40 + 1000 * i))).unwrap();
+        }
+        let mut most_swaps = 0;
+        for _ in 0..2 {
+            for report in daemon.run_window() {
+                most_swaps = most_swaps.max(report.checkpoints_swapped);
+            }
+        }
+        assert_eq!(daemon.status_snapshot().validate(), Vec::<String>::new());
+        let bytes = serde_json::to_string_pretty(&daemon.status_view()).unwrap();
+        daemon.shutdown();
+        (bytes, most_swaps)
+    };
+    let runs: Vec<(String, u64)> =
+        [(1, 1), (1, 1), (2, 2), (2, 2)].into_iter().map(|(t, i)| run(t, i)).collect();
+    for (k, (bytes, _)) in runs.iter().enumerate().skip(1) {
+        assert_eq!(bytes, &runs[0].0, "run {k}: status bytes moved with shard count or timing");
+    }
+    assert!(runs[0].1 >= 2, "some stream must swap two checkpoints in one window");
+}
+
 /// A panicking trainer is absorbed by supervision: the failed window is
 /// recorded, serving never stops, and the next window retrains cleanly
 /// on a restarted trainer.

@@ -32,7 +32,7 @@ use ekya_nn::cost::CostModel;
 use ekya_nn::data::{DataView, Sample};
 use ekya_nn::fit::LearningCurve;
 use ekya_nn::golden::{distill_labels, OracleTeacher};
-use ekya_nn::mlp::{Mlp, MlpArch};
+use ekya_nn::mlp::{FrozenInputs, Mlp, MlpArch};
 use ekya_video::{StreamSet, VideoDataset};
 use serde::{Deserialize, Serialize};
 
@@ -135,6 +135,9 @@ struct WindowPrep<'a> {
 /// An in-flight training job during window execution.
 struct ActiveTrain {
     exec: RetrainExecution,
+    /// The stream's `sys_val`, through the job's frozen layers once, for
+    /// the per-epoch accuracy.
+    val: FrozenInputs,
     alloc: f64,
     generation: Generation,
     epoch_started: SimTime,
@@ -427,6 +430,7 @@ fn run_one_window<P: Policy + ?Sized>(
                 .unwrap_or_else(|| LearningCurve::flat(serving_sys[s]));
             let generation = engine.new_generation();
             let mut job = ActiveTrain {
+                val: exec.freeze(&preps[s].sys_val),
                 exec,
                 alloc: train_alloc[s],
                 generation,
@@ -457,7 +461,7 @@ fn run_one_window<P: Policy + ?Sized>(
             let job = jobs[s].as_mut().expect("event for missing job");
             job.exec.step_epoch();
             let k = job.exec.k_done();
-            let sys_acc = job.exec.accuracy(&preps[s].sys_val);
+            let sys_acc = job.exec.accuracy_frozen(&job.val);
             job.observed.push((k, sys_acc));
 
             // §5: correct the estimate when observation diverges.

@@ -225,10 +225,11 @@ pub fn record_trace(
                     cfg.hyper,
                     seed.wrapping_add((w_idx as u64) << 20),
                 );
-                let mut pts = vec![(0.0, exec.accuracy(&w.val))];
+                let val = exec.freeze(&w.val);
+                let mut pts = vec![(0.0, exec.accuracy_frozen(&val))];
                 while !exec.is_complete() {
                     exec.step_epoch();
-                    pts.push((exec.k_done(), exec.accuracy(&w.val)));
+                    pts.push((exec.k_done(), exec.accuracy_frozen(&val)));
                 }
                 let best = pts.iter().map(|p| p.1).fold(0.0, f64::max);
                 true_curves.push((key, LearningCurve::fit_capped(&pts, best + 0.02)));
