@@ -28,11 +28,6 @@ pub struct CloudJobSpec {
 }
 
 impl CloudJobSpec {
-    /// The paper's §6.5 example: 160 Mb of video up, 398 Mb of model down.
-    pub fn paper_default(tag: u32) -> Self {
-        Self { tag, upload_mbits: 160.0, model_mbits: 398.0 }
-    }
-
     /// Upload volume for a given stream bitrate/sampling/window, in Mb.
     pub fn upload_for(bitrate_mbps: f64, sampling: f64, window_secs: f64) -> f64 {
         bitrate_mbps * sampling.clamp(0.0, 1.0) * window_secs
@@ -97,47 +92,18 @@ pub fn simulate_cloud_window(
     }
 }
 
-/// Window-average accuracy for one stream under cloud retraining: the
-/// stale model (`serving`) serves until the new model arrives at
-/// `arrival_secs`, after which the retrained model (`post`) serves.
-pub fn cloud_window_accuracy(serving: f64, post: f64, arrival_secs: f64, window_secs: f64) -> f64 {
-    if !arrival_secs.is_finite() || arrival_secs >= window_secs {
-        return serving;
-    }
-    let t = arrival_secs.max(0.0);
-    (t * serving + (window_secs - t) * post.max(serving)) / window_secs
-}
-
-/// Finds the smallest bandwidth-scaling factor (on a grid) at which the
-/// cloud design reaches `target_accuracy`, answering Table 4's "more
-/// bandwidth needed" columns. Returns the factor, or `None` when even
-/// `max_factor` is not enough.
-///
-/// `eval` maps a scaled link to the achieved accuracy.
-pub fn bandwidth_factor_needed(
-    link: &LinkModel,
-    target_accuracy: f64,
-    max_factor: f64,
-    mut eval: impl FnMut(&LinkModel) -> f64,
-) -> Option<f64> {
-    let mut factor = 1.0;
-    while factor <= max_factor {
-        let scaled = link.scaled(factor);
-        if eval(&scaled) >= target_accuracy {
-            return Some(factor);
-        }
-        factor += 0.1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's §6.5 example: 160 Mb of video up, 398 Mb of model down.
+    fn paper_job(tag: u32) -> CloudJobSpec {
+        CloudJobSpec { tag, upload_mbits: 160.0, model_mbits: 398.0 }
+    }
+
     #[test]
     fn eight_cameras_miss_400s_window_on_cellular() {
-        let jobs: Vec<CloudJobSpec> = (0..8).map(CloudJobSpec::paper_default).collect();
+        let jobs: Vec<CloudJobSpec> = (0..8).map(paper_job).collect();
         let out = simulate_cloud_window(&LinkModel::cellular(), &jobs, 400.0);
         // The paper computes 432 s for uploads+downloads alone (serial on
         // the half-duplex medium): every model that does arrive lands in
@@ -151,7 +117,7 @@ mod tests {
 
     #[test]
     fn single_camera_arrives_within_window() {
-        let jobs = vec![CloudJobSpec::paper_default(0)];
+        let jobs = vec![paper_job(0)];
         let out = simulate_cloud_window(&LinkModel::cellular(), &jobs, 400.0);
         // 160/5.1 + 398/17.5 + latency ≈ 54 s.
         assert!(out.arrival_secs[0] < 60.0, "{:?}", out.arrival_secs);
@@ -159,51 +125,12 @@ mod tests {
 
     #[test]
     fn faster_link_arrives_sooner() {
-        let jobs: Vec<CloudJobSpec> = (0..4).map(CloudJobSpec::paper_default).collect();
+        let jobs: Vec<CloudJobSpec> = (0..4).map(paper_job).collect();
         let slow = simulate_cloud_window(&LinkModel::cellular(), &jobs, 1e9);
         let fast = simulate_cloud_window(&LinkModel::cellular().scaled(4.0), &jobs, 1e9);
         for (s, f) in slow.arrival_secs.iter().zip(&fast.arrival_secs) {
             assert!(f < s);
         }
-    }
-
-    #[test]
-    fn window_accuracy_blends_serving_and_post() {
-        // Arrival at half window: average of serving and post.
-        let acc = cloud_window_accuracy(0.5, 0.9, 200.0, 400.0);
-        assert!((acc - 0.7).abs() < 1e-9);
-        // Missed window: stale accuracy only.
-        assert_eq!(cloud_window_accuracy(0.5, 0.9, f64::INFINITY, 400.0), 0.5);
-        // Immediate arrival: full post accuracy.
-        assert!((cloud_window_accuracy(0.5, 0.9, 0.0, 400.0) - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn worse_model_is_not_deployed() {
-        let acc = cloud_window_accuracy(0.8, 0.3, 100.0, 400.0);
-        assert!((acc - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bandwidth_factor_search_finds_threshold() {
-        // Toy eval: accuracy grows with uplink bandwidth, hits 0.9 at
-        // >= 2x cellular.
-        let base = LinkModel::cellular();
-        let factor = bandwidth_factor_needed(&base, 0.9, 20.0, |l| {
-            if l.uplink_mbps >= 10.2 {
-                0.95
-            } else {
-                0.5
-            }
-        });
-        let f = factor.unwrap();
-        assert!((f - 2.0).abs() < 0.15, "factor = {f}");
-    }
-
-    #[test]
-    fn bandwidth_factor_none_when_unreachable() {
-        let base = LinkModel::cellular();
-        assert!(bandwidth_factor_needed(&base, 0.99, 5.0, |_| 0.1).is_none());
     }
 
     #[test]

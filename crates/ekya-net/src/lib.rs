@@ -8,20 +8,17 @@
 //! links typical of edge deployments (4G cellular, satellite).
 //!
 //! Implemented: bandwidth/latency/loss link models with the paper's
-//! Table 4 presets, FIFO shared-link transfer scheduling, cloud-retraining
-//! window simulation (instantaneous cloud training — the paper's
-//! conservative assumption), bandwidth-scaling search, token-bucket
-//! shaping and loss injection for fault testing. Omitted: per-packet
-//! simulation, TCP dynamics, congestion control — bulk-transfer completion
-//! times are what Table 4 needs, and those are bandwidth-dominated.
+//! Table 4 presets and bandwidth scaling, FIFO shared-link transfer
+//! scheduling, and cloud-retraining window simulation (instantaneous
+//! cloud training — the paper's conservative assumption). Omitted:
+//! per-packet simulation, TCP dynamics, congestion control — bulk-transfer
+//! completion times are what Table 4 needs, and those are
+//! bandwidth-dominated.
 
 pub mod cloud;
 pub mod link;
 pub mod transfer;
 
-pub use cloud::{
-    bandwidth_factor_needed, cloud_window_accuracy, simulate_cloud_window, CloudJobSpec,
-    CloudWindowOutcome,
-};
-pub use link::{Direction, LinkModel, LossInjector, TokenBucket};
+pub use cloud::{simulate_cloud_window, CloudJobSpec, CloudWindowOutcome};
+pub use link::{Direction, LinkModel};
 pub use transfer::{CompletedTransfer, LinkScheduler, Transfer};

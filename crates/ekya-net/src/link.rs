@@ -4,13 +4,9 @@
 //! of edge deployments: 4G cellular (5.1 Mbps up / 17.5 Mbps down, from
 //! OpenSignal \[59\]), satellite (8.5 / 15, FCC \[53\]), and a double
 //! cellular subscription (10.2 / 35). This module provides those presets
-//! plus the fault-injection machinery the networking guides treat as
-//! first-class: token-bucket rate shaping and random loss with
-//! retransmission.
+//! and the transfer-time model: bandwidth, propagation latency, and loss
+//! priced as retransmission overhead.
 
-use rand::rngs::StdRng;
-use rand::Rng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Direction of a transfer relative to the edge site.
@@ -114,92 +110,6 @@ impl LinkModel {
     }
 }
 
-/// Token-bucket rate shaper (smoltcp-style fault injection): `conforms`
-/// admits traffic only while tokens remain, refilled at a fixed interval.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    capacity: f64,
-    tokens: f64,
-    refill_per_sec: f64,
-    last_refill: f64,
-}
-
-impl TokenBucket {
-    /// Creates a bucket holding at most `capacity` megabits, refilled at
-    /// `refill_per_sec` megabits/second.
-    pub fn new(capacity: f64, refill_per_sec: f64) -> Self {
-        Self { capacity, tokens: capacity, refill_per_sec, last_refill: 0.0 }
-    }
-
-    /// Attempts to send `mbits` at time `now` (seconds). Returns `true`
-    /// and consumes tokens when admitted.
-    pub fn try_send(&mut self, mbits: f64, now: f64) -> bool {
-        self.refill(now);
-        if self.tokens >= mbits {
-            self.tokens -= mbits;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Seconds from `now` until `mbits` of tokens will be available.
-    pub fn time_until_available(&mut self, mbits: f64, now: f64) -> f64 {
-        self.refill(now);
-        if self.tokens >= mbits {
-            0.0
-        } else {
-            (mbits - self.tokens) / self.refill_per_sec.max(1e-9)
-        }
-    }
-
-    fn refill(&mut self, now: f64) {
-        if now > self.last_refill {
-            self.tokens =
-                (self.tokens + (now - self.last_refill) * self.refill_per_sec).min(self.capacity);
-            self.last_refill = now;
-        }
-    }
-}
-
-/// Random-loss injector for tests (deterministic per seed), mirroring the
-/// `--drop-chance` fault injection of the networking guides.
-#[derive(Debug, Clone)]
-pub struct LossInjector {
-    drop_chance: f64,
-    rng: StdRng,
-    dropped: u64,
-    passed: u64,
-}
-
-impl LossInjector {
-    /// Creates an injector dropping each packet with `drop_chance`.
-    pub fn new(drop_chance: f64, seed: u64) -> Self {
-        Self {
-            drop_chance: drop_chance.clamp(0.0, 1.0),
-            rng: StdRng::seed_from_u64(seed),
-            dropped: 0,
-            passed: 0,
-        }
-    }
-
-    /// Returns `true` when the packet survives.
-    pub fn admit(&mut self) -> bool {
-        if self.rng.gen_bool(self.drop_chance) {
-            self.dropped += 1;
-            false
-        } else {
-            self.passed += 1;
-            true
-        }
-    }
-
-    /// `(dropped, passed)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.dropped, self.passed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,53 +161,5 @@ mod tests {
     fn zero_bits_costs_only_latency() {
         let l = LinkModel::satellite();
         assert!((l.transfer_secs(0.0, Direction::Uplink) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn token_bucket_admits_until_empty() {
-        let mut tb = TokenBucket::new(10.0, 1.0);
-        assert!(tb.try_send(6.0, 0.0));
-        assert!(!tb.try_send(6.0, 0.0), "only 4 tokens left");
-        assert!(tb.try_send(4.0, 0.0));
-        // Refills over time.
-        assert!(!tb.try_send(5.0, 1.0));
-        assert!(tb.try_send(5.0, 5.0));
-    }
-
-    #[test]
-    fn token_bucket_wait_time() {
-        let mut tb = TokenBucket::new(10.0, 2.0);
-        assert!(tb.try_send(10.0, 0.0));
-        let wait = tb.time_until_available(4.0, 0.0);
-        assert!((wait - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn token_bucket_caps_at_capacity() {
-        let mut tb = TokenBucket::new(5.0, 100.0);
-        assert!(tb.try_send(5.0, 0.0));
-        // Long idle: refills to capacity only.
-        assert!(tb.try_send(5.0, 100.0));
-        assert!(!tb.try_send(0.1, 100.0));
-    }
-
-    #[test]
-    fn loss_injector_respects_rate() {
-        let mut inj = LossInjector::new(0.25, 42);
-        for _ in 0..10_000 {
-            inj.admit();
-        }
-        let (dropped, passed) = inj.stats();
-        let rate = dropped as f64 / (dropped + passed) as f64;
-        assert!((rate - 0.25).abs() < 0.02, "observed drop rate {rate}");
-    }
-
-    #[test]
-    fn loss_injector_deterministic() {
-        let run = || {
-            let mut inj = LossInjector::new(0.3, 7);
-            (0..100).map(|_| inj.admit()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(), run());
     }
 }

@@ -53,11 +53,6 @@ impl LinkScheduler {
         Self { link, uplink_free_at: 0.0, downlink_free_at: 0.0 }
     }
 
-    /// The link in use.
-    pub fn link(&self) -> &LinkModel {
-        &self.link
-    }
-
     /// Schedules one transfer; returns its completion record and advances
     /// the busy horizon (per direction, or shared when half-duplex).
     pub fn schedule(&mut self, t: Transfer) -> CompletedTransfer {

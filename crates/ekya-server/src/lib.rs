@@ -15,6 +15,19 @@
 //! streams the largest), a supervised trainer pool, typed admission
 //! control, and a deterministic status snapshot ([`StatusSnapshot`]).
 //!
+//! The paper implements Ekya's modules — scheduler, micro-profiler and
+//! per-stream training/inference jobs — as long-running Ray actors (§5).
+//! [`actors`] is the dependency-light Rust stand-in: typed mailboxes over
+//! crossbeam channels on OS threads (CPU-bound work does not belong on an
+//! async runtime), blocking and deferred asks, request queueing while an
+//! actor is busy (the §5 model-reload behaviour), and supervised restart
+//! on panic (the §5 "failure recovery"). Every mailbox is **bounded** —
+//! [`actors::spawn_bounded`] and [`actors::spawn_supervised_bounded`]
+//! are the only constructors — so a slow consumer (a trainer hogging its
+//! thread, a shard mid-reload) blocks its producers instead of growing a
+//! queue until the box runs out of memory. Distribution across machines
+//! and actor migration are omitted; a single edge server needs neither.
+//!
 //! Implemented: shard/trainer actors, checkpoint hot-swaps with
 //! reload-time queueing, end-to-end windowed operation, liveness metrics
 //! (frames served during retraining), admission control and per-stream
@@ -24,6 +37,7 @@
 //! `ekya-sim`'s virtual-time runner. Use this crate to validate the
 //! architecture; use `ekya-sim` to evaluate scheduling policy.
 
+pub mod actors;
 pub mod metrics;
 pub mod serve;
 pub mod trainer;

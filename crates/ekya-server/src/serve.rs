@@ -22,12 +22,12 @@
 //!   trainers ran — proves liveness under real concurrency and is
 //!   reported per window, never serialised.
 
+use crate::actors::{
+    spawn_bounded, spawn_supervised_bounded, Actor, ActorHandle, Address, Pending,
+};
 use crate::metrics::{StatusSnapshot, StatusView, StreamStatus};
 use crate::trainer::{
     SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply,
-};
-use ekya_actors::{
-    spawn_bounded, spawn_supervised_bounded, Actor, ActorHandle, Address, Pending, SupervisedHandle,
 };
 use ekya_core::{
     build_inference_profiles, default_inference_grid, default_retrain_grid, EkyaPolicy,
@@ -612,7 +612,7 @@ type SnapshotSink = Box<dyn FnMut(&StatusView<'_>) + Send>;
 pub struct EdgeDaemon {
     cfg: ServeConfig,
     shards: Vec<ActorHandle<InferenceShard>>,
-    trainers: Vec<SupervisedHandle<TrainerActor>>,
+    trainers: Vec<ActorHandle<TrainerActor>>,
     streams: Vec<StreamState>,
     rejected: u64,
     window_idx: usize,
@@ -773,7 +773,7 @@ impl EdgeDaemon {
 
     /// Total trainer restarts absorbed by supervision.
     pub fn trainer_restarts(&self) -> u64 {
-        self.trainers.iter().map(|t| t.stats().restarts).sum()
+        self.trainers.iter().map(ActorHandle::restarts).sum()
     }
 
     /// Aggregate live-plane counters across all shards.

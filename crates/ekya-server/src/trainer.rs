@@ -32,8 +32,8 @@
 //! ([`RetrainExecution::freeze`]); the accuracy of the last checkpoint is
 //! the job's final accuracy.
 
+use crate::actors::{Actor, ActorError, Address, Pending};
 use crate::serve::{InferenceShard, ShardMsg, ShardReply};
-use ekya_actors::{Actor, ActorError, Address, Pending};
 use ekya_core::{RetrainConfig, RetrainExecution, TrainHyper};
 use ekya_nn::data::Sample;
 use ekya_nn::mlp::Mlp;
@@ -206,7 +206,7 @@ impl Actor for TrainerActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ekya_actors::{spawn_bounded, spawn_supervised_bounded};
+    use crate::actors::{spawn_bounded, spawn_supervised_bounded};
     use ekya_nn::mlp::MlpArch;
     use rand::Rng;
     use rand::SeedableRng;
@@ -337,14 +337,11 @@ mod tests {
     fn injected_fault_panics_through_supervision() {
         let trainer = spawn_supervised_bounded("trainer", || TrainerActor, 2);
         let job = TrainJobSpec { fail_after_epochs: Some(2), ..spec(None) };
-        assert_eq!(
-            trainer.ask(TrainerMsg::Run(Box::new(job))).err(),
-            Some(ekya_actors::ActorError::Panicked)
-        );
+        assert_eq!(trainer.ask(TrainerMsg::Run(Box::new(job))).err(), Some(ActorError::Panicked));
         // The supervisor rebuilt the trainer: the next job runs clean.
         let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(spec(None)))).unwrap();
         assert_eq!(out.epochs, 20);
-        assert_eq!(trainer.stats().restarts, 1);
+        assert_eq!(trainer.restarts(), 1);
         trainer.stop();
     }
 }

@@ -184,7 +184,7 @@ fn malformed_client_frame_is_refused_and_shard_survives() {
 /// a fresh allocating `predict`.
 #[test]
 fn classify_after_hot_swap_to_smaller_model_reads_no_stale_tail() {
-    let shard = ekya_actors::spawn_bounded("shard", InferenceShard::default(), 8);
+    let shard = ekya_server::actors::spawn_bounded("shard", InferenceShard::default(), 8);
     let big = Mlp::new(MlpArch { input_dim: 6, hidden: vec![32, 24, 16], num_classes: 7 }, 11);
     let small = Mlp::new(MlpArch { input_dim: 6, hidden: vec![4], num_classes: 3 }, 13);
     assert!(matches!(

@@ -27,8 +27,8 @@
 //! predictable-untaken branch when tracing is off — the repo benchmark
 //! reports the enabled-vs-disabled cost as `telemetry.overhead_pct`.
 //!
-//! The crate is dependency-light on purpose (vendored `serde`,
-//! `serde_json`, `parking_lot` only) so every layer — `ekya-core`'s
+//! The crate is dependency-light on purpose (vendored `serde` and
+//! `serde_json` only) so every layer — `ekya-core`'s
 //! microprofiler and thief scheduler, `ekya-bench`'s grid executor, the
 //! `ekya-server` daemon, `ekya-orchestrate`'s supervisor — can emit
 //! into the same session. The `ekya_trace` bin (in `ekya-bench`)
@@ -52,3 +52,39 @@ pub use recorder::{
 };
 pub use timing::{wall_gauge_max, wall_span, WallSpan};
 pub use view::{summarize, timeline, SummaryRow};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks one of the crate's process-global mutexes. A poisoned lock is
+/// recovered: a panic while a lock was held must never disable tracing
+/// for the rest of the process. The recovered data is still well-formed:
+/// updates under these locks are plain inserts, pushes and counter
+/// bumps, so an interrupted one can at worst lose or skew a count.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    #[test]
+    fn lock_roundtrip() {
+        let m = Mutex::new(1);
+        *super::lock(&m) += 41;
+        assert_eq!(*super::lock(&m), 42);
+    }
+
+    #[test]
+    fn lock_recovers_from_poison() {
+        static M: Mutex<u32> = Mutex::new(0);
+        let _ = std::thread::spawn(|| {
+            let _g = super::lock(&M);
+            panic!("poison it");
+        })
+        .join();
+        assert!(M.is_poisoned());
+        *super::lock(&M) += 1; // must not panic
+        assert_eq!(*super::lock(&M), 1);
+    }
+}

@@ -20,11 +20,11 @@
 
 use crate::hist::{bucket_of, HIST_BUCKETS};
 use crate::record::TraceRecord;
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Whether a session is active. Relaxed is sufficient: the flag only
 /// gates emission, and session start/stop happen-before any traced work
@@ -148,7 +148,7 @@ pub fn enabled() -> bool {
 /// (`None` buffers in memory only — the in-process test mode; use
 /// [`render`] to read it back).
 pub fn start(path: Option<PathBuf>) {
-    let mut st = STATE.lock();
+    let mut st = crate::lock(&STATE);
     *st = Some(State {
         path,
         records: Vec::new(),
@@ -163,11 +163,11 @@ pub fn start(path: Option<PathBuf>) {
 /// crash-consistency semantics are "what the last [`flush`] wrote".
 pub fn stop() {
     ENABLED.store(false, Ordering::Relaxed);
-    *STATE.lock() = None;
+    *crate::lock(&STATE) = None;
 }
 
 fn emit(record: TraceRecord) {
-    let mut st = STATE.lock();
+    let mut st = crate::lock(&STATE);
     if let Some(state) = st.as_mut() {
         state.records.push(record);
     }
@@ -234,7 +234,7 @@ pub fn counter_add(layer: &str, name: &str, n: u64) {
         return;
     }
     let key = agg_key(layer, name);
-    let mut st = STATE.lock();
+    let mut st = crate::lock(&STATE);
     if let Some(state) = st.as_mut() {
         *state.counters.entry(key).or_insert(0) += n;
     }
@@ -248,7 +248,7 @@ pub fn hist_observe(layer: &str, name: &str, value: f64) {
     }
     let key = agg_key(layer, name);
     let bucket = bucket_of(value);
-    let mut st = STATE.lock();
+    let mut st = crate::lock(&STATE);
     if let Some(state) = st.as_mut() {
         let (count, buckets) =
             state.hists.entry(key).or_insert_with(|| (0, vec![0u64; HIST_BUCKETS]));
@@ -325,7 +325,7 @@ fn render_records(records: Vec<TraceRecord>) -> String {
 /// The session's logical plane as sorted JSONL bytes — exactly what
 /// [`flush`] writes. Empty string when no session is active.
 pub fn render() -> String {
-    let st = STATE.lock();
+    let st = crate::lock(&STATE);
     match st.as_ref() {
         Some(state) => render_records(aggregate_records(state)),
         None => String::new(),
@@ -355,7 +355,7 @@ fn write_atomic(path: &Path, bytes: &str) -> std::io::Result<()> {
 /// process afterwards.
 pub fn flush() -> std::io::Result<()> {
     let (bytes, path) = {
-        let st = STATE.lock();
+        let st = crate::lock(&STATE);
         match st.as_ref() {
             Some(state) => (render_records(aggregate_records(state)), state.path.clone()),
             None => return Ok(()),
@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn disabled_emission_is_a_noop() {
-        let _l = SESSION_TEST_LOCK.lock();
+        let _l = crate::lock(&SESSION_TEST_LOCK);
         stop();
         assert!(!enabled());
         span("x", "y", 1.0, "");
@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn render_is_sorted_valid_and_repeatable() {
-        let _l = SESSION_TEST_LOCK.lock();
+        let _l = crate::lock(&SESSION_TEST_LOCK);
         start(None);
         emit_workload("a");
         let first = render();
@@ -535,7 +535,7 @@ mod tests {
 
     #[test]
     fn context_guard_restores_and_resets_seq() {
-        let _l = SESSION_TEST_LOCK.lock();
+        let _l = crate::lock(&SESSION_TEST_LOCK);
         start(None);
         {
             let _a = Ctx::current().window(1).enter();
@@ -557,7 +557,7 @@ mod tests {
 
     #[test]
     fn counters_merge_commutatively_across_shard_traces() {
-        let _l = SESSION_TEST_LOCK.lock();
+        let _l = crate::lock(&SESSION_TEST_LOCK);
         // Serial reference: the whole workload in one session.
         start(None);
         emit_workload("a");
@@ -592,7 +592,7 @@ mod tests {
 
     #[test]
     fn flush_writes_atomically_and_survives_reload() {
-        let _l = SESSION_TEST_LOCK.lock();
+        let _l = crate::lock(&SESSION_TEST_LOCK);
         let dir = std::env::temp_dir().join("ekya_telemetry_test");
         let path = dir.join("trace.jsonl");
         start(Some(path.clone()));

@@ -13,8 +13,8 @@
 //! queue depths are noisy per-observation, and the sidecar is for
 //! "where did the wall time go" questions, not for replay.
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Wall-duration aggregate for one (layer, name) span family.
@@ -33,8 +33,8 @@ static GAUGES: Mutex<BTreeMap<(&'static str, &'static str), u64>> = Mutex::new(B
 
 /// Clears all wall aggregates (called by [`crate::recorder::start`]).
 pub fn reset() {
-    SPANS.lock().clear();
-    GAUGES.lock().clear();
+    crate::lock(&SPANS).clear();
+    crate::lock(&GAUGES).clear();
 }
 
 /// A wall-clock span: measures from construction to drop and folds the
@@ -48,7 +48,7 @@ impl Drop for WallSpan {
     fn drop(&mut self) {
         if let Some((start, layer, name)) = self.start.take() {
             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let mut spans = SPANS.lock();
+            let mut spans = crate::lock(&SPANS);
             let agg = spans.entry((layer, name)).or_default();
             agg.count += 1;
             agg.total_ns += ns;
@@ -72,7 +72,7 @@ pub fn wall_gauge_max(layer: &'static str, name: &'static str, value: u64) {
     if !crate::recorder::enabled() {
         return;
     }
-    let mut gauges = GAUGES.lock();
+    let mut gauges = crate::lock(&GAUGES);
     let g = gauges.entry((layer, name)).or_insert(0);
     *g = (*g).max(value);
 }
@@ -82,8 +82,8 @@ pub fn wall_gauge_max(layer: &'static str, name: &'static str, value: u64) {
 /// run's wall time — which is exactly why it lives beside, never
 /// inside, the fingerprinted trace.
 pub fn sidecar_json() -> String {
-    let spans = SPANS.lock();
-    let gauges = GAUGES.lock();
+    let spans = crate::lock(&SPANS);
+    let gauges = crate::lock(&GAUGES);
     let mut out = String::from("{\n  \"wall_spans\": {");
     for (i, ((layer, name), agg)) in spans.iter().enumerate() {
         if i > 0 {
@@ -112,18 +112,18 @@ mod tests {
 
     #[test]
     fn disabled_spans_take_no_reading() {
-        let _l = crate::recorder::SESSION_TEST_LOCK.lock();
+        let _l = crate::lock(&crate::recorder::SESSION_TEST_LOCK);
         crate::recorder::stop();
         reset();
         drop(wall_span("t", "noop"));
         wall_gauge_max("t", "depth", 9);
-        assert!(SPANS.lock().is_empty());
-        assert!(GAUGES.lock().is_empty());
+        assert!(crate::lock(&SPANS).is_empty());
+        assert!(crate::lock(&GAUGES).is_empty());
     }
 
     #[test]
     fn enabled_spans_aggregate_and_render() {
-        let _l = crate::recorder::SESSION_TEST_LOCK.lock();
+        let _l = crate::lock(&crate::recorder::SESSION_TEST_LOCK);
         crate::recorder::start(None);
         drop(wall_span("t", "work"));
         drop(wall_span("t", "work"));

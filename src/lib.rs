@@ -10,10 +10,10 @@
 //! * [`video`] (`ekya-video`) — synthetic drifting video workloads;
 //! * [`sim`] (`ekya-sim`) — discrete-event execution + trace replay;
 //! * [`net`] (`ekya-net`) — edge↔cloud links (Table 4);
-//! * [`actors`] (`ekya-actors`) — actor runtime (the paper's Ray, §5):
-//!   typed, bounded mailboxes and supervised restart;
 //! * [`server`] (`ekya-server`) — the live deployment: one serving shape,
-//!   `EdgeDaemon` (inference shards, supervised trainers, hot-swaps);
+//!   `EdgeDaemon` (inference shards, supervised trainers, hot-swaps), on
+//!   the actor runtime re-exported as [`actors`] (the paper's Ray, §5:
+//!   typed, bounded mailboxes and supervised restart);
 //! * [`baselines`] (`ekya-baselines`) — uniform/ablation/cloud/cache
 //!   comparisons;
 //! * [`telemetry`] (`ekya-telemetry`) — two-plane structured tracing:
@@ -41,12 +41,12 @@
 //! assert!(report.mean_accuracy() > 0.0);
 //! ```
 
-pub use ekya_actors as actors;
 pub use ekya_baselines as baselines;
 pub use ekya_core as core;
 pub use ekya_net as net;
 pub use ekya_nn as nn;
 pub use ekya_server as server;
+pub use ekya_server::actors;
 pub use ekya_sim as sim;
 pub use ekya_telemetry as telemetry;
 pub use ekya_video as video;

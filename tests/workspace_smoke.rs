@@ -168,10 +168,13 @@ fn orchestrator_symbols_importable() {
     let _ = ekya_orchestrate::backoff_delay as fn(u64, usize) -> std::time::Duration;
 }
 
-/// The facade re-exports all nine sub-crates as modules.
+/// The facade re-exports all eight sub-crates as modules, plus the
+/// server's actor runtime as `ekya::actors` — the same types, not copies.
 #[test]
 fn facade_modules_present() {
-    let _ = std::any::type_name::<ekya::actors::ActorHandle<DummyActor>>();
+    let _: fn(
+        ekya::actors::ActorHandle<DummyActor>,
+    ) -> ekya::server::actors::ActorHandle<DummyActor> = |handle| handle;
     let _ = std::any::type_name::<ekya::baselines::uniform::UniformPolicy>();
     let _ = std::any::type_name::<ekya::core::Schedule>();
     let _ = std::any::type_name::<ekya::net::Direction>();
