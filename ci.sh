@@ -96,6 +96,16 @@ case "$MODE" in
     cmp target/orchestrate_smoke/fig07_provisioning.json target/fig07_unsharded.json
     echo "    supervised run (crash-retried) ≡ unsharded ✓"
 
+    # fig03's whole configuration sweep takes well under a second, so the
+    # bin does not shard: under EKYA_SHARD it warns and writes the full
+    # fig03_configs.json, byte-identical to the plain run.
+    echo "==> harness smoke: fig03_configs ignores EKYA_SHARD (full sweep, byte for byte)"
+    EKYA_QUICK=1 cargo run --release -q -p ekya-bench --bin fig03_configs >/dev/null
+    cp results/fig03_configs.json target/fig03_unsharded.json
+    EKYA_QUICK=1 EKYA_SHARD=1/2 cargo run --release -q -p ekya-bench --bin fig03_configs >/dev/null
+    cmp results/fig03_configs.json target/fig03_unsharded.json
+    echo "    EKYA_SHARD=1/2 run ≡ unsharded ✓"
+
     echo "==> harness smoke: fig08_factors (quick replay grid)"
     EKYA_QUICK=1 EKYA_WINDOWS=2 EKYA_STREAMS=4 \
       cargo run --release -q -p ekya-bench --bin fig08_factors

@@ -7,21 +7,16 @@
 //!     and that higher cost does not imply higher accuracy.
 //!
 //! The sweep core lives in `ekya_bench::config_profile`
-//! ([`ConfigSweep`](ekya_bench::ConfigSweep) + `run_config_bin`), shared
-//! with the `ekya-orchestrate` worker: exhaustive profiling rides the
-//! harness's worker pool with **per-config seeding**
-//! (`base_seed ^ fnv1a("cfg|" + label)`), so each configuration's
-//! numbers are independent of which others are profiled alongside it —
-//! which is what lets `EKYA_SHARD=i/N` split the configuration grid
-//! across processes. A sharded run profiles only its slice and writes a
-//! `ConfigShard` envelope (`results/fig03_configs_shardIofN.json`);
-//! merge the shards with `grid_merge` (or drive the whole run with
-//! `ekya_grid`) to recover the exact unsharded point list (the Pareto
-//! frontier is a whole-grid property, computed at merge). `EKYA_QUICK=1`
+//! ([`ConfigSweep`](ekya_bench::ConfigSweep) + `run_config_bin`):
+//! exhaustive profiling rides the harness's worker pool with
+//! **per-config seeding** (`base_seed ^ fnv1a("cfg|" + label)`), so the
+//! output is identical at any `EKYA_WORKERS`. The whole sweep takes a
+//! fraction of a second, so the bin does not shard: under `EKYA_SHARD`
+//! it warns and writes the full `fig03_configs.json`. `EKYA_QUICK=1`
 //! profiles the 18-config default grid instead of the extended 54.
 //!
 //! Run: `cargo run --release -p ekya-bench --bin fig03_configs`
-//! Knobs: EKYA_SEED, EKYA_QUICK=1, EKYA_WORKERS, EKYA_SHARD
+//! Knobs: EKYA_SEED, EKYA_QUICK=1, EKYA_WORKERS
 //!        (see crates/ekya-bench/README.md).
 
 use ekya_bench::{f1, f3, run_config_bin, Knobs, Table};
@@ -30,9 +25,6 @@ use ekya_core::RetrainConfig;
 fn main() {
     let knobs = Knobs::from_env();
     let (sweep, points_b) = run_config_bin(&knobs);
-    // Sharded mode: the shard envelope is already written; whole-grid
-    // tables, the spread, and the Pareto frontier wait for the merge.
-    let Some(points_b) = points_b else { return };
 
     // ---- (a) two example hyperparameters ----
     let mut axis_a: Vec<RetrainConfig> = Vec::new();

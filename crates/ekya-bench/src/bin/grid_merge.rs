@@ -1,13 +1,9 @@
 //! Merges per-shard experiment reports into the single file an unsharded
 //! run writes — byte-identical — and verifies shard coverage.
 //!
-//! Two input formats are auto-detected per file:
-//!
-//! * harness reports ([`HarnessReport`]) written by the scenario-grid
-//!   bins — every fig/table bin except `fig03_configs` (see
-//!   `ekya_bench::shardable_bins`) — under `EKYA_SHARD=i/N`;
-//! * configuration-sweep shards ([`ConfigShard`]) written by
-//!   `fig03_configs` (the merge recomputes the whole-grid Pareto flags).
+//! Every input is a harness report (`ekya_bench::HarnessReport`) written
+//! by a shardable bin (see `ekya_bench::shardable_bins`) under
+//! `EKYA_SHARD=i/N`.
 //!
 //! Merging rejects shards of different grids, overlapping slices (e.g.
 //! the same shard passed twice), missing slices, and truncated shard
@@ -24,37 +20,9 @@
 //!
 //! Run: `cargo run --release -p ekya-bench --bin grid_merge -- <args>`
 
-use ekya_bench::{
-    load_report, merge_config_shards, merge_reports, results_dir, write_json, ConfigShard,
-    HarnessReport,
-};
+use ekya_bench::{load_report, merge_reports, results_dir, write_json};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Everything `grid_merge` can read from one input file.
-enum Loaded {
-    Report(HarnessReport),
-    Config(ConfigShard),
-}
-
-fn load(path: &PathBuf) -> Result<Loaded, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let report_err = match serde_json::from_str::<HarnessReport>(&text) {
-        Ok(report) => return Ok(Loaded::Report(report)),
-        Err(e) => e,
-    };
-    serde_json::from_str::<ConfigShard>(&text).map(Loaded::Config).map_err(|config_err| {
-        // Surface both parse errors: "corrupt file" and "wrong kind of
-        // file" need opposite debugging, and hiding the cause behind a
-        // generic format hint sends the operator the wrong way.
-        format!(
-            "{}: neither a harness report ({report_err}) nor a config-sweep shard \
-             ({config_err}); note unsharded fig03 point lists need no merging",
-            path.display()
-        )
-    })
-}
 
 fn check(a: &PathBuf, b: &PathBuf) -> Result<(), String> {
     let read =
@@ -86,44 +54,17 @@ fn check(a: &PathBuf, b: &PathBuf) -> Result<(), String> {
 }
 
 fn merge(paths: &[PathBuf], out: Option<PathBuf>) -> Result<(), String> {
-    let mut reports = Vec::new();
-    let mut configs = Vec::new();
-    for path in paths {
-        match load(path)? {
-            Loaded::Report(r) => reports.push(r),
-            Loaded::Config(c) => configs.push(c),
-        }
-    }
-    if !reports.is_empty() && !configs.is_empty() {
-        return Err("cannot mix harness reports and config-sweep shards in one merge".into());
-    }
-
-    let out_for =
-        |name: &str| out.clone().unwrap_or_else(|| results_dir().join(format!("{name}.json")));
-    let (path, summary) = if !reports.is_empty() {
-        let merged = merge_reports(&reports)?;
-        let summary = format!(
-            "{} shards → {} cells ({} failed)",
-            reports.len(),
-            merged.cells.len(),
-            merged.failed
-        );
-        let path = out_for(&merged.name);
-        write_json(&path, &merged)?;
-        (path, summary)
-    } else {
-        let merged = merge_config_shards(&configs)?;
-        let summary = format!(
-            "{} shards → {} configs ({} on the Pareto frontier)",
-            configs.len(),
-            merged.len(),
-            merged.iter().filter(|p| p.on_pareto).count()
-        );
-        let path = out_for(&configs[0].name);
-        write_json(&path, &merged)?;
-        (path, summary)
-    };
-    println!("grid_merge: {summary} → {}", path.display());
+    let reports = paths.iter().map(|p| load_report(p)).collect::<Result<Vec<_>, _>>()?;
+    let merged = merge_reports(&reports)?;
+    let path = out.unwrap_or_else(|| results_dir().join(format!("{}.json", merged.name)));
+    write_json(&path, &merged)?;
+    println!(
+        "grid_merge: {} shards → {} cells ({} failed) → {}",
+        reports.len(),
+        merged.cells.len(),
+        merged.failed,
+        path.display()
+    );
     Ok(())
 }
 

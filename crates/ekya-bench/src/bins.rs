@@ -2,8 +2,8 @@
 //! the `ekya-orchestrate` supervisor plans, spawns, and merges against.
 //!
 //! Each shardable bin is a pure function of the shared environment knobs
-//! ([`Knobs`]): its grid (and therefore its cell count, shard ranges,
-//! and report schema) is fully determined by `(bin name, knobs)`. This
+//! ([`Knobs`]): its grid (and therefore its cell count and shard ranges)
+//! is fully determined by `(bin name, knobs)`. This
 //! module states that identity **once** — the bin binaries and the
 //! orchestrator's in-process worker both build their workload here, so a
 //! worker-run shard is byte-identical to a hand-launched one by
@@ -25,17 +25,16 @@
 //! * runner-side toggles (fig11's estimate noise, the design
 //!   ablations) — applied from the spec before executing the windows.
 //!
-//! Only the motivation/example binaries (`fig02_motivation`,
+//! Only the bins that do not shard (`fig02_motivation`, `fig03_configs`,
 //! `fig04_example`, `scheduler_runtime`) remain outside the registry.
 //!
-//! * [`bin_workload`] — the declarative workload of a bin (a scenario
-//!   [`Grid`] or the fig03 configuration sweep), used for planning:
-//!   total cells, shard math via [`ShardSpec::range`](crate::ShardSpec::range).
+//! * [`bin_workload`] — the scenario [`Grid`] of a bin, used for
+//!   planning: total cells, shard math via
+//!   [`ShardSpec::range`](crate::ShardSpec::range).
 //! * [`run_bin`] — execute a bin's sweep under the given knobs, writing
 //!   exactly the report files the bin binary writes (tables and other
 //!   presentation stay in the binaries).
 
-use crate::config_profile::{config_grid, run_config_bin};
 use crate::grid::{cell_seed, fig06_grid, Grid, Scenario};
 use crate::harness::{run_grid_bin, run_grid_bin_with, CellResult, GridRun, Knobs};
 use ekya_baselines::{
@@ -478,50 +477,16 @@ pub fn run_ablation_bin(knobs: &Knobs) -> GridRun {
     })
 }
 
-/// The declarative workload of one shardable bin.
-#[derive(Debug, Clone)]
-pub enum BinWorkload {
-    /// A scenario grid (every fig/table bin except fig03): cells are
-    /// [`Scenario`]s, reports are
-    /// [`HarnessReport`](crate::HarnessReport)s.
-    Scenarios(Grid),
-    /// The fig03 configuration sweep: cells are retraining
-    /// configurations, shard reports are
-    /// [`ConfigShard`](crate::ConfigShard)s (no checkpoints — retries
-    /// re-profile the shard).
-    Configs {
-        /// Configurations in the full sweep.
-        total: usize,
-    },
-}
-
-impl BinWorkload {
-    /// Cells in the full (unsharded) enumeration — the quantity
-    /// [`ShardSpec::range`](crate::ShardSpec::range) partitions.
-    pub fn total_cells(&self) -> usize {
-        match self {
-            BinWorkload::Scenarios(grid) => grid.cells().len(),
-            BinWorkload::Configs { total } => *total,
-        }
-    }
-
-    /// True when shards checkpoint per-cell progress (`.partial.json`)
-    /// — the heartbeat the orchestrator's stall detector watches.
-    pub fn checkpoints(&self) -> bool {
-        matches!(self, BinWorkload::Scenarios(_))
-    }
-}
-
 /// Every bin [`bin_workload`]/[`run_bin`] know — i.e. every bin
-/// `ekya_grid` can orchestrate. This is the **full** fig/table suite of
-/// the evaluation; only the motivation/example binaries stay outside.
-pub fn shardable_bins() -> [&'static str; 11] {
+/// `ekya_grid` can orchestrate: the fig/table suite of the evaluation
+/// minus the bins that do not shard (the motivation/example binaries and
+/// the sub-second fig03 configuration sweep).
+pub fn shardable_bins() -> [&'static str; 10] {
     [
         "fig06_streams",
         "table3_capacity",
         "fig10_delta",
         "fig08_factors",
-        "fig03_configs",
         "fig07_provisioning",
         "table4_cloud",
         "table5_cache",
@@ -531,29 +496,20 @@ pub fn shardable_bins() -> [&'static str; 11] {
     ]
 }
 
-/// The declarative workload of `bin` under `knobs`, or `None` for a
-/// bin this registry does not know (the motivation/example binaries).
-pub fn bin_workload(bin: &str, knobs: &Knobs) -> Option<BinWorkload> {
+/// The scenario grid of `bin` under `knobs`, or `None` for a bin this
+/// registry does not know (the bins that do not shard).
+pub fn bin_workload(bin: &str, knobs: &Knobs) -> Option<Grid> {
     match bin {
-        "fig06_streams" => {
-            Some(BinWorkload::Scenarios(fig06_grid(knobs.quick(), knobs.windows(4), knobs.seed())))
-        }
-        "table3_capacity" => {
-            Some(BinWorkload::Scenarios(table3_grid(knobs.windows(4), knobs.seed())))
-        }
-        "fig10_delta" => Some(BinWorkload::Scenarios(fig10_grid(
-            knobs.windows(4),
-            knobs.streams(10),
-            knobs.seed(),
-        ))),
-        "fig08_factors" => Some(BinWorkload::Scenarios(fig08_grid_for(knobs))),
-        "fig07_provisioning" => Some(BinWorkload::Scenarios(fig07_grid_for(knobs))),
-        "table4_cloud" => Some(BinWorkload::Scenarios(table4_grid_for(knobs))),
-        "table5_cache" => Some(BinWorkload::Scenarios(table5_grid_for(knobs))),
-        "fig09_allocation" => Some(BinWorkload::Scenarios(fig09_grid_for(knobs))),
-        "fig11_profiler" => Some(BinWorkload::Scenarios(fig11_grid_for(knobs))),
-        "ablation_design" => Some(BinWorkload::Scenarios(ablation_grid_for(knobs))),
-        "fig03_configs" => Some(BinWorkload::Configs { total: config_grid(knobs.quick()).len() }),
+        "fig06_streams" => Some(fig06_grid(knobs.quick(), knobs.windows(4), knobs.seed())),
+        "table3_capacity" => Some(table3_grid(knobs.windows(4), knobs.seed())),
+        "fig10_delta" => Some(fig10_grid(knobs.windows(4), knobs.streams(10), knobs.seed())),
+        "fig08_factors" => Some(fig08_grid_for(knobs)),
+        "fig07_provisioning" => Some(fig07_grid_for(knobs)),
+        "table4_cloud" => Some(table4_grid_for(knobs)),
+        "table5_cache" => Some(table5_grid_for(knobs)),
+        "fig09_allocation" => Some(fig09_grid_for(knobs)),
+        "fig11_profiler" => Some(fig11_grid_for(knobs)),
+        "ablation_design" => Some(ablation_grid_for(knobs)),
         _ => None,
     }
 }
@@ -564,47 +520,27 @@ pub fn bin_workload(bin: &str, knobs: &Knobs) -> Option<BinWorkload> {
 /// Presentation (tables, headlines) stays in the binaries; report bytes
 /// are identical because both paths run this same code.
 pub fn run_bin(bin: &str, knobs: &Knobs) -> Result<(), String> {
-    // The workload comes from bin_workload — the same call the planner
+    // The grid comes from bin_workload — the same call the planner
     // makes — so a plan and its workers cannot disagree on the grid even
     // if a bin's defaults change. Only the *evaluator* is dispatched
-    // here (trace replay, the §6.5 run functions, runner-side toggles,
-    // fig03's configuration profiling; plain scenario grids take the
-    // default simulator path).
-    let workload = bin_workload(bin, knobs).ok_or_else(|| {
+    // here (trace replay, the §6.5 run functions, runner-side toggles;
+    // plain scenario grids take the default simulator path).
+    let grid = bin_workload(bin, knobs).ok_or_else(|| {
         format!(
             "unknown or non-shardable bin `{bin}` — shardable bins: {}",
             shardable_bins().join(", ")
         )
     })?;
-    match (bin, workload) {
-        ("fig07_provisioning", _) => {
-            run_fig07_bin(knobs);
-        }
-        ("fig08_factors", _) => {
-            run_fig08_bin(knobs);
-        }
-        ("table4_cloud", _) => {
-            run_table4_bin(knobs);
-        }
-        ("table5_cache", _) => {
-            run_table5_bin(knobs);
-        }
-        ("fig09_allocation", _) => {
-            run_fig09_bin(knobs);
-        }
-        ("fig11_profiler", _) => {
-            run_fig11_bin(knobs);
-        }
-        ("ablation_design", _) => {
-            run_ablation_bin(knobs);
-        }
-        (_, BinWorkload::Configs { .. }) => {
-            run_config_bin(knobs);
-        }
-        (_, BinWorkload::Scenarios(grid)) => {
-            run_grid_bin(bin, &grid, knobs);
-        }
-    }
+    match bin {
+        "fig07_provisioning" => run_fig07_bin(knobs),
+        "fig08_factors" => run_fig08_bin(knobs),
+        "table4_cloud" => run_table4_bin(knobs),
+        "table5_cache" => run_table5_bin(knobs),
+        "fig09_allocation" => run_fig09_bin(knobs),
+        "fig11_profiler" => run_fig11_bin(knobs),
+        "ablation_design" => run_ablation_bin(knobs),
+        _ => run_grid_bin(bin, &grid, knobs),
+    };
     Ok(())
 }
 
@@ -616,19 +552,21 @@ mod tests {
     fn registry_covers_every_shardable_bin() {
         let knobs = Knobs::default();
         for bin in shardable_bins() {
-            let workload = bin_workload(bin, &knobs).expect("registered bin has a workload");
-            assert!(workload.total_cells() > 0, "{bin} plans zero cells");
+            let grid = bin_workload(bin, &knobs).expect("registered bin has a workload");
+            assert!(!grid.cells().is_empty(), "{bin} plans zero cells");
         }
-        assert!(bin_workload("fig02_motivation", &knobs).is_none());
+        for bin in ["fig02_motivation", "fig03_configs", "fig04_example", "scheduler_runtime"] {
+            assert!(bin_workload(bin, &knobs).is_none(), "{bin} does not shard");
+        }
         assert!(run_bin("nope", &knobs).is_err());
     }
 
     #[test]
     fn workloads_respond_to_knobs() {
         for bin in ["fig08_factors", "fig07_provisioning", "table4_cloud", "fig11_profiler"] {
-            let full = bin_workload(bin, &Knobs::default()).unwrap().total_cells();
+            let full = bin_workload(bin, &Knobs::default()).unwrap().cells().len();
             let quick =
-                bin_workload(bin, &Knobs::default().with_quick(true)).unwrap().total_cells();
+                bin_workload(bin, &Knobs::default().with_quick(true)).unwrap().cells().len();
             assert!(quick < full, "quick {bin} grid should shrink ({quick} vs {full})");
         }
 
@@ -636,18 +574,7 @@ mod tests {
         // workers can never silently disagree on cell identity.
         let a = bin_workload("fig06_streams", &Knobs::default()).unwrap();
         let b = bin_workload("fig06_streams", &Knobs::default().with_seed(7)).unwrap();
-        let (BinWorkload::Scenarios(ga), BinWorkload::Scenarios(gb)) = (a, b) else {
-            panic!("fig06 is a scenario grid")
-        };
-        assert_ne!(ga.cells()[0].seed, gb.cells()[0].seed);
-    }
-
-    #[test]
-    fn fig03_workload_is_configs_without_checkpoints() {
-        let w = bin_workload("fig03_configs", &Knobs::default()).unwrap();
-        assert!(!w.checkpoints());
-        assert_eq!(w.total_cells(), config_grid(false).len());
-        assert!(bin_workload("fig06_streams", &Knobs::default()).unwrap().checkpoints());
+        assert_ne!(a.cells()[0].seed, b.cells()[0].seed);
     }
 
     #[test]
@@ -682,9 +609,10 @@ mod tests {
     #[test]
     fn single_cell_and_two_cell_bins_plan_correctly() {
         let knobs = Knobs::default();
-        assert_eq!(bin_workload("fig09_allocation", &knobs).unwrap().total_cells(), 1);
-        assert_eq!(bin_workload("table5_cache", &knobs).unwrap().total_cells(), 2);
-        let ablation = bin_workload("ablation_design", &knobs).unwrap().total_cells();
+        let cells = |bin| bin_workload(bin, &knobs).unwrap().cells().len();
+        assert_eq!(cells("fig09_allocation"), 1);
+        assert_eq!(cells("table5_cache"), 2);
+        let ablation = cells("ablation_design");
         assert_eq!(ablation, 1 + DesignToggle::ALL.len());
     }
 }

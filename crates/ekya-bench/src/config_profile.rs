@@ -2,21 +2,14 @@
 //! profiling — the one sweep in the suite whose cells are retraining
 //! *configurations* rather than simulation [`Scenario`](crate::Scenario)s.
 //!
-//! The sweep rides the same scale levers as the scenario grids: each
+//! The sweep fans out on the harness's worker pool, and each
 //! configuration is profiled with its own seed (`base_seed ^
-//! fnv1a(config label)`), so any slice of the configuration list
-//! computes identical numbers regardless of which other configurations
-//! run alongside it, and `EKYA_SHARD=i/N` partitions the list across
-//! processes. A sharded run writes a [`ConfigShard`] envelope; the
-//! `grid_merge` bin recombines shards with [`merge_config_shards`] into
-//! the plain point list an unsharded run writes — byte-identical.
-//!
-//! The Pareto frontier is a **whole-grid** property, so shard files
-//! carry `on_pareto: false` throughout and the flags are computed only
-//! over the complete set ([`pareto_flags`]), by the unsharded bin run or
-//! by the merge.
+//! fnv1a(config label)`), so the numbers are identical at any worker
+//! count. The whole sweep takes a fraction of a second, so it is not
+//! sharded: `EKYA_SHARD` is ignored with a warning and the complete point
+//! list is written, with the whole-grid Pareto flags ([`pareto_flags`]).
 
-use crate::grid::{coverage_order, fnv1a, ShardSpec};
+use crate::grid::fnv1a;
 use crate::harness::{run_parallel, Knobs};
 use crate::save_json;
 use ekya_core::{
@@ -43,27 +36,12 @@ pub struct ConfigPoint {
     /// Final accuracy on the window's validation set (0.0 when the
     /// config was poisoned).
     pub accuracy: f64,
-    /// On the Pareto frontier of the complete grid (always `false`
-    /// inside shard files — see the module docs).
+    /// On the Pareto frontier of the complete grid.
     pub on_pareto: bool,
     /// Panic message when profiling this configuration was poisoned —
     /// the same isolation the scenario grids give a failed cell: the
     /// rest of the sweep completes and the failure travels in the data.
     pub error: Option<String>,
-}
-
-/// One shard's slice of the configuration sweep, written to
-/// `results/fig03_configs_shardIofN.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfigShard {
-    /// Sweep identity (the bin name).
-    pub name: String,
-    /// Configurations in the full (unsharded) grid.
-    pub total: usize,
-    /// The slice this file covers.
-    pub shard: ShardSpec,
-    /// Profiled points for `shard.range(total)`, in grid order.
-    pub points: Vec<ConfigPoint>,
 }
 
 /// Pareto-frontier membership over (cost, accuracy): a point is on the
@@ -86,34 +64,6 @@ pub fn pareto_flags(points: &[ConfigPoint]) -> Vec<bool> {
         .collect()
 }
 
-/// Recombines per-shard configuration sweeps into the complete point
-/// list an unsharded run writes, recomputing the Pareto flags over the
-/// full set. Rejects mismatched sweeps and overlapping/missing slices
-/// with the same coverage rules as harness-report merging.
-pub fn merge_config_shards(shards: &[ConfigShard]) -> Result<Vec<ConfigPoint>, String> {
-    let first = shards.first().ok_or("no shards to merge")?;
-    for s in shards {
-        if s.name != first.name || s.total != first.total {
-            return Err(format!(
-                "cannot merge shards of different sweeps: `{}` ({} configs) vs `{}` ({} configs)",
-                first.name, first.total, s.name, s.total
-            ));
-        }
-    }
-    let parts: Vec<(ShardSpec, usize)> = shards.iter().map(|s| (s.shard, s.points.len())).collect();
-    let order = coverage_order(&parts, first.total)?;
-
-    let mut points = Vec::with_capacity(first.total);
-    for &i in &order {
-        points.extend(shards[i].points.iter().cloned());
-    }
-    let flags = pareto_flags(&points);
-    for (p, on) in points.iter_mut().zip(flags) {
-        p.on_pareto = on;
-    }
-    Ok(points)
-}
-
 /// The configuration grid fig03 profiles: the paper's extended
 /// 54-configuration grid, or the 18-configuration default grid under
 /// quick mode (`EKYA_QUICK=1`).
@@ -134,10 +84,8 @@ pub fn config_grid(quick: bool) -> Vec<RetrainConfig> {
 /// configurations on the work-stealing pool with **per-config seeding**
 /// (`base_seed ^ fnv1a("cfg|" + label)`), so every configuration's
 /// numbers are a pure function of (model, data, config) — independent of
-/// which other configurations run alongside it. That purity is what lets
-/// `EKYA_SHARD` split the configuration list across processes, and what
-/// lets the `ekya-orchestrate` worker run a fig03 shard in-process with
-/// output byte-identical to the `fig03_configs` binary's.
+/// which other configurations run alongside it, so the sweep's bytes do
+/// not depend on the worker count.
 pub struct ConfigSweep {
     model: Mlp,
     train: Vec<Sample>,
@@ -223,57 +171,26 @@ impl ConfigSweep {
 
 /// The environment-driven front door for the fig03 configuration sweep —
 /// the config-grid sibling of
-/// [`run_grid_bin`](crate::harness::run_grid_bin), shared by the
-/// `fig03_configs` binary and the `ekya-orchestrate` worker.
+/// [`run_grid_bin`](crate::harness::run_grid_bin).
 ///
-/// Prepares the sweep, then:
-///
-/// * **sharded** (`EKYA_SHARD=i/N`): profiles only this shard's slice of
-///   [`config_grid`], writes the [`ConfigShard`] envelope to
-///   `results/fig03_configs_shardIofN.json`, and returns `None` — merge
-///   the shards with `grid_merge` or `ekya_grid`;
-/// * **unsharded**: profiles the whole grid, computes the Pareto flags,
-///   writes the point list to `results/fig03_configs.json`, and returns
-///   it for the bin's tables.
-///
-/// The returned [`ConfigSweep`] lets the caller profile extra
-/// configurations (fig03's panel (a) axes) without paying the warm-up
-/// again. The sweep shards but does not checkpoint (its cells are
-/// cheap), so `EKYA_RESUME` warns and recomputes.
-pub fn run_config_bin(knobs: &Knobs) -> (ConfigSweep, Option<Vec<ConfigPoint>>) {
+/// Prepares the sweep, profiles the whole [`config_grid`], computes the
+/// Pareto flags, writes the point list to `results/fig03_configs.json`,
+/// and returns it for the bin's tables. The returned [`ConfigSweep`] lets
+/// the caller profile extra configurations (fig03's panel (a) axes)
+/// without paying the warm-up again. The sweep neither shards nor
+/// checkpoints (it takes a fraction of a second), so `EKYA_SHARD` and
+/// `EKYA_RESUME` warn and the full sweep runs.
+pub fn run_config_bin(knobs: &Knobs) -> (ConfigSweep, Vec<ConfigPoint>) {
+    knobs.warn_if_sharded("fig03_configs");
     knobs.warn_if_resume("fig03_configs");
-    let grid = config_grid(knobs.quick());
     let sweep = ConfigSweep::prepare(knobs.seed());
-
-    if let Some(shard) = knobs.shard() {
-        let range = shard.range(grid.len());
-        eprintln!(
-            "[fig03: shard {shard} → configs {}..{} of {} across {} workers]",
-            range.start,
-            range.end,
-            grid.len(),
-            knobs.workers()
-        );
-        let points = sweep.measure(&grid[range], knobs.workers());
-        let envelope =
-            ConfigShard { name: "fig03_configs".into(), total: grid.len(), shard, points };
-        save_json(&format!("fig03_configs{}", shard.suffix()), &envelope);
-        println!(
-            "[shard output: {} of {} configs — tables, spread, and the Pareto frontier are \
-             whole-grid; merge the shards with `grid_merge` first]",
-            envelope.points.len(),
-            envelope.total
-        );
-        return (sweep, None);
-    }
-
-    let mut points = sweep.measure(&grid, knobs.workers());
+    let mut points = sweep.measure(&config_grid(knobs.quick()), knobs.workers());
     let flags = pareto_flags(&points);
     for (p, on) in points.iter_mut().zip(flags) {
         p.on_pareto = on;
     }
     save_json("fig03_configs", &points);
-    (sweep, Some(points))
+    (sweep, points)
 }
 
 #[cfg(test)]
@@ -315,27 +232,5 @@ mod tests {
         poisoned.error = Some("boom".into());
         let points = vec![poisoned, pt("a", 1.0, 0.8)];
         assert_eq!(pareto_flags(&points), vec![false, true]);
-    }
-
-    #[test]
-    fn merge_recombines_and_recomputes_pareto() {
-        let all = [pt("a", 1.0, 0.8), pt("b", 2.0, 0.7), pt("c", 3.0, 0.9)];
-        let s = |index, count, points| ConfigShard {
-            name: "fig03".into(),
-            total: 3,
-            shard: ShardSpec { index, count },
-            points,
-        };
-        // 0/2 of 3 → cells 0..1; 1/2 → cells 1..3.
-        let merged =
-            merge_config_shards(&[s(1, 2, all[1..].to_vec()), s(0, 2, all[..1].to_vec())]).unwrap();
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.iter().map(|p| p.on_pareto).collect::<Vec<_>>(), vec![true, false, true]);
-        // Overlap and gaps are rejected.
-        let err = merge_config_shards(&[s(0, 2, all[..1].to_vec()), s(0, 2, all[..1].to_vec())])
-            .unwrap_err();
-        assert!(err.contains("overlap"), "{err}");
-        let err = merge_config_shards(&[s(0, 2, all[..1].to_vec())]).unwrap_err();
-        assert!(err.contains("missing"), "{err}");
     }
 }

@@ -147,18 +147,6 @@ impl Knobs {
         self
     }
 
-    /// Sets the shard slice (the programmatic `EKYA_SHARD`).
-    pub fn with_shard(mut self, shard: Option<ShardSpec>) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// Sets the resume request (the programmatic `EKYA_RESUME`).
-    pub fn with_resume(mut self, resume: Option<String>) -> Self {
-        self.resume = resume;
-        self
-    }
-
     /// The raw window override (`EKYA_WINDOWS`), `None` when the bin's
     /// default applies — what a supervisor records in its plan so
     /// respawned shards inherit exactly the launch-time knobs.

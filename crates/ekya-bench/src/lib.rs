@@ -52,14 +52,10 @@ pub use bins::{
     fig08_grid, fig08_grid_for, fig08_policies, fig09_grid_for, fig10_grid, fig11_eps,
     fig11_grid_for, run_ablation_bin, run_bin, run_fig07_bin, run_fig08_bin, run_fig09_bin,
     run_fig11_bin, run_table4_bin, run_table5_bin, shardable_bins, table3_grid, table4_grid_for,
-    table4_policies, table4_scales, table5_grid_for, table5_pretrain_windows, BinWorkload,
-    ReplayTraces, FIG10_DELTAS, FIG10_GPUS, FIG11_GPUS, TABLE4_GPUS, TABLE4_WINDOW_SECS,
-    TABLE5_GPUS,
+    table4_policies, table4_scales, table5_grid_for, table5_pretrain_windows, ReplayTraces,
+    FIG10_DELTAS, FIG10_GPUS, FIG11_GPUS, TABLE4_GPUS, TABLE4_WINDOW_SECS, TABLE5_GPUS,
 };
-pub use config_profile::{
-    config_grid, merge_config_shards, pareto_flags, run_config_bin, ConfigPoint, ConfigShard,
-    ConfigSweep,
-};
+pub use config_profile::{config_grid, pareto_flags, run_config_bin, ConfigPoint, ConfigSweep};
 pub use grid::{cell_seed, coverage_order, fig06_grid, fnv1a, Grid, Scenario, ShardSpec};
 pub use harness::{
     default_workers, load_report, merge_reports, report_path, run_grid, run_grid_bin,

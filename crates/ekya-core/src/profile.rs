@@ -37,16 +37,6 @@ impl RetrainProfile {
     pub fn post_accuracy(&self) -> f64 {
         self.curve.predict(self.config.k_total())
     }
-
-    /// Wall-clock retraining duration under a fractional GPU allocation
-    /// (`f64::INFINITY` when the allocation is zero).
-    pub fn duration_secs(&self, alloc: f64) -> f64 {
-        if alloc <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.total_gpu_seconds() / alloc
-        }
-    }
 }
 
 /// Profile for one inference configuration on one stream.
@@ -151,13 +141,6 @@ mod tests {
     fn total_gpu_seconds_scales_with_epochs() {
         let p = mk_profile(10, 2.0, 0.9);
         assert!((p.total_gpu_seconds() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duration_scales_inverse_with_alloc() {
-        let p = mk_profile(10, 2.0, 0.9);
-        assert!((p.duration_secs(0.5) - 40.0).abs() < 1e-12);
-        assert!(p.duration_secs(0.0).is_infinite());
     }
 
     #[test]

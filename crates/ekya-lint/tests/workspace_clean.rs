@@ -74,3 +74,91 @@ fn dependency_names(manifest: &str) -> Vec<String> {
     }
     names
 }
+
+/// `pub` items that only tests name, each kept on purpose.
+const TEST_SEAMS: [(&str, &str); 3] = [
+    ("bare", "the empty lint `Config` the rule fixtures run under"),
+    ("class_distribution", "the independent oracle of ekya-video's dataset test"),
+    ("class_len", "lets continual-memory tests inspect per-class occupancy"),
+];
+
+/// Every `pub fn|struct|enum|trait|const|type` under `crates/*/src` is
+/// named by code other than its own definition: the non-test part of any
+/// crate source, or the facade's `src/`, or `examples/`. Unit-test
+/// modules, `tests/` directories, `pub use` re-exports and `impl` headers
+/// do not count, so a helper whose last caller is deleted fails here
+/// instead of lingering as dead API.
+#[test]
+fn every_pub_item_has_a_caller() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        collect_rs(&root.join(dir), &mut files);
+    }
+    files.sort();
+    let crate_src = root.join("crates");
+    let mut defs = Vec::new(); // (name, file, line)
+    let mut uses = std::collections::BTreeSet::new();
+    for file in &files {
+        let rel = file.strip_prefix(&root).unwrap().to_string_lossy().replace('\\', "/");
+        if rel.starts_with("crates/") && rel.split('/').nth(2) != Some("src") {
+            continue; // crate `tests/` directories
+        }
+        let scan = ekya_lint::lexer::scan(&std::fs::read_to_string(file).expect("source readable"));
+        let end = scan.tokens.iter().take_while(|t| !scan.in_test_code(t.line)).count();
+        let toks: Vec<&str> = scan.tokens[..end].iter().map(|t| t.text.as_str()).collect();
+        let mut i = 0;
+        while i < toks.len() {
+            match toks[i] {
+                // `pub use` lines and `impl … {` headers name nothing.
+                "pub" if toks.get(i + 1) == Some(&"use") => {
+                    i += toks[i..].iter().position(|t| *t == ";").unwrap_or(toks.len() - i);
+                }
+                "impl" => i += toks[i..].iter().position(|t| *t == "{").unwrap_or(toks.len() - i),
+                "pub" if file.starts_with(&crate_src) => {
+                    if let Some(&("fn" | "struct" | "enum" | "trait" | "const" | "type")) =
+                        toks.get(i + 1)
+                    {
+                        defs.push((toks[i + 2].to_string(), rel.clone(), scan.tokens[i].line));
+                        i += 3; // the definition does not name itself
+                        continue;
+                    }
+                }
+                t => {
+                    uses.insert(t.to_string());
+                }
+            }
+            i += 1;
+        }
+    }
+    let orphans: Vec<String> = defs
+        .iter()
+        .filter(|(name, ..)| !uses.contains(name) && !TEST_SEAMS.iter().any(|(s, _)| s == name))
+        .map(|(name, file, line)| format!("{file}:{line}: `{name}`"))
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "pub items that no non-test code names — delete them, or list a test seam in \
+         TEST_SEAMS with its reason:\n{}",
+        orphans.join("\n")
+    );
+    for (seam, _) in TEST_SEAMS {
+        assert!(
+            defs.iter().any(|(name, ..)| name == seam) && !uses.contains(seam),
+            "TEST_SEAMS entry `{seam}` is stale: no such item, or non-test code now names it"
+        );
+    }
+}
+
+/// Recursively collects `.rs` files under `dir`, skipping build
+/// directories (no-op if absent).
+fn collect_rs(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for path in entries.map(|e| e.expect("directory entry").path()) {
+        if path.is_dir() && !path.ends_with("target") {
+            collect_rs(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}

@@ -84,24 +84,6 @@ impl CostModel {
         n_samples as f64 * per_sample / self.batch_efficiency(batch_size)
     }
 
-    /// Wall-clock seconds for one epoch when only `alloc` (fraction of a
-    /// GPU, or several GPUs when `> 1`) is granted. Linear scale-out, as
-    /// assumed by the paper's estimator.
-    ///
-    /// Returns `f64::INFINITY` for a zero allocation.
-    pub fn train_epoch_wall_seconds(
-        &self,
-        model: &Mlp,
-        n_samples: usize,
-        batch_size: u32,
-        alloc: f64,
-    ) -> f64 {
-        if alloc <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.train_epoch_gpu_seconds(model, n_samples, batch_size) / alloc
-    }
-
     /// Inference throughput (frames/second) at resolution scale
     /// `resolution` (1.0 = native) on one full GPU, for a model of the
     /// given size factor. Compute scales with the square of resolution.
@@ -122,12 +104,6 @@ impl CostModel {
     ) -> f64 {
         let analysed = stream_fps * sampling.clamp(0.0, 1.0);
         analysed / self.infer_fps_per_gpu(size_factor, resolution)
-    }
-
-    /// GPU-seconds for the golden model to label `n_samples` frames
-    /// (knowledge-distillation labelling, §2.2).
-    pub fn golden_label_gpu_seconds(&self, n_samples: usize) -> f64 {
-        n_samples as f64 * self.fwd_seconds_per_sample * self.golden_cost_factor
     }
 }
 
@@ -171,16 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_time_scales_inverse_with_allocation() {
-        let cm = CostModel::default();
-        let m = edge_model();
-        let full = cm.train_epoch_wall_seconds(&m, 200, 32, 1.0);
-        let half = cm.train_epoch_wall_seconds(&m, 200, 32, 0.5);
-        assert!((half / full - 2.0).abs() < 1e-9);
-        assert!(cm.train_epoch_wall_seconds(&m, 200, 32, 0.0).is_infinite());
-    }
-
-    #[test]
     fn calibration_matches_paper_ranges() {
         // A heavyweight retraining configuration (30 epochs, 600 samples,
         // everything trainable) should land in the 100-250 GPU-second range
@@ -208,13 +174,5 @@ mod tests {
         // Lower resolution lowers demand quadratically.
         let low = cm.infer_gpu_demand(1.0, 30.0, 1.0, 0.5);
         assert!((low * 4.0 - d).abs() < 1e-6);
-    }
-
-    #[test]
-    fn golden_labeling_is_expensive() {
-        let cm = CostModel::default();
-        let golden = cm.golden_label_gpu_seconds(100);
-        let edge_fwd = 100.0 * cm.fwd_seconds_per_sample;
-        assert!((golden / edge_fwd - 13.0).abs() < 1e-9);
     }
 }

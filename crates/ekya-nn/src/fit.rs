@@ -239,11 +239,6 @@ impl LearningCurve {
         v.clamp(0.0, 1.0)
     }
 
-    /// The asymptotic accuracy.
-    pub fn asymptote(&self) -> f64 {
-        self.c.clamp(0.0, 1.0)
-    }
-
     /// Fits the curve to `(k, accuracy)` observations with the asymptote
     /// allowed anywhere up to 1.0. See [`LearningCurve::fit_capped`].
     pub fn fit(points: &[(f64, f64)]) -> Self {
@@ -451,7 +446,7 @@ mod tests {
             assert!(v <= 1.0);
             prev = v;
         }
-        assert!(c.predict(1e9) <= c.asymptote() + 1e-9);
+        assert!(c.predict(1e9) <= c.c.clamp(0.0, 1.0) + 1e-9);
     }
 
     #[test]

@@ -2,19 +2,13 @@
 //!
 //! Manual labelling is infeasible for continuous training on the edge, so
 //! Ekya labels retraining data with an expensive, highly accurate "golden
-//! model" (§2.2) — a teacher supervising a low-cost student. Two teachers
-//! are provided:
-//!
-//! * [`OracleTeacher`] — returns the ground-truth label with probability
-//!   `1 - error_rate`, otherwise a uniformly random *wrong* label. This is
-//!   the stand-in for ResNeXt101, whose labels the paper verified to be
-//!   "very similar to human-annotated labels" (§6.1).
-//! * [`ModelTeacher`] — wraps an actual high-capacity [`Mlp`]; used in
-//!   tests that exercise the full distillation path where the teacher
-//!   itself was trained on data.
+//! model" (§2.2) — a teacher supervising a low-cost student.
+//! [`OracleTeacher`] returns the ground-truth label with probability
+//! `1 - error_rate`, otherwise a uniformly random *wrong* label. It is the
+//! stand-in for ResNeXt101, whose labels the paper verified to be "very
+//! similar to human-annotated labels" (§6.1).
 
 use crate::data::Sample;
-use crate::mlp::Mlp;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -63,37 +57,6 @@ impl Teacher for OracleTeacher {
 
     fn expected_accuracy(&self) -> f64 {
         1.0 - self.error_rate
-    }
-}
-
-/// A teacher backed by a real (large) model.
-#[derive(Debug, Clone)]
-pub struct ModelTeacher {
-    model: Mlp,
-    expected_accuracy: f64,
-}
-
-impl ModelTeacher {
-    /// Wraps a trained model; `expected_accuracy` is its measured held-out
-    /// accuracy (reported by [`Teacher::expected_accuracy`]).
-    pub fn new(model: Mlp, expected_accuracy: f64) -> Self {
-        Self { model, expected_accuracy: expected_accuracy.clamp(0.0, 1.0) }
-    }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &Mlp {
-        &self.model
-    }
-}
-
-impl Teacher for ModelTeacher {
-    fn label(&mut self, x: &[f32], _true_y: usize) -> usize {
-        let s = Sample::new(x.to_vec(), 0);
-        self.model.predict(std::slice::from_ref(&s))[0]
-    }
-
-    fn expected_accuracy(&self) -> f64 {
-        self.expected_accuracy
     }
 }
 
@@ -155,16 +118,5 @@ mod tests {
         assert_eq!(labeled[0].x, vec![1.0, 2.0]);
         assert_eq!(labeled[0].y, 1);
         assert_eq!(labeled[1].y, 2);
-    }
-
-    #[test]
-    fn model_teacher_labels_with_model() {
-        use crate::mlp::MlpArch;
-        let model = Mlp::new(MlpArch { input_dim: 2, hidden: vec![4], num_classes: 2 }, 9);
-        let mut t = ModelTeacher::new(model.clone(), 0.9);
-        let x = [0.5f32, -0.5];
-        let expected = model.predict(&[Sample::new(x.to_vec(), 0)])[0];
-        assert_eq!(t.label(&x, 1), expected);
-        assert!((t.expected_accuracy() - 0.9).abs() < 1e-12);
     }
 }

@@ -23,21 +23,17 @@
 pub mod continual;
 pub mod cost;
 pub mod data;
-pub mod eval;
 pub mod fit;
 pub mod gauss;
 pub mod golden;
-pub mod labeling;
 pub mod mlp;
 pub mod tensor;
 
 pub use continual::ExemplarMemory;
 pub use cost::CostModel;
 pub use data::{subsample, DataView, Sample};
-pub use eval::ConfusionMatrix;
 pub use fit::{lstsq, nnls, solve_linear, LearningCurve};
-pub use gauss::{sample_gaussian, sample_normal};
-pub use golden::{distill_labels, ModelTeacher, OracleTeacher, Teacher};
-pub use labeling::{label_with_budget, LabelStrategy, LabeledBatch};
+pub use gauss::sample_gaussian;
+pub use golden::{distill_labels, OracleTeacher, Teacher};
 pub use mlp::{Dense, FrozenInputs, Mlp, MlpArch, PredictScratch, Sgd};
 pub use tensor::Matrix;

@@ -93,11 +93,6 @@ impl MlpArch {
     pub fn golden(input_dim: usize, num_classes: usize) -> Self {
         Self { input_dim, hidden: vec![128, 128, 64], num_classes }
     }
-
-    /// Total number of trainable layers (hidden layers + output layer).
-    pub fn num_layers(&self) -> usize {
-        self.hidden.len() + 1
-    }
 }
 
 /// Multi-layer perceptron with per-layer freezing.
@@ -236,11 +231,6 @@ impl Mlp {
     /// The architecture this model was built with.
     pub fn arch(&self) -> &MlpArch {
         &self.arch
-    }
-
-    /// Total number of layers (hidden + output).
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
     }
 
     /// Total parameter count.
@@ -994,7 +984,7 @@ mod tests {
             if rng.gen_range(0..3) == 0 {
                 base.resize_last_hidden(rng.gen_range(1..=32), case ^ 0x5EED);
             }
-            let depth = base.num_layers();
+            let depth = base.layers.len();
             base.set_layers_trained(rng.gen_range(1..=depth + 1));
             let n = rng.gen_range(1..=40usize);
             let mut samples = |n: usize| -> Vec<Sample> {

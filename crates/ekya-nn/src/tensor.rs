@@ -32,15 +32,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a matrix that takes ownership of `data` (row-major).
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -112,19 +103,12 @@ impl Matrix {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// `self (m x k) * rhs (k x n) -> (m x n)`.
+    /// `self (m x k) * rhs (k x n) -> (m x n)`, written into a
+    /// caller-owned output matrix (reshaped and zeroed here), so hot loops
+    /// can reuse one allocation across calls.
     ///
     /// # Panics
     /// Panics if inner dimensions disagree.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] writing into a caller-owned output matrix
-    /// (reshaped and zeroed here), so hot loops can reuse one allocation
-    /// across calls. Numerically identical to `matmul`.
     ///
     /// Output row `i` is built from input row `i` alone, so a row's bits
     /// do not depend on which other rows share the batch — the property
@@ -159,18 +143,11 @@ impl Matrix {
     }
 
     /// `self^T (k x m) * rhs (k x n)` computed without materialising the
-    /// transpose. `self` is `k x m`. Result is `m x n`.
-    pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.t_matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::t_matmul`] writing into a caller-owned output matrix —
-    /// the backprop weight-gradient kernel, allocation-free when the
-    /// caller reuses `out`. Numerically identical to `t_matmul`. Branch
-    /// free like [`Matrix::matmul_into`], with the same consequence: a
-    /// zero in `self` times a non-finite `rhs` entry yields NaN.
+    /// transpose, written into a caller-owned `m x n` output matrix — the
+    /// backprop weight-gradient kernel, allocation-free when the caller
+    /// reuses `out`. Branch free like [`Matrix::matmul_into`], with the
+    /// same consequence: a zero in `self` times a non-finite `rhs` entry
+    /// yields NaN.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "t_matmul leading dimension mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
@@ -188,14 +165,7 @@ impl Matrix {
     }
 
     /// `self (m x k) * rhs^T (n x k)` computed without materialising the
-    /// transpose. Result is `m x n`.
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_t_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul_t`] writing into a caller-owned output matrix.
+    /// transpose, written into a caller-owned `m x n` output matrix.
     ///
     /// Register-blocked along the output columns: four columns per pass
     /// share one read of the `self` row and run four independent
@@ -257,28 +227,12 @@ impl Matrix {
             *a *= scale;
         }
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
-    /// Fills the matrix with zeros, preserving shape.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
 }
 
-/// Applies ReLU in place and returns the activation mask used for backprop
-/// (`true` where the input was positive).
-pub fn relu_inplace(m: &mut Matrix) -> Vec<bool> {
-    let mut mask = Vec::new();
-    relu_inplace_into(m, &mut mask);
-    mask
-}
-
-/// [`relu_inplace`] writing the mask into a caller-owned buffer (cleared
-/// here), so the training loop reuses one mask allocation per layer.
+/// Applies ReLU in place and writes the activation mask used for backprop
+/// (`true` where the input was positive) into a caller-owned buffer
+/// (cleared here), so the training loop reuses one mask allocation per
+/// layer.
 pub fn relu_inplace_into(m: &mut Matrix, mask: &mut Vec<bool>) {
     mask.clear();
     mask.reserve(m.data.len());
@@ -315,6 +269,39 @@ pub fn softmax_rows(m: &mut Matrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Allocating forms of the kernels — the tests' oracles and
+    /// shorthands.
+    impl Matrix {
+        fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+            assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
+            Self { rows, cols, data }
+        }
+
+        fn matmul(&self, rhs: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.matmul_into(rhs, &mut out);
+            out
+        }
+
+        fn t_matmul(&self, rhs: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.t_matmul_into(rhs, &mut out);
+            out
+        }
+
+        fn matmul_t(&self, rhs: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(0, 0);
+            self.matmul_t_into(rhs, &mut out);
+            out
+        }
+    }
+
+    fn relu_inplace(m: &mut Matrix) -> Vec<bool> {
+        let mut mask = Vec::new();
+        relu_inplace_into(m, &mut mask);
+        mask
+    }
 
     #[test]
     fn matmul_small_known_values() {

@@ -33,10 +33,9 @@
 //!   exponential backoff, and per-shard failure records that survive in
 //!   `status.json` when a shard is excluded for good.
 //! * [`merge`] — once every shard reports complete, recombines the
-//!   shard reports in-process (`merge_reports` / the fig03
-//!   `ConfigShard` merge), fingerprints the merged file, optionally
-//!   verifies it byte-for-byte against a reference report, and promotes
-//!   it to `results/<bin>.json`.
+//!   shard reports in-process (`merge_reports`), fingerprints the merged
+//!   file, optionally verifies it byte-for-byte against a reference
+//!   report, and promotes it to `results/<bin>.json`.
 //!
 //! Because resume can only skip work — never change it — a run that
 //! loses shards to crashes, kills, or stalls converges to a merged
@@ -55,6 +54,6 @@ pub use monitor::{
     probe_shard, read_status, status_path, write_status, Progress, RunState, ShardEvent,
     ShardFailure, ShardState, ShardStatus, Status,
 };
-pub use plan::{Plan, PlanEnv, ShardPlan, WorkloadKind};
+pub use plan::{Plan, PlanEnv, ShardPlan};
 pub use retry::{backoff_delay, supervise, SuperviseOpts};
 pub use spawn::Spawner;

@@ -3,11 +3,8 @@
 //! fingerprint it, optionally verify it against a reference, and promote
 //! it into the canonical `results/` directory.
 
-use crate::plan::{Plan, WorkloadKind};
-use ekya_bench::{
-    fnv1a, load_report, merge_config_shards, merge_reports, results_dir, write_json, ConfigShard,
-    HarnessReport,
-};
+use crate::plan::Plan;
+use ekya_bench::{fnv1a, load_report, merge_reports, results_dir, write_json, HarnessReport};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -29,12 +26,11 @@ pub struct MergedInfo {
     pub promoted_to: Option<String>,
 }
 
-/// Merges the run's shard reports into `<run_dir>/<bin>.json` —
-/// [`merge_reports`] for scenario grids, [`merge_config_shards`] for the
-/// fig03 sweep (recomputing the whole-grid Pareto flags) — and verifies
-/// the result byte-for-byte against `verify_against` when given.
+/// Merges the run's shard reports into `<run_dir>/<bin>.json` with
+/// [`merge_reports`] and verifies the result byte-for-byte against
+/// `verify_against` when given.
 ///
-/// All the structural safety nets of the underlying mergers apply:
+/// All the structural safety nets of the merger apply:
 /// overlapping/missing/truncated slices and knob-inconsistent shards are
 /// rejected with the offending range named.
 pub fn merge_run(
@@ -43,28 +39,10 @@ pub fn merge_run(
     verify_against: Option<&Path>,
 ) -> Result<MergedInfo, String> {
     let out = plan.merged_path(run_dir);
-    match plan.kind {
-        WorkloadKind::Scenarios => {
-            let reports: Vec<HarnessReport> = (0..plan.shards.len())
-                .map(|i| load_report(&plan.shard_report_path(run_dir, i)))
-                .collect::<Result<_, _>>()?;
-            let merged = merge_reports(&reports)?;
-            write_json(&out, &merged)?;
-        }
-        WorkloadKind::Configs => {
-            let shards: Vec<ConfigShard> = (0..plan.shards.len())
-                .map(|i| {
-                    let path = plan.shard_report_path(run_dir, i);
-                    let text = std::fs::read_to_string(&path)
-                        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                    serde_json::from_str(&text)
-                        .map_err(|e| format!("cannot parse {}: {e}", path.display()))
-                })
-                .collect::<Result<_, _>>()?;
-            let merged = merge_config_shards(&shards)?;
-            write_json(&out, &merged)?;
-        }
-    }
+    let reports: Vec<HarnessReport> = (0..plan.shards.len())
+        .map(|i| load_report(&plan.shard_report_path(run_dir, i)))
+        .collect::<Result<_, _>>()?;
+    write_json(&out, &merge_reports(&reports)?)?;
 
     let bytes =
         std::fs::read(&out).map_err(|e| format!("cannot re-read {}: {e}", out.display()))?;

@@ -3,8 +3,8 @@
 //! `ekya_grid status` renders while shards execute.
 
 use crate::merge::MergedInfo;
-use crate::plan::{Plan, WorkloadKind};
-use ekya_bench::{ConfigShard, HarnessReport};
+use crate::plan::Plan;
+use ekya_bench::HarnessReport;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -177,40 +177,20 @@ pub fn probe_shard(plan: &Plan, run_dir: &Path, i: usize) -> Progress {
     let report = plan.shard_report_path(run_dir, i);
     let mtime = |p: &Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
 
-    match plan.kind {
-        WorkloadKind::Scenarios => {
-            if let Ok(r) = load_json::<HarnessReport>(&report) {
-                if r.cells.len() == expected {
-                    return Progress {
-                        cells_done: expected,
-                        complete: true,
-                        heartbeat: mtime(&report),
-                    };
-                }
-            }
-            let partial = plan.shard_partial_path(run_dir, i);
-            if let Ok(p) = load_json::<HarnessReport>(&partial) {
-                return Progress {
-                    cells_done: p.cells.len().min(expected),
-                    complete: false,
-                    heartbeat: mtime(&partial),
-                };
-            }
-            Progress { cells_done: 0, complete: false, heartbeat: None }
-        }
-        WorkloadKind::Configs => {
-            if let Ok(s) = load_json::<ConfigShard>(&report) {
-                if s.points.len() == expected {
-                    return Progress {
-                        cells_done: expected,
-                        complete: true,
-                        heartbeat: mtime(&report),
-                    };
-                }
-            }
-            Progress { cells_done: 0, complete: false, heartbeat: None }
+    if let Ok(r) = load_json::<HarnessReport>(&report) {
+        if r.cells.len() == expected {
+            return Progress { cells_done: expected, complete: true, heartbeat: mtime(&report) };
         }
     }
+    let partial = plan.shard_partial_path(run_dir, i);
+    if let Ok(p) = load_json::<HarnessReport>(&partial) {
+        return Progress {
+            cells_done: p.cells.len().min(expected),
+            complete: false,
+            heartbeat: mtime(&partial),
+        };
+    }
+    Progress { cells_done: 0, complete: false, heartbeat: None }
 }
 
 fn load_json<T: serde::Deserialize>(path: &Path) -> Result<T, String> {

@@ -8,23 +8,9 @@
 //! all shards of a run are guaranteed to agree on cell identity. That
 //! is the precondition for the merge's byte-identity guarantee.
 
-use ekya_bench::{bin_workload, shardable_bins, BinWorkload, Knobs, ShardSpec};
+use ekya_bench::{bin_workload, shardable_bins, Knobs, ShardSpec};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-
-/// Which kind of workload the bin computes — decides the shard report
-/// schema the monitor probes and the merge path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkloadKind {
-    /// Scenario grid: `HarnessReport` shards with `.partial.json`
-    /// checkpoints — every fig/table bin except fig03 (the bespoke bins
-    /// were all ported onto `Scenario` cell identities; trace-replay,
-    /// cloud/cache, and toggle sweeps included).
-    Scenarios,
-    /// fig03 configuration sweep: `ConfigShard` shards, no checkpoints
-    /// (a retry re-profiles the whole shard; stall detection is off).
-    Configs,
-}
 
 /// The launch-time values of the shared env knobs, pinned into the plan
 /// (the serialized counterpart of `ekya_bench::Knobs`).
@@ -93,8 +79,6 @@ impl ShardPlan {
 pub struct Plan {
     /// The shardable bin this run executes (`ekya_bench::shardable_bins`).
     pub bin: String,
-    /// The bin's workload kind (report schema + merge path).
-    pub kind: WorkloadKind,
     /// Cells in the full (unsharded) enumeration.
     pub total_cells: usize,
     /// The shard partition, in index order; slices tile `0..total_cells`.
@@ -104,7 +88,7 @@ pub struct Plan {
     /// Retries allowed per shard beyond its first attempt.
     pub max_retries: usize,
     /// Kill-and-retry a shard after this long without checkpoint
-    /// progress (scenario bins only — fig03 does not checkpoint).
+    /// progress.
     pub stall_timeout_secs: u64,
     /// Base of the exponential retry backoff (doubles per retry).
     pub backoff_ms: u64,
@@ -133,17 +117,13 @@ impl Plan {
         if shards == 0 {
             return Err("cannot plan a run with 0 shards".into());
         }
-        let workload = bin_workload(bin, &env.to_knobs()).ok_or_else(|| {
+        let grid = bin_workload(bin, &env.to_knobs()).ok_or_else(|| {
             format!(
                 "unknown or non-shardable bin `{bin}` — shardable bins: {}",
                 shardable_bins().join(", ")
             )
         })?;
-        let kind = match workload {
-            BinWorkload::Scenarios(_) => WorkloadKind::Scenarios,
-            BinWorkload::Configs { .. } => WorkloadKind::Configs,
-        };
-        let total_cells = workload.total_cells();
+        let total_cells = grid.cells().len();
         let shards = (0..shards)
             .map(|index| {
                 let shard = ShardSpec { index, count: shards };
@@ -153,7 +133,6 @@ impl Plan {
             .collect();
         Ok(Self {
             bin: bin.to_string(),
-            kind,
             total_cells,
             shards,
             env,
@@ -183,12 +162,6 @@ impl Plan {
         serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
     }
 
-    /// True when shards checkpoint per-cell progress — the heartbeat
-    /// stall detection needs.
-    pub fn checkpoints(&self) -> bool {
-        self.kind == WorkloadKind::Scenarios
-    }
-
     /// Shard `i`'s final report: `<run_dir>/<bin>_shardIofN.json` — the
     /// same naming `report_path` gives a worker whose
     /// `EKYA_RESULTS_DIR` points at the run directory.
@@ -197,7 +170,7 @@ impl Plan {
     }
 
     /// Shard `i`'s live checkpoint: the `.partial.json` sibling of its
-    /// report (scenario bins only).
+    /// report.
     pub fn shard_partial_path(&self, run_dir: &Path, i: usize) -> PathBuf {
         self.shard_report_path(run_dir, i).with_extension("partial.json")
     }
@@ -225,8 +198,6 @@ mod tests {
     #[test]
     fn plan_partitions_the_grid_exactly() {
         let plan = Plan::new("fig06_streams", 4, quick_env(), 2, 600, 500).unwrap();
-        assert_eq!(plan.kind, WorkloadKind::Scenarios);
-        assert!(plan.checkpoints());
         assert_eq!(plan.shards.len(), 4);
         // The slices tile 0..total_cells contiguously.
         assert_eq!(plan.shards[0].start, 0);
@@ -239,16 +210,11 @@ mod tests {
 
     #[test]
     fn plan_rejects_unknown_bins_and_zero_shards() {
-        let err = Plan::new("fig02_motivation", 2, quick_env(), 2, 600, 500).unwrap_err();
-        assert!(err.contains("non-shardable"), "{err}");
+        for bin in ["fig02_motivation", "fig03_configs"] {
+            let err = Plan::new(bin, 2, quick_env(), 2, 600, 500).unwrap_err();
+            assert!(err.contains("non-shardable"), "{err}");
+        }
         assert!(Plan::new("fig06_streams", 0, quick_env(), 2, 600, 500).is_err());
-    }
-
-    #[test]
-    fn fig03_plans_as_configs_without_checkpoints() {
-        let plan = Plan::new("fig03_configs", 2, quick_env(), 2, 600, 500).unwrap();
-        assert_eq!(plan.kind, WorkloadKind::Configs);
-        assert!(!plan.checkpoints());
     }
 
     #[test]

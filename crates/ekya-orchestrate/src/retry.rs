@@ -9,13 +9,11 @@
 //! * **exited clean without a complete report** — the worker returned 0
 //!   but its shard report is missing or truncated (e.g. a full disk);
 //!   treated exactly like a crash.
-//! * **stalled** — a scenario-grid shard made no checkpoint progress
+//! * **stalled** — a shard made no checkpoint progress
 //!   (cell count and mtime both unchanged) for the stall budget —
 //!   `stall_timeout_secs · attempt`, escalating so a shard whose honest
 //!   time-to-first-checkpoint exceeds the configured timeout is not
 //!   killed identically forever; the supervisor kills and retries it.
-//!   fig03 shards do not checkpoint, so stall detection is off for them
-//!   by design.
 //!
 //! Retries are bounded (`max_retries` beyond the first attempt) with
 //! exponential backoff (`backoff_ms · 2^(retry-1)`). A shard that
@@ -226,9 +224,7 @@ pub fn supervise(
                                 sh.last_beat = Instant::now();
                                 let probe = probe_shard(plan, run_dir, i);
                                 st.cells_done = probe.cells_done.max(st.cells_done);
-                            } else if plan.checkpoints()
-                                && sh.last_beat.elapsed() >= stall * st.attempt as u32
-                            {
+                            } else if sh.last_beat.elapsed() >= stall * st.attempt as u32 {
                                 let _ = child.kill();
                                 let _ = child.wait();
                                 sh.child = None;

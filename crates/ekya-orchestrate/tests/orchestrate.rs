@@ -193,7 +193,6 @@ fn table4_shard_union_is_byte_identical_to_unsharded() {
     let reference = ref_dir.join("table4_cloud.json");
 
     let plan = Plan::new("table4_cloud", 4, quick_env(), 1, 600, 10).unwrap();
-    assert!(plan.checkpoints(), "table4 plans as a scenario grid with checkpoints");
     plan.save(&run_dir).unwrap();
     let spawner = Spawner::new(ekya_grid_bin(), &run_dir);
     let opts = SuperviseOpts {
@@ -260,51 +259,6 @@ fn every_newly_ported_small_bin_merges_byte_identical_across_4_shards() {
         let _ = std::fs::remove_dir_all(&run_dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
     }
-}
-
-#[test]
-fn fig03_config_shards_supervise_and_merge_byte_identical() {
-    // The Configs workload kind end to end: ConfigShard probing (no
-    // checkpoints), the merge_config_shards path with whole-grid Pareto
-    // recomputation, and byte-identity against an unsharded run.
-    let run_dir = temp_dir("fig03");
-    let ref_dir = temp_dir("fig03_ref");
-    let env = PlanEnv { seed: 42, windows: None, streams: None, quick: true, workers: 1 };
-
-    let status = std::process::Command::new(ekya_grid_bin())
-        .args(["worker", "--bin", "fig03_configs"])
-        .env_remove("EKYA_SHARD")
-        .env_remove("EKYA_RESUME")
-        .env_remove("EKYA_WINDOWS")
-        .env_remove("EKYA_STREAMS")
-        .env("EKYA_QUICK", "1")
-        .env("EKYA_SEED", "42")
-        .env("EKYA_WORKERS", "1")
-        .env("EKYA_RESULTS_DIR", &ref_dir)
-        .status()
-        .expect("reference worker spawns");
-    assert!(status.success(), "reference fig03 worker failed");
-    let reference = ref_dir.join("fig03_configs.json");
-
-    let plan = Plan::new("fig03_configs", 2, env, 1, 600, 10).unwrap();
-    assert!(!plan.checkpoints(), "fig03 must plan without checkpoints");
-    plan.save(&run_dir).unwrap();
-    let spawner = Spawner::new(ekya_grid_bin(), &run_dir);
-    let opts = SuperviseOpts {
-        poll_interval: Duration::from_millis(25),
-        verify_against: Some(reference.clone()),
-        promote: false,
-        ..SuperviseOpts::default()
-    };
-    let status = supervise(&plan, &run_dir, &spawner, &opts).expect("fig03 supervised run");
-    assert_eq!(status.state, RunState::Complete);
-    assert_eq!(
-        std::fs::read(plan.merged_path(&run_dir)).unwrap(),
-        std::fs::read(&reference).unwrap(),
-        "merged config sweep must be byte-identical to the unsharded run"
-    );
-    let _ = std::fs::remove_dir_all(&run_dir);
-    let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
 #[cfg(unix)]

@@ -174,20 +174,6 @@ impl RunReport {
             / self.windows.len() as f64
     }
 
-    /// Mean accuracy for one stream across windows.
-    pub fn stream_mean_accuracy(&self, id: StreamId) -> f64 {
-        let vals: Vec<f64> = self
-            .windows
-            .iter()
-            .flat_map(|w| w.streams.iter().filter(|s| s.id == id).map(|s| s.avg_accuracy))
-            .collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-
     /// Fraction of stream-windows in which retraining ran.
     pub fn retrain_rate(&self) -> f64 {
         let total: usize = self.windows.iter().map(|w| w.streams.len()).sum();
@@ -309,7 +295,6 @@ mod tests {
         };
         assert!((report.mean_accuracy() - 0.75).abs() < 1e-12);
         assert_eq!(report.retrain_rate(), 0.0);
-        assert!((report.stream_mean_accuracy(StreamId(0)) - 0.65).abs() < 1e-12);
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl Trace {
         serde_json::to_string(self).expect("trace serialises")
     }
 
-    /// Parses from JSON.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
     /// Stable content fingerprint (FNV-1a over the canonical JSON
     /// serialisation) — the recording's identity.
     ///
@@ -494,7 +489,7 @@ mod tests {
     fn trace_roundtrips_through_json() {
         let trace = small_trace();
         let json = trace.to_json();
-        let parsed = Trace::from_json(&json).unwrap();
+        let parsed: Trace = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.windows.len(), trace.windows.len());
         assert_eq!(
             parsed.windows[1].streams[0].stale_accuracy,
@@ -509,7 +504,8 @@ mod tests {
         // rely on); a different seed → a different recording.
         let trace = small_trace();
         assert_eq!(trace.fingerprint(), small_trace().fingerprint());
-        assert_eq!(Trace::from_json(&trace.to_json()).unwrap().fingerprint(), trace.fingerprint());
+        let parsed: Trace = serde_json::from_str(&trace.to_json()).unwrap();
+        assert_eq!(parsed.fingerprint(), trace.fingerprint());
         let streams = StreamSet::generate(DatasetKind::Cityscapes, 2, 4, 31);
         let cfg = RunnerConfig { seed: 4, ..RunnerConfig::default() };
         let reseeded = record_trace(&streams, &cfg, 4, 4);

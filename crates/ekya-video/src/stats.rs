@@ -15,25 +15,6 @@ pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| (x - y).powi(2)).sum::<f64>().sqrt()
 }
 
-/// Total-variation distance between two distributions, in `[0, 1]`.
-pub fn total_variation(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "distribution length mismatch");
-    0.5 * a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum::<f64>()
-}
-
-/// Kullback–Leibler divergence `KL(a || b)` with additive smoothing to
-/// tolerate zero entries.
-pub fn kl_divergence(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "distribution length mismatch");
-    let eps = 1e-9;
-    let norm = |v: &[f64]| -> Vec<f64> {
-        let s: f64 = v.iter().map(|x| x + eps).sum();
-        v.iter().map(|x| (x + eps) / s).collect()
-    };
-    let (pa, pb) = (norm(a), norm(b));
-    pa.iter().zip(&pb).map(|(&p, &q)| p * (p / q).ln()).sum()
-}
-
 /// Index of the distribution in `candidates` closest (Euclidean) to
 /// `target`, or `None` when `candidates` is empty.
 pub fn nearest_distribution(target: &[f64], candidates: &[Vec<f64>]) -> Option<usize> {
@@ -52,15 +33,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Population standard deviation (0 for fewer than two items).
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|&x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// `p`-th percentile (nearest-rank) of a slice; 0 for an empty slice.
@@ -99,29 +71,6 @@ mod tests {
     }
 
     #[test]
-    fn total_variation_bounds() {
-        let a = vec![1.0, 0.0, 0.0];
-        let b = vec![0.0, 0.0, 1.0];
-        assert!((total_variation(&a, &b) - 1.0).abs() < 1e-12);
-        assert_eq!(total_variation(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn kl_nonnegative_and_zero_on_identity() {
-        let a = vec![0.25, 0.25, 0.5];
-        let b = vec![0.4, 0.3, 0.3];
-        assert!(kl_divergence(&a, &b) > 0.0);
-        assert!(kl_divergence(&a, &a).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kl_tolerates_zeros() {
-        let a = vec![1.0, 0.0];
-        let b = vec![0.5, 0.5];
-        assert!(kl_divergence(&a, &b).is_finite());
-    }
-
-    #[test]
     fn nearest_distribution_picks_closest() {
         let target = vec![0.5, 0.5];
         let candidates = vec![vec![1.0, 0.0], vec![0.45, 0.55], vec![0.0, 1.0]];
@@ -142,8 +91,6 @@ mod tests {
     fn mean_and_std() {
         let xs = vec![2.0, 4.0, 6.0];
         assert!((mean(&xs) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&xs) - (8.0f64 / 3.0).sqrt()).abs() < 1e-9);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 }

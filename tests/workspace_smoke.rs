@@ -89,10 +89,8 @@ fn harness_symbols_importable() {
     let _ = std::any::type_name::<ekya_bench::GridRun>();
     let _ = std::any::type_name::<ekya_bench::RunStats>();
     let _ = std::any::type_name::<ekya_bench::ConfigPoint>();
-    let _ = std::any::type_name::<ekya_bench::ConfigShard>();
     let _ = ekya_bench::merge_reports
         as fn(&[ekya_bench::HarnessReport]) -> Result<ekya_bench::HarnessReport, String>;
-    let _ = ekya_bench::merge_config_shards as *const ();
     let _ = ekya_bench::run_grid_bin as *const ();
     let _ = ekya_bench::load_report as *const ();
     let _ = ekya_bench::report_path as *const ();
@@ -115,7 +113,6 @@ fn harness_symbols_importable() {
 #[test]
 fn orchestrator_symbols_importable() {
     // ekya-bench: bin registry + programmatic knob surface.
-    let _ = std::any::type_name::<ekya_bench::BinWorkload>();
     let _ = std::any::type_name::<ekya_bench::ConfigSweep>();
     let _ = ekya_bench::bin_workload as *const ();
     let _ = ekya_bench::run_bin as *const ();
@@ -127,7 +124,7 @@ fn orchestrator_symbols_importable() {
     let _ = ekya_bench::run_fig09_bin as *const ();
     let _ = ekya_bench::run_fig11_bin as *const ();
     let _ = ekya_bench::run_ablation_bin as *const ();
-    let _ = ekya_bench::shardable_bins as fn() -> [&'static str; 11];
+    let _ = ekya_bench::shardable_bins as fn() -> [&'static str; 10];
     let _ = ekya_bench::config_grid as *const ();
     let _ = ekya_bench::table3_grid as *const ();
     let _ = ekya_bench::fig08_grid as *const ();
@@ -150,7 +147,6 @@ fn orchestrator_symbols_importable() {
     let _ = std::any::type_name::<ekya_orchestrate::Plan>();
     let _ = std::any::type_name::<ekya_orchestrate::PlanEnv>();
     let _ = std::any::type_name::<ekya_orchestrate::ShardPlan>();
-    let _ = std::any::type_name::<ekya_orchestrate::WorkloadKind>();
     let _ = std::any::type_name::<ekya_orchestrate::Spawner>();
     let _ = std::any::type_name::<ekya_orchestrate::Status>();
     let _ = std::any::type_name::<ekya_orchestrate::ShardStatus>();
