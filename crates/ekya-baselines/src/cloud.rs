@@ -7,7 +7,7 @@
 //! helps only from its arrival time — which, at edge-typical bandwidths,
 //! is mid-window at best.
 
-use ekya_core::TrainHyper;
+use ekya_core::{richest_config, stream_seed, TrainHyper};
 use ekya_net::{simulate_cloud_window, CloudJobSpec, LinkModel};
 use ekya_nn::data::DataView;
 use ekya_nn::golden::{distill_labels, OracleTeacher};
@@ -52,30 +52,18 @@ pub fn run_cloud_retraining(
 
     // The cloud always retrains with the richest configuration (it has
     // "infinitely fast" GPUs).
-    let full_config = *rc
-        .retrain_grid
-        .iter()
-        .max_by(|a, b| {
-            (a.layers_trained, a.k_total())
-                .partial_cmp(&(b.layers_trained, b.k_total()))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("non-empty grid");
+    let full_config = richest_config(&rc.retrain_grid);
 
     let mut teachers: Vec<OracleTeacher> = (0..n)
         .map(|s| {
-            OracleTeacher::new(
-                rc.teacher_error_rate,
-                num_classes,
-                rc.seed.wrapping_add(7919 * s as u64) ^ 0xC0,
-            )
+            OracleTeacher::new(rc.teacher_error_rate, num_classes, stream_seed(rc.seed, s) ^ 0xC0)
         })
         .collect();
     let mut models: Vec<Mlp> = (0..n)
         .map(|s| {
             Mlp::new(
                 MlpArch::edge(datasets[s].1.feature_dim, num_classes, rc.initial_head_width),
-                rc.seed.wrapping_add(7919 * s as u64),
+                stream_seed(rc.seed, s),
             )
         })
         .collect();

@@ -9,7 +9,7 @@
 //! appearances of objects may still differ considerably" — exactly the
 //! appearance-drift component our workload generator models.
 
-use ekya_core::TrainHyper;
+use ekya_core::{richest_config, stream_seed, TrainHyper};
 use ekya_nn::data::DataView;
 use ekya_nn::golden::{distill_labels, OracleTeacher};
 use ekya_nn::mlp::{Mlp, MlpArch};
@@ -35,15 +35,7 @@ pub fn run_model_cache(
     let n = datasets.len();
     let num_classes = datasets[0].1.num_classes;
     let window_secs = datasets[0].1.spec.window_secs;
-    let full_config = *rc
-        .retrain_grid
-        .iter()
-        .max_by(|a, b| {
-            (a.layers_trained, a.k_total())
-                .partial_cmp(&(b.layers_trained, b.k_total()))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("non-empty grid");
+    let full_config = richest_config(&rc.retrain_grid);
 
     let mut report = RunReport { policy: "Model cache".to_string(), windows: Vec::new() };
     // Per-stream cache: (class_dist, model).
@@ -51,7 +43,7 @@ pub fn run_model_cache(
 
     // ---- Cache-building phase. ----
     for (s, (_, ds)) in datasets.iter().enumerate() {
-        let seed = rc.seed.wrapping_add(7919 * s as u64);
+        let seed = stream_seed(rc.seed, s);
         let mut teacher = OracleTeacher::new(rc.teacher_error_rate, num_classes, seed ^ 0xC0);
         let mut model =
             Mlp::new(MlpArch::edge(ds.feature_dim, num_classes, rc.initial_head_width), seed);

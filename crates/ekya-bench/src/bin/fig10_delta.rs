@@ -21,9 +21,7 @@
 
 use ekya_baselines::PolicySpec;
 use ekya_bench::{f3, fig10_grid, run_grid_bin, save_json, Knobs, Table, FIG10_DELTAS, FIG10_GPUS};
-use ekya_core::{thief_schedule, MicroProfiler, SchedulerParams, StreamInput};
-use ekya_nn::data::DataView;
-use ekya_nn::golden::{distill_labels, OracleTeacher};
+use ekya_core::{thief_schedule, SchedulerParams, StreamInput, StreamLearner};
 use ekya_nn::mlp::{Mlp, MlpArch};
 use ekya_sim::RunnerConfig;
 use ekya_video::{DatasetKind, StreamSet};
@@ -73,15 +71,18 @@ fn main() {
     let cfg = RunnerConfig { seed: workload_seed, ..RunnerConfig::default() };
     let streams = StreamSet::generate(kind, num_streams, windows, workload_seed);
     let ds0 = streams.iter().next().unwrap().1;
-    let mut teacher = OracleTeacher::new(0.02, ds0.num_classes, workload_seed ^ 0xC0);
-    let w = ds0.window(0);
-    let pool = distill_labels(&mut teacher, &w.train_pool);
-    let sys_val = distill_labels(&mut teacher, &w.val);
     let model = Mlp::new(MlpArch::edge(ds0.feature_dim, ds0.num_classes, 16), workload_seed);
-    let mut profiler = MicroProfiler::new(cfg.profiler, cfg.cost.clone(), workload_seed ^ 0xB00);
-    let profiles =
-        profiler.profile(&model, &pool, &sys_val, &cfg.retrain_grid, ds0.num_classes, 1).profiles;
-    let serving = model.accuracy(DataView::new(&sys_val, ds0.num_classes));
+    let prep = StreamLearner::new(
+        workload_seed,
+        ds0.num_classes,
+        cfg.teacher_error_rate,
+        cfg.exemplar_per_class,
+        cfg.profiler,
+        cfg.cost.clone(),
+    )
+    .prepare(&model, ds0.window(0), &cfg.retrain_grid, Some(1));
+    let profiles = prep.profile.expect("profile seed given").profiles;
+    let serving = prep.serving_sys;
     let infer_profiles =
         ekya_core::build_inference_profiles(&cfg.cost, 1.0, 30.0, &cfg.inference_grid);
     let window_secs = ds0.spec.window_secs;

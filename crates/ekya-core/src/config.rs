@@ -117,6 +117,24 @@ pub fn extended_retrain_grid() -> Vec<RetrainConfig> {
     grid
 }
 
+/// The richest configuration of `grid`: most layers retrained, then the
+/// most training (`k_total`); among equals, the last one listed. The cloud
+/// and cached-model baselines train with it, and the trace recorder's
+/// reference chain adopts it.
+///
+/// # Panics
+/// Panics when `grid` is empty.
+pub fn richest_config(grid: &[RetrainConfig]) -> RetrainConfig {
+    *grid
+        .iter()
+        .max_by(|a, b| {
+            (a.layers_trained, a.k_total())
+                .partial_cmp(&(b.layers_trained, b.k_total()))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .expect("non-empty grid")
+}
+
 /// An inference configuration λ ∈ Λ.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InferenceConfig {
@@ -206,6 +224,18 @@ mod tests {
             .iter()
             .any(|c| (c.frame_sampling - 1.0).abs() < 1e-12 && (c.resolution - 1.0).abs() < 1e-12));
         assert_eq!(grid.len(), 18);
+    }
+
+    #[test]
+    fn richest_config_keeps_the_last_of_equals() {
+        let grid = default_retrain_grid();
+        let richest = richest_config(&grid);
+        assert_eq!((richest.epochs, richest.layers_trained), (30, 3));
+        assert_eq!(richest.data_fraction, 1.0);
+        // Two configurations that tie on (layers, k): the later one wins.
+        let a = RetrainConfig { last_layer_neurons: 8, ..richest };
+        let b = RetrainConfig { last_layer_neurons: 32, ..richest };
+        assert_eq!(richest_config(&[a, b]), b);
     }
 
     #[test]

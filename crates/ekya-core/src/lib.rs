@@ -19,6 +19,11 @@
 //! * [`adapt`] — mid-window estimate correction (§5);
 //! * [`exec`] — real retraining execution shared by profiling and the
 //!   simulator;
+//! * [`learner`] — the per-stream learner (golden-model teacher, iCaRL
+//!   exemplar memory, micro-profiler) and the window preparation it runs
+//!   for the simulator, the serving daemon's Phase A, the trace recorder
+//!   and Fig. 10: label the train pool then val, mix in exemplars,
+//!   measure the serving model, micro-profile;
 //! * [`policy`] — the policy trait the window runner is generic over, and
 //!   [`policy::EkyaPolicy`] combining all of the above;
 //! * [`hash`] — the workspace's one FNV-1a implementation (cell seeds,
@@ -30,19 +35,21 @@ pub mod estimator;
 pub mod exec;
 pub mod hash;
 pub mod knapsack;
+pub mod learner;
 pub mod microprofiler;
 pub mod policy;
 pub mod profile;
 pub mod scheduler;
 
 pub use config::{
-    default_inference_grid, default_retrain_grid, extended_retrain_grid, CurveKey, InferenceConfig,
-    RetrainConfig,
+    default_inference_grid, default_retrain_grid, extended_retrain_grid, richest_config, CurveKey,
+    InferenceConfig, RetrainConfig,
 };
 pub use estimator::{estimate_window, AccuracyEstimate, EstimateParams, RetrainWork};
 pub use exec::{build_variant, RetrainExecution, TrainHyper};
 pub use hash::fnv1a;
 pub use knapsack::optimal_schedule;
+pub use learner::{stream_seed, PreparedWindow, StreamLearner};
 pub use microprofiler::{
     exhaustive_profile, profile_config, MicroProfiler, MicroProfilerParams, ProfileOutput,
 };

@@ -32,16 +32,6 @@ impl ExemplarMemory {
         Self { num_classes, capacity_per_class, per_class: vec![Vec::new(); num_classes] }
     }
 
-    /// Total number of stored exemplars.
-    pub fn len(&self) -> usize {
-        self.per_class.iter().map(Vec::len).sum()
-    }
-
-    /// True when no exemplars are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Number of exemplars stored for `class`.
     pub fn class_len(&self, class: usize) -> usize {
         self.per_class.get(class).map_or(0, Vec::len)
@@ -91,20 +81,13 @@ impl ExemplarMemory {
     }
 
     /// Builds a retraining set: the window's fresh samples plus all stored
-    /// exemplars. Fresh data comes first; the caller shuffles per epoch.
-    pub fn training_mix(&self, window_samples: &[Sample]) -> Vec<Sample> {
-        let mut out = window_samples.to_vec();
+    /// exemplars. Fresh data comes first, in place; the caller shuffles per
+    /// epoch.
+    pub fn training_mix(&self, mut window_samples: Vec<Sample>) -> Vec<Sample> {
         for pool in &self.per_class {
-            out.extend(pool.iter().cloned());
+            window_samples.extend(pool.iter().cloned());
         }
-        out
-    }
-
-    /// Clears all exemplars (used when a stream's model is reset).
-    pub fn clear(&mut self) {
-        for pool in self.per_class.iter_mut() {
-            pool.clear();
-        }
+        window_samples
     }
 }
 
@@ -122,9 +105,8 @@ mod tests {
         let samples: Vec<Sample> = (0..30).map(|i| mk(i % 3, i as f32)).collect();
         mem.update(&samples);
         for c in 0..3 {
-            assert!(mem.class_len(c) <= 5);
+            assert_eq!(mem.class_len(c), 5);
         }
-        assert_eq!(mem.len(), 15);
     }
 
     #[test]
@@ -134,7 +116,7 @@ mod tests {
         let samples = vec![mk(0, 0.0), mk(0, 1.0), mk(0, 2.0), mk(0, 3.0), mk(0, 100.0)];
         mem.update(&samples);
         assert_eq!(mem.class_len(0), 3);
-        let mix = mem.training_mix(&[]);
+        let mix = mem.training_mix(Vec::new());
         assert!(mix.iter().all(|s| s.x[0] < 50.0), "outlier must be herded out: {mix:?}");
     }
 
@@ -143,7 +125,7 @@ mod tests {
         let mut mem = ExemplarMemory::new(2, 2);
         mem.update(&[mk(0, 1.0), mk(1, 2.0)]);
         let fresh = vec![mk(0, 9.0)];
-        let mix = mem.training_mix(&fresh);
+        let mix = mem.training_mix(fresh);
         assert_eq!(mix.len(), 3);
         assert_eq!(mix[0].x[0], 9.0, "fresh data first");
     }
@@ -152,7 +134,7 @@ mod tests {
     fn out_of_range_labels_are_ignored() {
         let mut mem = ExemplarMemory::new(2, 4);
         mem.update(&[mk(5, 1.0)]);
-        assert!(mem.is_empty());
+        assert_eq!((mem.class_len(0), mem.class_len(1), mem.class_len(5)), (0, 0, 0));
     }
 
     #[test]
@@ -164,14 +146,5 @@ mod tests {
         }
         assert_eq!(mem.class_len(0), 4);
         assert_eq!(mem.class_len(1), 4);
-    }
-
-    #[test]
-    fn clear_empties_memory() {
-        let mut mem = ExemplarMemory::new(2, 4);
-        mem.update(&[mk(0, 1.0), mk(1, 2.0)]);
-        assert!(!mem.is_empty());
-        mem.clear();
-        assert!(mem.is_empty());
     }
 }

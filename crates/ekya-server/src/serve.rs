@@ -11,6 +11,14 @@
 //! capacity: a producer that outruns a shard blocks, it never grows a
 //! queue.
 //!
+//! A window runs in phases. Phase A prepares every stream through its
+//! [`StreamLearner`] — label the train pool then val with the golden
+//! model, mix in the exemplars, measure the serving model, micro-profile,
+//! fold the fresh labels into memory — the same preparation the
+//! simulator's runner makes. Phase B plans with the thief scheduler, C
+//! dispatches retraining, D pumps live frames while trainers run, E
+//! measures the final serving models and F advances the ledger.
+//!
 //! Two metric planes, deliberately separated:
 //! * the **logical plane** — a deterministic arrival/queue ledger
 //!   (offered, served, backlogged, peak depth) driven by
@@ -30,15 +38,13 @@ use crate::trainer::{
     SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply,
 };
 use ekya_core::{
-    build_inference_profiles, default_inference_grid, default_retrain_grid, EkyaPolicy,
-    InferenceConfig, MicroProfiler, MicroProfilerParams, Policy, PolicyCtx, PolicyStream,
-    RetrainConfig, RetrainProfile, SchedulerParams, TrainHyper,
+    build_inference_profiles, default_inference_grid, default_retrain_grid, stream_seed,
+    EkyaPolicy, InferenceConfig, MicroProfilerParams, Policy, PolicyCtx, PolicyStream,
+    RetrainConfig, RetrainProfile, SchedulerParams, StreamLearner, TrainHyper,
 };
 use ekya_net::{Direction, LinkModel, LinkScheduler, Transfer};
-use ekya_nn::continual::ExemplarMemory;
 use ekya_nn::cost::CostModel;
 use ekya_nn::data::{DataView, Sample};
-use ekya_nn::golden::{distill_labels, OracleTeacher};
 use ekya_nn::mlp::{Mlp, MlpArch, PredictScratch};
 use ekya_video::{StreamId, VideoDataset};
 use std::collections::{BTreeMap, BTreeSet};
@@ -565,9 +571,7 @@ pub struct ServeWindowReport {
 struct StreamState {
     id: StreamId,
     ds: VideoDataset,
-    teacher: OracleTeacher,
-    memory: ExemplarMemory,
-    profiler: MicroProfiler,
+    learner: StreamLearner,
     status: StreamStatus,
 }
 
@@ -603,6 +607,42 @@ fn refill_frames(frames: &mut Vec<Sample>, val: &[Sample], cursor: usize, want: 
             frames.push(s.clone());
         }
     }
+}
+
+/// Runs `work(stream index, stream, its shard)` for every stream, fanned
+/// over `workers` scoped threads in fixed index chunks (Phases A and E).
+/// Results land by stream index, so the worker count cannot change a byte
+/// of the outcome. `chunk_span`, when given, names the `server.daemon`
+/// wall span each chunk records.
+fn fan_out<T: Send>(
+    streams: &mut [StreamState],
+    shards: &[ActorHandle<InferenceShard>],
+    workers: usize,
+    chunk_span: Option<&'static str>,
+    work: impl Fn(usize, &mut StreamState, &Address<InferenceShard>) -> T + Sync,
+) -> Vec<T> {
+    let n = streams.len();
+    let workers = workers.max(1).min(n.max(1));
+    let chunk = n.div_ceil(workers).max(1);
+    let mut outs: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let shards: Vec<Address<InferenceShard>> = shards.iter().map(|h| h.address()).collect();
+    let work = &work;
+    std::thread::scope(|scope| {
+        for (c, (states, slots)) in
+            streams.chunks_mut(chunk).zip(outs.chunks_mut(chunk)).enumerate()
+        {
+            let shards = shards.clone();
+            scope.spawn(move || {
+                let _chunk_wall =
+                    chunk_span.map(|name| ekya_telemetry::timing::wall_span("server.daemon", name));
+                for (i, (st, slot)) in states.iter_mut().zip(slots.iter_mut()).enumerate() {
+                    let shard = &shards[st.id.0 as usize % shards.len()];
+                    *slot = Some(work(c * chunk + i, st, shard));
+                }
+            });
+        }
+    });
+    outs.into_iter().map(|o| o.expect("every stream's slot filled")).collect()
 }
 
 /// A per-window snapshot consumer (see [`EdgeDaemon::set_snapshot_sink`]).
@@ -705,7 +745,7 @@ impl EdgeDaemon {
             });
         }
         let id = StreamId(self.streams.len() as u32);
-        let seed = self.cfg.seed.wrapping_add(7919 * id.0 as u64);
+        let seed = stream_seed(self.cfg.seed, id.0 as usize);
         let model = Mlp::new(MlpArch::edge(ds.feature_dim, ds.num_classes, 16), seed);
         let reply = self
             .shard_for(id.0)
@@ -736,9 +776,14 @@ impl EdgeDaemon {
         };
         self.streams.push(StreamState {
             id,
-            teacher: OracleTeacher::new(self.cfg.teacher_error_rate, ds.num_classes, seed ^ 0xC0),
-            memory: ExemplarMemory::new(ds.num_classes, self.cfg.exemplar_per_class),
-            profiler: MicroProfiler::new(self.cfg.profiler, self.cfg.cost.clone(), seed ^ 0xB00),
+            learner: StreamLearner::new(
+                seed,
+                ds.num_classes,
+                self.cfg.teacher_error_rate,
+                self.cfg.exemplar_per_class,
+                self.cfg.profiler,
+                self.cfg.cost.clone(),
+            ),
             status,
             ds,
         });
@@ -814,9 +859,9 @@ impl EdgeDaemon {
             );
         }
 
-        // ---- Phase A: label, measure, profile — fanned across planner
-        // workers. Results land by stream index, so worker count cannot
-        // change a byte of the outcome.
+        // ---- Phase A: each stream's learner labels, measures and
+        // profiles — fanned across planner workers. Results land by stream
+        // index, so worker count cannot change a byte of the outcome.
         let prep = self.phase_a(w_idx);
 
         // ---- Phase B: plan (pure).
@@ -1145,105 +1190,57 @@ impl EdgeDaemon {
         live_served.iter().sum()
     }
 
-    /// Phase A body: per-stream label/profile/evaluate work, fanned over
-    /// `planner_workers` scoped threads in fixed index chunks.
+    /// Phase A body: each stream's learner prepares the window — label,
+    /// mix exemplars, evaluate the serving model, micro-profile — and then
+    /// folds the fresh labels into its memory. Fanned out by [`fan_out`],
+    /// one `phase_a_chunk` wall span per chunk.
     fn phase_a(&mut self, w_idx: usize) -> Vec<PhaseAOut> {
-        let n = self.streams.len();
-        let workers = self.cfg.planner_workers.max(1).min(n.max(1));
-        let chunk = n.div_ceil(workers.max(1)).max(1);
-        let mut outs: Vec<Option<PhaseAOut>> = (0..n).map(|_| None).collect();
-        let shard_addrs: Vec<Address<InferenceShard>> =
-            self.shards.iter().map(|h| h.address()).collect();
-        let nshards = shard_addrs.len();
         let retrain_grid = &self.cfg.retrain_grid;
         let base_seed = self.cfg.seed;
-        std::thread::scope(|scope| {
-            for (c, (states, slots)) in
-                self.streams.chunks_mut(chunk).zip(outs.chunks_mut(chunk)).enumerate()
-            {
-                let addrs = shard_addrs.clone();
-                scope.spawn(move || {
-                    let _chunk_wall =
-                        ekya_telemetry::timing::wall_span("server.daemon", "phase_a_chunk");
-                    for (i, (st, slot)) in states.iter_mut().zip(slots.iter_mut()).enumerate() {
-                        let s = c * chunk + i;
-                        // Contexts are thread-local: re-key this worker's
-                        // deep emissions (micro-profiler spans) to the
-                        // (window, stream) they belong to, so planner
-                        // worker count never reorders the sorted trace.
-                        let _s_ctx = ekya_telemetry::enabled().then(|| {
-                            ekya_telemetry::Ctx::current()
-                                .window(w_idx as i64)
-                                .stream(st.id.0 as i64)
-                                .enter()
-                        });
-                        let w = st.ds.window(w_idx);
-                        let fresh = distill_labels(&mut st.teacher, &w.train_pool);
-                        let pool = Arc::new(st.memory.training_mix(&fresh));
-                        let sys_val = Arc::new(distill_labels(&mut st.teacher, &w.val));
-                        let addr = &addrs[st.id.0 as usize % nshards];
-                        let Ok(ShardReply::Model { model, .. }) =
-                            addr.ask(ShardMsg::GetModel { stream: st.id.0 })
-                        else {
-                            unreachable!("admitted stream has a slot")
-                        };
-                        let serving_sys =
-                            model.accuracy(DataView::new(&sys_val, st.ds.num_classes));
-                        let profiled = st.profiler.profile(
-                            &model,
-                            &pool,
-                            &sys_val,
-                            retrain_grid,
-                            st.ds.num_classes,
-                            base_seed.wrapping_add((w_idx as u64) << 16).wrapping_add(s as u64),
-                        );
-                        st.memory.update(&fresh);
-                        *slot = Some(PhaseAOut {
-                            pool,
-                            sys_val,
-                            model,
-                            serving_sys,
-                            profiles: profiled.profiles,
-                        });
-                    }
-                });
+        let workers = self.cfg.planner_workers;
+        fan_out(&mut self.streams, &self.shards, workers, Some("phase_a_chunk"), |s, st, shard| {
+            // Contexts are thread-local: re-key this worker's deep
+            // emissions (micro-profiler spans) to the (window, stream)
+            // they belong to, so planner worker count never reorders the
+            // sorted trace.
+            let _s_ctx = ekya_telemetry::enabled().then(|| {
+                ekya_telemetry::Ctx::current().window(w_idx as i64).stream(st.id.0 as i64).enter()
+            });
+            let Ok(ShardReply::Model { model, .. }) =
+                shard.ask(ShardMsg::GetModel { stream: st.id.0 })
+            else {
+                unreachable!("admitted stream has a slot")
+            };
+            let profile_seed = base_seed.wrapping_add((w_idx as u64) << 16).wrapping_add(s as u64);
+            let prep =
+                st.learner.prepare(&model, st.ds.window(w_idx), retrain_grid, Some(profile_seed));
+            st.learner.fold(prep.fresh());
+            PhaseAOut {
+                pool: Arc::new(prep.pool),
+                sys_val: Arc::new(prep.sys_val),
+                model,
+                serving_sys: prep.serving_sys,
+                profiles: prep.profile.map(|out| out.profiles).unwrap_or_default(),
             }
-        });
-        outs.into_iter().map(|o| o.expect("every stream prepared")).collect()
+        })
     }
 
     /// Phase E body: fetch each stream's post-swap serving model and
     /// measure ground-truth accuracy, fanned like Phase A. Returns
     /// `(version, accuracy, model_mbits)` per stream.
     fn phase_e(&mut self, w_idx: usize) -> Vec<(u64, f64, f64)> {
-        let n = self.streams.len();
-        let workers = self.cfg.planner_workers.max(1).min(n.max(1));
-        let chunk = n.div_ceil(workers.max(1)).max(1);
-        let mut outs: Vec<Option<(u64, f64, f64)>> = (0..n).map(|_| None).collect();
-        let shard_addrs: Vec<Address<InferenceShard>> =
-            self.shards.iter().map(|h| h.address()).collect();
-        let nshards = shard_addrs.len();
         let cost = &self.cfg.cost;
-        std::thread::scope(|scope| {
-            for (states, slots) in self.streams.chunks(chunk).zip(outs.chunks_mut(chunk)) {
-                let addrs = shard_addrs.clone();
-                scope.spawn(move || {
-                    for (st, slot) in states.iter().zip(slots.iter_mut()) {
-                        let addr = &addrs[st.id.0 as usize % nshards];
-                        let Ok(ShardReply::Model { model, version }) =
-                            addr.ask(ShardMsg::GetModel { stream: st.id.0 })
-                        else {
-                            unreachable!("admitted stream has a slot")
-                        };
-                        let w = st.ds.window(w_idx);
-                        let accuracy = model.accuracy(DataView::new(&w.val, st.ds.num_classes));
-                        let mbits = cost.model_size_mbits * cost.size_factor(&model);
-                        *slot = Some((version, accuracy, mbits));
-                    }
-                });
-            }
-        });
-        outs.into_iter().map(|o| o.expect("every stream measured")).collect()
+        let workers = self.cfg.planner_workers;
+        fan_out(&mut self.streams, &self.shards, workers, None, |_, st, shard| {
+            let Ok(ShardReply::Model { model, version }) =
+                shard.ask(ShardMsg::GetModel { stream: st.id.0 })
+            else {
+                unreachable!("admitted stream has a slot")
+            };
+            let accuracy =
+                model.accuracy(DataView::new(&st.ds.window(w_idx).val, st.ds.num_classes));
+            (version, accuracy, cost.model_size_mbits * cost.size_factor(&model))
+        })
     }
 
     /// Installs a per-window snapshot sink. After each completed window

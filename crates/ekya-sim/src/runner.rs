@@ -4,7 +4,9 @@
 //! each retraining window it (1) labels the window's training pool with
 //! the golden model, (2) measures the drift-degraded serving accuracy,
 //! (3) micro-profiles retraining configurations (when the policy wants
-//! them), (4) asks the policy for configurations + GPU allocations, and
+//! them) — steps (1)–(3) are one [`StreamLearner::prepare`] call per
+//! stream, the same one the serving daemon's Phase A makes — (4) asks
+//! the policy for configurations + GPU allocations, and
 //! (5) executes the window on the discrete-event engine — training jobs
 //! progress epoch by epoch at a rate set by their fractional GPU
 //! allocation, models are hot-swapped at checkpoints and on completion,
@@ -23,17 +25,16 @@ use crate::metrics::{RunReport, StreamWindowReport, Timeline, WindowReport};
 use crate::time::SimTime;
 use ekya_core::adapt::{needs_correction, refit_curve};
 use ekya_core::{
-    build_inference_profiles, default_inference_grid, default_retrain_grid, InProgressRetrain,
-    InferenceConfig, InferenceProfile, MicroProfiler, MicroProfilerParams, Policy, PolicyCtx,
-    PolicyStream, RetrainConfig, RetrainExecution, RetrainProfile, TrainHyper,
+    build_inference_profiles, default_inference_grid, default_retrain_grid, stream_seed,
+    InProgressRetrain, InferenceConfig, InferenceProfile, MicroProfilerParams, Policy, PolicyCtx,
+    PolicyStream, PreparedWindow, RetrainConfig, RetrainExecution, RetrainProfile, StreamLearner,
+    TrainHyper,
 };
-use ekya_nn::continual::ExemplarMemory;
 use ekya_nn::cost::CostModel;
-use ekya_nn::data::{DataView, Sample};
+use ekya_nn::data::DataView;
 use ekya_nn::fit::LearningCurve;
-use ekya_nn::golden::{distill_labels, OracleTeacher};
 use ekya_nn::mlp::{FrozenInputs, Mlp, MlpArch};
-use ekya_video::{StreamSet, VideoDataset};
+use ekya_video::{StreamSet, VideoDataset, WindowData};
 use serde::{Deserialize, Serialize};
 
 /// Runner configuration.
@@ -109,27 +110,17 @@ impl Default for RunnerConfig {
 /// Persistent per-stream state across windows.
 struct StreamState {
     model: Mlp,
-    memory: ExemplarMemory,
-    profiler: MicroProfiler,
-    teacher: OracleTeacher,
+    learner: StreamLearner,
 }
 
-/// Per-window, per-stream prepared data. Ground-truth validation data and
-/// the class distribution are borrowed straight from the dataset window —
-/// only teacher-labelled copies (which really are new data) are owned, so
-/// window preparation does not clone the immutable splits every window.
+/// Per-window, per-stream prepared data: the learner's teacher-labelled
+/// output beside the dataset window it came from, whose ground-truth
+/// validation split is what we measure with. The window is borrowed, so
+/// preparation does not clone the immutable splits every window.
 struct WindowPrep<'a> {
-    /// Teacher-labelled training pool (window data + exemplars).
-    pool: Vec<Sample>,
-    /// Teacher-labelled validation split (what the system can observe).
-    sys_val: Vec<Sample>,
-    /// Ground-truth validation split (what we measure with).
-    true_val: &'a [Sample],
-    class_dist: &'a [f64],
-    drift: f64,
+    labelled: PreparedWindow,
+    window: &'a WindowData,
     serving_true: f64,
-    serving_sys: f64,
-    fps: f64,
 }
 
 /// An in-flight training job during window execution.
@@ -207,15 +198,20 @@ pub fn run_windows<P: Policy + ?Sized>(
     let mut states: Vec<StreamState> = (0..n)
         .map(|s| {
             let ds = datasets[s];
-            let seed = cfg.seed.wrapping_add(7919 * s as u64);
+            let seed = stream_seed(cfg.seed, s);
             StreamState {
                 model: Mlp::new(
                     MlpArch::edge(ds.feature_dim, ds.num_classes, cfg.initial_head_width),
                     seed,
                 ),
-                memory: ExemplarMemory::new(ds.num_classes, cfg.exemplar_per_class),
-                profiler: MicroProfiler::new(cfg.profiler, cfg.cost.clone(), seed ^ 0xB00),
-                teacher: OracleTeacher::new(cfg.teacher_error_rate, ds.num_classes, seed ^ 0xC0),
+                learner: StreamLearner::new(
+                    seed,
+                    ds.num_classes,
+                    cfg.teacher_error_rate,
+                    cfg.exemplar_per_class,
+                    cfg.profiler,
+                    cfg.cost.clone(),
+                ),
             }
         })
         .collect();
@@ -224,12 +220,14 @@ pub fn run_windows<P: Policy + ?Sized>(
     for w_idx in 0..num_windows {
         let report = run_one_window(policy, &mut states, &datasets, &ids, cfg, w_idx, window_secs);
         // Fold this window's labelled data into the exemplar memories
-        // (unless the teacher was down — no labels existed).
-        for (s, state) in states.iter_mut().enumerate() {
-            if cfg.exemplar_per_class > 0 && !cfg.outage_windows.contains(&w_idx) {
-                let w = datasets[s].window(w_idx);
-                let labelled = distill_labels(&mut state.teacher, &w.train_pool);
-                state.memory.update(&labelled);
+        // (unless the teacher was down — no labels existed). The runner
+        // relabels the train pool here, a second teacher draw, where the
+        // daemon folds the labels its window preparation drew; the shared
+        // window loop must reconcile the two and report the moved values.
+        if cfg.exemplar_per_class > 0 && !cfg.outage_windows.contains(&w_idx) {
+            for (s, state) in states.iter_mut().enumerate() {
+                let labelled = state.learner.label(&datasets[s].window(w_idx).train_pool);
+                state.learner.fold(&labelled);
             }
         }
         windows.push(report);
@@ -249,66 +247,46 @@ fn run_one_window<P: Policy + ?Sized>(
 ) -> WindowReport {
     let n = states.len();
 
-    // ---- 1. Prepare window data (teacher labelling + accuracy probes). --
-    let preps: Vec<WindowPrep<'_>> = (0..n)
+    // ---- 1. Prepare window data: teacher labelling, accuracy probes and
+    // micro-profiling (when the policy wants profiles). A golden-model
+    // outage leaves no labelled data: nothing to profile, nothing to
+    // retrain on.
+    let outage = cfg.outage_windows.contains(&w_idx);
+    let profile = policy.needs_profiles() && !outage;
+    let mut preps: Vec<WindowPrep<'_>> = (0..n)
         .map(|s| {
-            let ds = datasets[s];
-            let w = ds.window(w_idx);
+            let w = datasets[s].window(w_idx);
             let state = &mut states[s];
-            let fresh = distill_labels(&mut state.teacher, &w.train_pool);
-            let pool = state.memory.training_mix(&fresh);
-            let sys_val = distill_labels(&mut state.teacher, &w.val);
-            let true_val: &[Sample] = &w.val;
-            let nc = ds.num_classes;
-            let serving_true = state.model.accuracy(DataView::new(true_val, nc));
-            let serving_sys = state.model.accuracy(DataView::new(&sys_val, nc));
-            WindowPrep {
-                pool,
-                sys_val,
-                true_val,
-                class_dist: &w.class_dist,
-                drift: w.drift_from_prev,
-                serving_true,
-                serving_sys,
-                fps: ds.spec.fps,
-            }
+            let profile_seed = cfg.seed.wrapping_add((w_idx as u64) << 16).wrapping_add(s as u64);
+            let labelled = state.learner.prepare(
+                &state.model,
+                w,
+                &cfg.retrain_grid,
+                profile.then_some(profile_seed),
+            );
+            let serving_true = state.model.accuracy(DataView::new(&w.val, datasets[s].num_classes));
+            WindowPrep { labelled, window: w, serving_true }
         })
         .collect();
-
-    // ---- 2. Micro-profile (when the policy wants profiles). ----
-    // A golden-model outage leaves no labelled data: nothing to profile,
-    // nothing to retrain on.
-    let outage = cfg.outage_windows.contains(&w_idx);
-    let mut profiling_cost = vec![0.0f64; n];
-    let mut retrain_profiles: Vec<Vec<RetrainProfile>> = vec![Vec::new(); n];
-    if policy.needs_profiles() && !outage {
-        for s in 0..n {
-            let ds = datasets[s];
-            let state = &mut states[s];
-            let out = state.profiler.profile(
-                &state.model,
-                &preps[s].pool,
-                &preps[s].sys_val,
-                &cfg.retrain_grid,
-                ds.num_classes,
-                cfg.seed.wrapping_add((w_idx as u64) << 16).wrapping_add(s as u64),
-            );
-            profiling_cost[s] = out.gpu_seconds_spent;
-            retrain_profiles[s] = out.profiles;
-        }
-    }
+    let (profiling_cost, retrain_profiles): (Vec<f64>, Vec<Vec<RetrainProfile>>) = preps
+        .iter_mut()
+        .map(|p| match p.labelled.profile.take() {
+            Some(out) => (out.gpu_seconds_spent, out.profiles),
+            None => (0.0, Vec::new()),
+        })
+        .unzip();
     let infer_profiles: Vec<Vec<InferenceProfile>> = (0..n)
         .map(|s| {
             build_inference_profiles(
                 &cfg.cost,
                 cfg.cost.size_factor(&states[s].model),
-                preps[s].fps,
+                datasets[s].spec.fps,
                 &cfg.inference_grid,
             )
         })
         .collect();
 
-    // ---- 3. Ask the policy for the window plan. ----
+    // ---- 2. Ask the policy for the window plan. ----
     // Micro-profiling occupies the GPUs before training can begin
     // (§4.3: profiling "must share compute resources with all retraining
     // and inference"), so the policy plans against the *remaining*
@@ -328,22 +306,22 @@ fn run_one_window<P: Policy + ?Sized>(
             streams: (0..n)
                 .map(|s| PolicyStream {
                     id: ids[s],
-                    fps: preps[s].fps,
+                    fps: datasets[s].spec.fps,
                     serving_accuracy: serving_sys[s],
-                    class_dist: preps[s].class_dist,
-                    drift_magnitude: preps[s].drift,
+                    class_dist: &preps[s].window.class_dist,
+                    drift_magnitude: preps[s].window.drift_from_prev,
                     retrain_profiles: &retrain_profiles[s],
                     infer_profiles: &infer_profiles[s],
                 })
                 .collect(),
         }
     };
-    let mut serving_sys: Vec<f64> = preps.iter().map(|p| p.serving_sys).collect();
+    let mut serving_sys: Vec<f64> = preps.iter().map(|p| p.labelled.serving_sys).collect();
     let mut serving_true: Vec<f64> = preps.iter().map(|p| p.serving_true).collect();
     let plan = policy.plan_window(&build_ctx(&serving_sys));
     assert_eq!(plan.streams.len(), n, "policy must plan every stream");
 
-    // ---- 4. Execute the window on the event engine. ----
+    // ---- 3. Execute the window on the event engine. ----
     let mut engine: Engine<Ev> = Engine::new();
     let deadline = SimTime::from_secs(window_secs);
 
@@ -412,7 +390,7 @@ fn run_one_window<P: Policy + ?Sized>(
             let ds = datasets[s];
             let exec = RetrainExecution::new(
                 &states[s].model,
-                &preps[s].pool,
+                &preps[s].labelled.pool,
                 planned.config,
                 ds.num_classes,
                 cfg.hyper,
@@ -430,7 +408,7 @@ fn run_one_window<P: Policy + ?Sized>(
                 .unwrap_or_else(|| LearningCurve::flat(serving_sys[s]));
             let generation = engine.new_generation();
             let mut job = ActiveTrain {
-                val: exec.freeze(&preps[s].sys_val),
+                val: exec.freeze(&preps[s].labelled.sys_val),
                 exec,
                 alloc: train_alloc[s],
                 generation,
@@ -498,7 +476,7 @@ fn run_one_window<P: Policy + ?Sized>(
             states[s].model = new_model;
             states[s].model.set_layers_trained(usize::MAX);
             serving_sys[s] = sys_acc;
-            serving_true[s] = states[s].model.accuracy(DataView::new(preps[s].true_val, nc));
+            serving_true[s] = states[s].model.accuracy(DataView::new(&preps[s].window.val, nc));
         }
 
         // Mid-window rescheduling (on completion or estimate correction).
@@ -596,7 +574,7 @@ fn run_one_window<P: Policy + ?Sized>(
         }
     }
 
-    // ---- 5. Window report. ----
+    // ---- 4. Window report. ----
     let streams_report = (0..n)
         .map(|s| {
             let avg = timelines[s].average(0.0, window_secs);
@@ -740,6 +718,23 @@ mod tests {
             late(&healthy),
             late(&report)
         );
+    }
+
+    #[test]
+    fn report_is_pinned_across_refactors() {
+        // The exact `RunReport` bytes of a run that exercises every part of
+        // window preparation: teacher labelling (train pool, then val),
+        // exemplar mixing and the end-of-window memory fold, profiling,
+        // and an outage window that skips profiling and the fold. A
+        // failure here means a refactor moved a byte of the simulator's
+        // output — treat it as a broken fingerprint, not a value to update.
+        let streams = StreamSet::generate(DatasetKind::Cityscapes, 2, 4, 37);
+        let mut policy = EkyaPolicy::new(SchedulerParams::new(2.0));
+        let cfg = RunnerConfig { outage_windows: vec![2], ..small_config(2.0) };
+        assert!(cfg.exemplar_per_class > 0);
+        let report = run_windows(&mut policy, &streams, &cfg, 4);
+        let json = serde_json::to_string(&report).unwrap();
+        assert_eq!(ekya_core::fnv1a(json.as_bytes()), 0xd9ef95e06b429b85);
     }
 
     #[test]

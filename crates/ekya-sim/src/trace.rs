@@ -27,12 +27,11 @@
 use crate::metrics::{RunReport, StreamWindowReport, WindowReport};
 use crate::runner::RunnerConfig;
 use ekya_core::{
-    build_inference_profiles, CurveKey, InferenceProfile, MicroProfiler, Policy, PolicyCtx,
-    PolicyStream, RetrainExecution, RetrainProfile,
+    build_inference_profiles, richest_config, stream_seed, CurveKey, InferenceProfile, Policy,
+    PolicyCtx, PolicyStream, RetrainExecution, RetrainProfile, StreamLearner,
 };
 use ekya_nn::data::DataView;
 use ekya_nn::fit::LearningCurve;
-use ekya_nn::golden::{distill_labels, OracleTeacher};
 use ekya_nn::mlp::{Mlp, MlpArch};
 use ekya_video::{StreamId, StreamSet};
 use serde::{Deserialize, Serialize};
@@ -134,7 +133,6 @@ pub fn record_trace(
     assert!(!streams.is_empty(), "need at least one stream");
     assert!(max_staleness >= 1, "need at least one staleness level");
     let datasets: Vec<_> = streams.iter().collect();
-    let _n = datasets.len();
     let window_secs = datasets[0].1.spec.window_secs;
     let num_classes = datasets[0].1.num_classes;
 
@@ -158,23 +156,23 @@ pub fn record_trace(
     let richest: Vec<(CurveKey, ekya_core::RetrainConfig)> = richest.into_iter().collect();
     // The reference chain adopts the deepest (most layers, widest k)
     // variant each window.
-    let reference_cfg = *cfg
-        .retrain_grid
-        .iter()
-        .max_by(|a, b| {
-            (a.layers_trained, a.k_total())
-                .partial_cmp(&(b.layers_trained, b.k_total()))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("non-empty grid");
+    let reference_cfg = richest_config(&cfg.retrain_grid);
 
     let mut windows: Vec<WindowTrace> =
         (0..num_windows).map(|w| WindowTrace { window_idx: w, streams: Vec::new() }).collect();
 
     for (s, (id, ds)) in datasets.iter().enumerate() {
-        let seed = cfg.seed.wrapping_add(7919 * s as u64);
-        let mut teacher = OracleTeacher::new(cfg.teacher_error_rate, num_classes, seed ^ 0xC0);
-        let mut profiler = MicroProfiler::new(cfg.profiler, cfg.cost.clone(), seed ^ 0xB00);
+        let seed = stream_seed(cfg.seed, s);
+        // Nothing is ever folded into this learner's memory, so its
+        // training pool is exactly the window's fresh labels.
+        let mut learner = StreamLearner::new(
+            seed,
+            num_classes,
+            cfg.teacher_error_rate,
+            cfg.exemplar_per_class,
+            cfg.profiler,
+            cfg.cost.clone(),
+        );
         let mut model =
             Mlp::new(MlpArch::edge(ds.feature_dim, num_classes, cfg.initial_head_width), seed);
         // Snapshots of the reference model after each window's retraining;
@@ -183,8 +181,14 @@ pub fn record_trace(
 
         for (w_idx, window) in windows.iter_mut().enumerate() {
             let w = ds.window(w_idx);
-            let fresh = distill_labels(&mut teacher, &w.train_pool);
-            let sys_val = distill_labels(&mut teacher, &w.val);
+            // Estimates: what a policy's micro-profiler would see.
+            let prep = learner.prepare(
+                &model,
+                w,
+                &cfg.retrain_grid,
+                Some(seed.wrapping_add((w_idx as u64) << 16)),
+            );
+            let out = prep.profile.expect("profile seed given");
             let true_view = DataView::new(&w.val, num_classes);
 
             // Staleness ladder: snapshots[end] is freshest (retrained on
@@ -196,16 +200,6 @@ pub fn record_trace(
                 })
                 .collect();
 
-            // Estimates: what a policy's micro-profiler would see.
-            let out = profiler.profile(
-                &model,
-                &fresh,
-                &sys_val,
-                &cfg.retrain_grid,
-                num_classes,
-                seed.wrapping_add((w_idx as u64) << 16),
-            );
-
             // Truth: run each model variant to completion, observing the
             // real accuracy-vs-k points on ground truth.
             let mut true_curves = Vec::with_capacity(richest.len());
@@ -214,7 +208,7 @@ pub fn record_trace(
                 let key = *key;
                 let mut exec = RetrainExecution::new(
                     &model,
-                    &fresh,
+                    &prep.pool,
                     *config,
                     num_classes,
                     cfg.hyper,

@@ -69,13 +69,13 @@ fn actor_server_matches_runner_direction() {
     let streams = StreamSet::generate(DatasetKind::UrbanTraffic, 2, 3, 31);
     let mut daemon = EdgeDaemon::new(ServeConfig { seed, ..ServeConfig::new(2.0) });
     // Accuracy of the untrained models the daemon admits each stream
-    // with, rebuilt here by the daemon's own seeding rule.
+    // with, rebuilt here by the workspace's one per-stream seeding rule.
     let mut admitted = 0.0;
     for (_, ds) in streams.iter() {
         let id = daemon.admit(ds.clone()).expect("capacity for two streams");
         let model = Mlp::new(
             MlpArch::edge(ds.feature_dim, ds.num_classes, 16),
-            seed + 7919 * u64::from(id.0),
+            ekya::core::stream_seed(seed, id.0 as usize),
         );
         admitted += model.accuracy(DataView::new(&ds.window(0).val, ds.num_classes));
     }
