@@ -11,10 +11,6 @@ use ekya_core::{
     RetrainChoice, RetrainConfig, SchedulerParams, StreamInput, StreamPlan, WindowPlan,
 };
 
-fn fallback_infer() -> InferenceConfig {
-    InferenceConfig { frame_sampling: 0.05, resolution: 0.5 }
-}
-
 /// Ekya without the thief allocator: static 50/50 partition per stream,
 /// micro-profiled configuration selection.
 #[derive(Debug, Clone)]
@@ -72,7 +68,7 @@ impl Policy for EkyaFixedRes {
                         infer_config: d
                             .infer_profile_idx
                             .map(|idx| s.infer_profiles[idx].config)
-                            .unwrap_or_else(fallback_infer),
+                            .unwrap_or(InferenceConfig::FALLBACK),
                         infer_gpus,
                     }
                 })
@@ -143,7 +139,7 @@ impl Policy for EkyaFixedConfig {
                         infer_config: d
                             .infer_profile_idx
                             .map(|idx| s.infer_profiles[idx].config)
-                            .unwrap_or_else(fallback_infer),
+                            .unwrap_or(InferenceConfig::FALLBACK),
                         infer_gpus: d.infer_gpus,
                     }
                 })

@@ -7,13 +7,56 @@
 //! helps only from its arrival time — which, at edge-typical bandwidths,
 //! is mid-window at best.
 
-use ekya_core::{richest_config, stream_seed, TrainHyper};
-use ekya_net::{simulate_cloud_window, CloudJobSpec, LinkModel};
+use ekya_core::net::{LinkModel, LinkQueue};
+use ekya_core::{best_feasible_infer, richest_config, stream_seed, InferenceConfig, TrainHyper};
 use ekya_nn::data::DataView;
 use ekya_nn::golden::{distill_labels, OracleTeacher};
 use ekya_nn::mlp::{Mlp, MlpArch};
 use ekya_sim::{RunReport, RunnerConfig, StreamWindowReport, Timeline, WindowReport};
 use ekya_video::StreamSet;
+
+/// One stream's per-window cloud retraining I/O.
+#[derive(Debug, Clone, Copy)]
+struct CloudJobSpec {
+    /// Megabits of (sub-sampled) training video uploaded per window.
+    /// The paper's example: 720p at 4 Mbps, 10% sampling, 400 s window →
+    /// 160 Mb.
+    upload_mbits: f64,
+    /// Megabits of model weights downloaded per window (398 Mb for
+    /// ResNet18 \[5\]).
+    model_mbits: f64,
+}
+
+impl CloudJobSpec {
+    /// Upload volume for a given stream bitrate/sampling/window, in Mb.
+    fn upload_for(bitrate_mbps: f64, sampling: f64, window_secs: f64) -> f64 {
+        bitrate_mbps * sampling.clamp(0.0, 1.0) * window_secs
+    }
+}
+
+/// Simulates one window of cloud retraining for all streams sharing one
+/// link and returns each stream's model arrival time (seconds from window
+/// start), in job order. Uploads start at window start (FIFO); each model
+/// downloads as soon as its upload finishes (cloud training is
+/// instantaneous) and queues behind every upload on the half-duplex
+/// link. An arrival after `window_secs` is `f64::INFINITY`: the model is
+/// useless for this window, and the next window retrains afresh.
+fn simulate_cloud_window(link: &LinkModel, jobs: &[CloudJobSpec], window_secs: f64) -> Vec<f64> {
+    let mut queue = LinkQueue::default();
+    let uploaded: Vec<f64> =
+        jobs.iter().map(|j| queue.schedule(0.0, link.upload_secs(j.upload_mbits)).1).collect();
+    jobs.iter()
+        .zip(uploaded)
+        .map(|(j, ready_at)| {
+            let (_, finished_at) = queue.schedule(ready_at, link.download_secs(j.model_mbits));
+            if finished_at <= window_secs {
+                finished_at
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect()
+}
 
 /// Configuration for the cloud-retraining run.
 #[derive(Debug, Clone)]
@@ -77,14 +120,8 @@ pub fn run_cloud_retraining(
         // Network: all streams share the link each window.
         let upload_mbits =
             CloudJobSpec::upload_for(cfg.video_bitrate_mbps, cfg.upload_sampling, window_secs);
-        let jobs: Vec<CloudJobSpec> = (0..n)
-            .map(|s| CloudJobSpec {
-                tag: s as u32,
-                upload_mbits,
-                model_mbits: rc.cost.model_size_mbits,
-            })
-            .collect();
-        let net = simulate_cloud_window(&cfg.link, &jobs, window_secs);
+        let jobs = vec![CloudJobSpec { upload_mbits, model_mbits: rc.cost.model_size_mbits }; n];
+        let arrivals = simulate_cloud_window(&cfg.link, &jobs, window_secs);
 
         let mut stream_reports = Vec::with_capacity(n);
         for s in 0..n {
@@ -101,21 +138,8 @@ pub fn run_cloud_retraining(
                 ds.spec.fps,
                 &rc.inference_grid,
             );
-            let af = profiles
-                .iter()
-                .filter(|p| p.gpu_demand <= infer_gpus + 1e-9)
-                .map(|p| p.accuracy_factor)
-                .fold(0.0, f64::max);
-            let infer_config = profiles
-                .iter()
-                .filter(|p| p.gpu_demand <= infer_gpus + 1e-9)
-                .max_by(|a, b| {
-                    a.accuracy_factor
-                        .partial_cmp(&b.accuracy_factor)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|p| p.config)
-                .unwrap_or(ekya_core::InferenceConfig { frame_sampling: 0.05, resolution: 0.5 });
+            let (af, infer_config) = best_feasible_infer(&profiles, infer_gpus)
+                .map_or((0.0, InferenceConfig::FALLBACK), |p| (p.accuracy_factor, p.config));
 
             // Cloud retraining (instantaneous at upload completion).
             let mut exec = ekya_core::RetrainExecution::new(
@@ -130,7 +154,7 @@ pub fn run_cloud_retraining(
             let candidate = exec.model().clone();
             let post_true = candidate.accuracy(true_view);
 
-            let arrival = net.arrival_secs[s];
+            let arrival = arrivals[s];
             let mut timeline = Timeline::new(0.0, serving_true * af);
             let mut end_model = serving_true;
             let completed = arrival.is_finite();
@@ -178,6 +202,45 @@ mod tests {
         RunnerConfig { total_gpus: gpus, seed, ..RunnerConfig::default() }
     }
 
+    /// The paper's §6.5 example: 160 Mb of video up, 398 Mb of model down.
+    const PAPER_JOB: CloudJobSpec = CloudJobSpec { upload_mbits: 160.0, model_mbits: 398.0 };
+
+    #[test]
+    fn eight_cameras_miss_400s_window_on_cellular() {
+        let arrivals = simulate_cloud_window(&LinkModel::cellular(), &[PAPER_JOB; 8], 400.0);
+        // The paper computes 432 s for uploads+downloads alone (serial on
+        // the half-duplex medium): every model that does arrive lands in
+        // the last third of the window and at least one misses entirely.
+        let missed = arrivals.iter().filter(|a| !a.is_finite()).count();
+        assert!(missed >= 1, "some arrivals must miss: {arrivals:?}");
+        for a in arrivals.iter().filter(|a| a.is_finite()) {
+            assert!(*a > 260.0, "arrivals should be late: {arrivals:?}");
+        }
+    }
+
+    #[test]
+    fn single_camera_arrives_within_window() {
+        let arrivals = simulate_cloud_window(&LinkModel::cellular(), &[PAPER_JOB], 400.0);
+        // 160/5.1 + 398/17.5 + latency ≈ 54 s.
+        assert!(arrivals[0] < 60.0, "{arrivals:?}");
+    }
+
+    #[test]
+    fn faster_link_arrives_sooner() {
+        let jobs = [PAPER_JOB; 4];
+        let slow = simulate_cloud_window(&LinkModel::cellular(), &jobs, 1e9);
+        let fast = simulate_cloud_window(&LinkModel::cellular().scaled(4.0), &jobs, 1e9);
+        for (s, f) in slow.iter().zip(&fast) {
+            assert!(f < s);
+        }
+    }
+
+    #[test]
+    fn upload_volume_formula() {
+        // 4 Mbps HD stream, 10% sampling, 400 s -> 160 Mb (paper §6.5).
+        assert!((CloudJobSpec::upload_for(4.0, 0.1, 400.0) - 160.0).abs() < 1e-9);
+    }
+
     #[test]
     fn cloud_run_produces_reports() {
         let streams = StreamSet::generate(DatasetKind::Cityscapes, 2, 3, 61);
@@ -219,6 +282,24 @@ mod tests {
         }
         assert!(improved > 0, "some retrained models should be better");
         assert!(late * 2 >= improved, "most improved models should arrive late: {late}/{improved}");
+    }
+
+    #[test]
+    fn report_is_pinned_across_refactors() {
+        // The exact `RunReport` bytes of a run whose shared link both
+        // queues a model behind another transfer and still lands it
+        // in-window, and misses the window for a later stream. A failure
+        // here means a refactor moved the link arithmetic — treat it as a
+        // broken fingerprint, not a value to update.
+        let streams = StreamSet::generate(DatasetKind::Cityscapes, 6, 1, 64);
+        let cfg = CloudRunConfig::new(LinkModel::cellular(), runner_cfg(2.0, 7));
+        let report = run_cloud_retraining(&streams, &cfg, 1);
+        let arrived = |s: &StreamWindowReport| s.retrain_completed;
+        let streams = &report.windows[0].streams;
+        assert!(streams[1..].iter().any(arrived), "a queued model must still arrive in-window");
+        assert!(!streams.iter().all(arrived), "some model must miss the window");
+        let json = serde_json::to_string(&report).unwrap();
+        assert_eq!(ekya_core::fnv1a(json.as_bytes()), 0xa56e4c22ab505cf5);
     }
 
     #[test]

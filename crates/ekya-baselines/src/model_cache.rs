@@ -9,7 +9,7 @@
 //! appearances of objects may still differ considerably" — exactly the
 //! appearance-drift component our workload generator models.
 
-use ekya_core::{richest_config, stream_seed, TrainHyper};
+use ekya_core::{best_feasible_infer, richest_config, stream_seed, InferenceConfig, TrainHyper};
 use ekya_nn::data::DataView;
 use ekya_nn::golden::{distill_labels, OracleTeacher};
 use ekya_nn::mlp::{Mlp, MlpArch};
@@ -82,16 +82,8 @@ pub fn run_model_cache(
                 ds.spec.fps,
                 &rc.inference_grid,
             );
-            let best =
-                profiles.iter().filter(|p| p.gpu_demand <= infer_gpus + 1e-9).max_by(|a, b| {
-                    a.accuracy_factor
-                        .partial_cmp(&b.accuracy_factor)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-            let (af, infer_config) = best.map(|p| (p.accuracy_factor, p.config)).unwrap_or((
-                0.0,
-                ekya_core::InferenceConfig { frame_sampling: 0.05, resolution: 0.5 },
-            ));
+            let (af, infer_config) = best_feasible_infer(&profiles, infer_gpus)
+                .map_or((0.0, InferenceConfig::FALLBACK), |p| (p.accuracy_factor, p.config));
 
             let timeline = Timeline::new(0.0, serving_true * af);
             stream_reports.push(StreamWindowReport {

@@ -62,7 +62,7 @@ impl Policy for OraclePolicy {
                         infer_config: d
                             .infer_profile_idx
                             .map(|idx| s.infer_profiles[idx].config)
-                            .unwrap_or(InferenceConfig { frame_sampling: 0.05, resolution: 0.5 }),
+                            .unwrap_or(InferenceConfig::FALLBACK),
                         infer_gpus: d.infer_gpus,
                     }
                 })

@@ -16,11 +16,11 @@
 use crate::ablations::{EkyaFixedConfig, EkyaFixedRes};
 use crate::uniform::{holdout_configs, UniformPolicy};
 use crate::OraclePolicy;
+use ekya_core::net::LinkModel;
 use ekya_core::{
-    default_retrain_grid, fnv1a, EkyaPolicy, InferenceConfig, Policy, PolicyCtx, RetrainConfig,
-    SchedulerParams, StreamPlan, WindowPlan,
+    best_feasible_infer, default_retrain_grid, fnv1a, EkyaPolicy, InferenceConfig, Policy,
+    PolicyCtx, RetrainConfig, SchedulerParams, StreamPlan, WindowPlan,
 };
-use ekya_net::LinkModel;
 use ekya_nn::cost::CostModel;
 use ekya_sim::RunnerConfig;
 use ekya_video::DatasetKind;
@@ -383,17 +383,8 @@ impl Policy for InferenceOnlyPolicy {
             .streams
             .iter()
             .map(|s| {
-                let infer_config = s
-                    .infer_profiles
-                    .iter()
-                    .filter(|p| p.gpu_demand <= share + 1e-9)
-                    .max_by(|a, b| {
-                        a.accuracy_factor
-                            .partial_cmp(&b.accuracy_factor)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|p| p.config)
-                    .unwrap_or(InferenceConfig { frame_sampling: 0.05, resolution: 0.5 });
+                let infer_config = best_feasible_infer(s.infer_profiles, share)
+                    .map_or(InferenceConfig::FALLBACK, |p| p.config);
                 StreamPlan { retrain: None, infer_config, infer_gpus: share }
             })
             .collect();

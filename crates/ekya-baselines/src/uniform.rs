@@ -9,8 +9,8 @@
 //! GPUs go to inference and 10% to retraining.
 
 use ekya_core::{
-    exhaustive_profile, pareto_frontier, InferenceConfig, PlannedRetrain, Policy, PolicyCtx,
-    RetrainConfig, RetrainProfile, StreamPlan, TrainHyper, WindowPlan,
+    best_feasible_infer, exhaustive_profile, pareto_frontier, InferenceConfig, PlannedRetrain,
+    Policy, PolicyCtx, RetrainConfig, RetrainProfile, StreamPlan, TrainHyper, WindowPlan,
 };
 use ekya_nn::cost::CostModel;
 use ekya_nn::fit::LearningCurve;
@@ -64,17 +64,8 @@ impl Policy for UniformPolicy {
                 // Even a static scheduler picks the best *feasible*
                 // inference configuration (prior work's inference
                 // profilers are cheap, §3.1).
-                let infer_config = s
-                    .infer_profiles
-                    .iter()
-                    .filter(|p| p.gpu_demand <= infer_gpus + 1e-9)
-                    .max_by(|a, b| {
-                        a.accuracy_factor
-                            .partial_cmp(&b.accuracy_factor)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|p| p.config)
-                    .unwrap_or(InferenceConfig { frame_sampling: 0.05, resolution: 0.5 });
+                let infer_config = best_feasible_infer(s.infer_profiles, infer_gpus)
+                    .map_or(InferenceConfig::FALLBACK, |p| p.config);
                 StreamPlan {
                     retrain: if train_gpus > 0.0 {
                         Some(PlannedRetrain { config: self.retrain_config, gpus: train_gpus })

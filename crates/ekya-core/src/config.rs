@@ -145,6 +145,10 @@ pub struct InferenceConfig {
 }
 
 impl InferenceConfig {
+    /// The configuration a plan names when no inference profile keeps up
+    /// with the stream: the default grid's cheapest point.
+    pub const FALLBACK: InferenceConfig = InferenceConfig { frame_sampling: 0.05, resolution: 0.5 };
+
     /// Multiplicative accuracy factor of this configuration relative to
     /// analysing every frame at native resolution.
     ///

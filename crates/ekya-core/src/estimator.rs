@@ -68,6 +68,18 @@ pub struct AccuracyEstimate {
     pub completes: bool,
 }
 
+/// The highest-`accuracy_factor` profile that keeps up under `gpus`
+/// (`gpu_demand <= gpus + 1e-9`); among equals the last one wins. `None`
+/// when nothing keeps up.
+pub fn best_feasible_infer<'a>(
+    profiles: impl IntoIterator<Item = &'a InferenceProfile>,
+    gpus: f64,
+) -> Option<&'a InferenceProfile> {
+    profiles.into_iter().filter(|p| p.gpu_demand <= gpus + 1e-9).max_by(|a, b| {
+        a.accuracy_factor.partial_cmp(&b.accuracy_factor).unwrap_or(std::cmp::Ordering::Equal)
+    })
+}
+
 /// Picks the highest-accuracy inference profile that keeps up under
 /// `alloc`, preferring those whose delivered accuracy
 /// (`model_accuracy x accuracy_factor`) meets `a_min`. Returns the index

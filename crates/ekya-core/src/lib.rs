@@ -24,6 +24,9 @@
 //!   for the simulator, the serving daemon's Phase A, the trace recorder
 //!   and Fig. 10: label the train pool then val, mix in exemplars,
 //!   measure the serving model, micro-profile;
+//! * [`net`] — the half-duplex edge↔cloud links of Table 4 (§6.5) and
+//!   their FIFO transfer queue, shared by the cloud-retraining baseline
+//!   and the serving daemon's swap ledger;
 //! * [`policy`] — the policy trait the window runner is generic over, and
 //!   [`policy::EkyaPolicy`] combining all of the above;
 //! * [`hash`] — the workspace's one FNV-1a implementation (cell seeds,
@@ -37,6 +40,7 @@ pub mod hash;
 pub mod knapsack;
 pub mod learner;
 pub mod microprofiler;
+pub mod net;
 pub mod policy;
 pub mod profile;
 pub mod scheduler;
@@ -45,7 +49,9 @@ pub use config::{
     default_inference_grid, default_retrain_grid, extended_retrain_grid, richest_config, CurveKey,
     InferenceConfig, RetrainConfig,
 };
-pub use estimator::{estimate_window, AccuracyEstimate, EstimateParams, RetrainWork};
+pub use estimator::{
+    best_feasible_infer, estimate_window, AccuracyEstimate, EstimateParams, RetrainWork,
+};
 pub use exec::{build_variant, RetrainExecution, TrainHyper};
 pub use hash::fnv1a;
 pub use knapsack::optimal_schedule;

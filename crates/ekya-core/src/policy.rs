@@ -201,7 +201,7 @@ impl Policy for EkyaPolicy {
                 let infer_config = d
                     .infer_profile_idx
                     .map(|idx| s.infer_profiles[idx].config)
-                    .unwrap_or(InferenceConfig { frame_sampling: 0.05, resolution: 0.5 });
+                    .unwrap_or(InferenceConfig::FALLBACK);
                 StreamPlan { retrain, infer_config, infer_gpus: d.infer_gpus }
             })
             .collect();
@@ -237,7 +237,7 @@ impl Policy for EkyaPolicy {
                     let infer_config = d
                         .infer_profile_idx
                         .map(|idx| s.infer_profiles[idx].config)
-                        .unwrap_or(InferenceConfig { frame_sampling: 0.05, resolution: 0.5 });
+                        .unwrap_or(InferenceConfig::FALLBACK);
                     let train_gpus = if in_flight[i].is_some() { d.train_gpus } else { 0.0 };
                     ReplanStream { infer_config, infer_gpus: d.infer_gpus, train_gpus }
                 })

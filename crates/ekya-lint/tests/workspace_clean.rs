@@ -32,24 +32,22 @@ fn allowlisted_paths_exist() {
 #[test]
 fn every_vendored_shim_has_a_dependent() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let subdirs = |dir: &str| -> Vec<std::path::PathBuf> {
-        let mut dirs: Vec<_> = std::fs::read_dir(root.join(dir))
-            .expect("member directory readable")
-            .map(|e| e.expect("directory entry").path())
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        dirs
-    };
     let mut manifests = vec![root.join("Cargo.toml")];
     manifests.extend(
-        subdirs("crates").into_iter().chain(subdirs("vendor")).map(|d| d.join("Cargo.toml")),
+        subdirs(&root, "crates")
+            .into_iter()
+            .chain(subdirs(&root, "vendor"))
+            .map(|d| d.join("Cargo.toml")),
     );
     let deps: Vec<_> = manifests
         .iter()
-        .map(|m| (m, dependency_names(&std::fs::read_to_string(m).expect("manifest readable"))))
+        .map(|m| {
+            let manifest = std::fs::read_to_string(m).expect("manifest readable");
+            let names = [DEPS, DEV_DEPS].map(|table| table_keys(&manifest, table)).concat();
+            (m, names)
+        })
         .collect();
-    for shim in subdirs("vendor") {
+    for shim in subdirs(&root, "vendor") {
         let name = shim.file_name().unwrap().to_str().unwrap();
         let own = shim.join("Cargo.toml");
         assert!(
@@ -60,19 +58,86 @@ fn every_vendored_shim_has_a_dependent() {
     }
 }
 
-/// The keys of a manifest's `[dependencies]` and `[dev-dependencies]`
-/// tables (`name = …` and `name.workspace = true` alike).
-fn dependency_names(manifest: &str) -> Vec<String> {
-    let mut in_deps = false;
+/// Every declared dependency is used: each `[dependencies]` key of the
+/// root package and of every `crates/*` member is named, with `-` read as
+/// `_`, by code in that package's `src/`, and each `[dev-dependencies]`
+/// key by code in its `src/`, `tests/` or `examples/`. Comments and
+/// strings do not count, so a manifest line whose last use is deleted
+/// fails here instead of lingering in the build graph.
+#[test]
+fn every_declared_dependency_is_used() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut packages = vec![root.clone()];
+    packages.extend(subdirs(&root, "crates"));
+    let mut unused = Vec::new();
+    for package in &packages {
+        let manifest =
+            std::fs::read_to_string(package.join("Cargo.toml")).expect("manifest readable");
+        for (table, dirs) in [(DEPS, &["src"][..]), (DEV_DEPS, &["src", "tests", "examples"])] {
+            let mut files = Vec::new();
+            for dir in dirs {
+                collect_rs(&package.join(dir), &mut files);
+            }
+            // A nested package (an example with its own manifest) is not
+            // this package's code.
+            files.retain(|f| {
+                f.ancestors()
+                    .skip(1)
+                    .take_while(|a| a != package)
+                    .all(|a| !a.join("Cargo.toml").is_file())
+            });
+            let named: std::collections::BTreeSet<String> = files
+                .iter()
+                .flat_map(|f| {
+                    let src = std::fs::read_to_string(f).expect("source readable");
+                    ekya_lint::lexer::scan(&src).tokens.into_iter().map(|t| t.text)
+                })
+                .collect();
+            for key in table_keys(&manifest, table) {
+                if !named.contains(&key.replace('-', "_")) {
+                    let at = package.join("Cargo.toml");
+                    unused.push(format!(
+                        "{}: {table} {key}",
+                        at.strip_prefix(&root).unwrap().display()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        unused.is_empty(),
+        "declared dependencies that no code names — delete the manifest lines:\n{}",
+        unused.join("\n")
+    );
+}
+
+const DEPS: &str = "[dependencies]";
+const DEV_DEPS: &str = "[dev-dependencies]";
+
+/// The keys of one dependency table of a manifest (`name = …` and
+/// `name.workspace = true` alike).
+fn table_keys(manifest: &str, table: &str) -> Vec<String> {
+    let mut inside = false;
     let mut names = Vec::new();
     for line in manifest.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_deps = line == "[dependencies]" || line == "[dev-dependencies]";
-        } else if in_deps && !line.is_empty() && !line.starts_with('#') {
+            inside = line == table;
+        } else if inside && !line.is_empty() && !line.starts_with('#') {
             names.push(line.split(['=', '.']).next().unwrap_or_default().trim().to_string());
         }
     }
     names
+}
+
+/// The subdirectories of `root/dir`, sorted.
+fn subdirs(root: &std::path::Path, dir: &str) -> Vec<std::path::PathBuf> {
+    let mut dirs: Vec<_> = std::fs::read_dir(root.join(dir))
+        .expect("member directory readable")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.is_dir())
+        .collect();
+    dirs.sort();
+    dirs
 }
 
 /// `pub` items that only tests name, each kept on purpose.

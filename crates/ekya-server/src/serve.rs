@@ -7,7 +7,7 @@
 //! classification requests), a supervised **trainer pool** that absorbs
 //! panics without dropping any stream's serving, **admission control**
 //! with typed rejections, and checkpoint hot-swaps whose model pulls are
-//! accounted against an `ekya-net` link model. Every mailbox has a
+//! accounted against an `ekya_core::net` link model. Every mailbox has a
 //! capacity: a producer that outruns a shard blocks, it never grows a
 //! queue.
 //!
@@ -37,12 +37,12 @@ use crate::metrics::{StatusSnapshot, StatusView, StreamStatus};
 use crate::trainer::{
     SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply,
 };
+use ekya_core::net::{LinkModel, LinkQueue};
 use ekya_core::{
     build_inference_profiles, default_inference_grid, default_retrain_grid, stream_seed,
     EkyaPolicy, InferenceConfig, MicroProfilerParams, Policy, PolicyCtx, PolicyStream,
     RetrainConfig, RetrainProfile, SchedulerParams, StreamLearner, TrainHyper,
 };
-use ekya_net::{Direction, LinkModel, LinkScheduler, Transfer};
 use ekya_nn::cost::CostModel;
 use ekya_nn::data::{DataView, Sample};
 use ekya_nn::mlp::{Mlp, MlpArch, PredictScratch};
@@ -656,7 +656,6 @@ pub struct EdgeDaemon {
     streams: Vec<StreamState>,
     rejected: u64,
     window_idx: usize,
-    link: LinkScheduler,
     faults: BTreeSet<u32>,
     /// Free list of recycled pump carriers (wall plane only).
     carrier_pool: Vec<ClassifyJob>,
@@ -682,7 +681,6 @@ impl EdgeDaemon {
         let trainers = (0..cfg.trainer_shards.max(1))
             .map(|i| spawn_supervised_bounded(format!("trainer-{i}"), || TrainerActor, 2))
             .collect();
-        let link = LinkScheduler::new(cfg.link);
         let shard_jobs = (0..cfg.infer_shards.max(1)).map(|_| Vec::new()).collect();
         Self {
             cfg,
@@ -692,7 +690,6 @@ impl EdgeDaemon {
             rejected: 0,
             window_idx: 0,
             faults: BTreeSet::new(),
-            link,
             carrier_pool: Vec::new(),
             shard_jobs,
             snapshot_sink: None,
@@ -1004,7 +1001,7 @@ impl EdgeDaemon {
         // logical ledger — sequential in stream order, fully
         // deterministic.
         let _f_wall = ekya_telemetry::timing::wall_span("server.daemon", "phase_f");
-        self.link.reset();
+        let mut link = LinkQueue::default();
         let mut reports = Vec::with_capacity(n);
         for (s, (version, accuracy, model_mbits)) in finals.into_iter().enumerate() {
             let st = &mut self.streams[s];
@@ -1022,27 +1019,24 @@ impl EdgeDaemon {
             st.status.checkpoints_swapped += swapped;
             st.status.accuracy = accuracy;
             for _ in 0..swapped {
-                let done = self.link.schedule(Transfer {
-                    tag: st.id.0,
-                    mbits: model_mbits,
-                    direction: Direction::Downlink,
-                    ready_at: 0.0,
-                });
+                let (started_at, finished_at) =
+                    link.schedule(0.0, self.cfg.link.download_secs(model_mbits));
+                // Credit the span the queue reports, not the bare transfer
+                // time: once the start is past 0, the two differ in the
+                // last bit.
+                let transfer_secs = finished_at - started_at;
                 st.status.swap_mbits += model_mbits;
-                st.status.swap_transfer_secs += done.finished_at - done.started_at;
+                st.status.swap_transfer_secs += transfer_secs;
                 if ekya_telemetry::enabled() {
                     ekya_telemetry::event(
                         "server.daemon",
                         "hot_swap",
-                        &format!(
-                            "mbits={model_mbits:.3} transfer_secs={:.6}",
-                            done.finished_at - done.started_at
-                        ),
+                        &format!("mbits={model_mbits:.3} transfer_secs={transfer_secs:.6}"),
                     );
                     ekya_telemetry::hist_observe(
                         "server.daemon",
                         "swap_transfer_secs",
-                        done.finished_at - done.started_at,
+                        transfer_secs,
                     );
                 }
             }

@@ -1,13 +1,11 @@
-//! Fractional GPU pool with MPS-style placement (§5).
+//! Fractional GPU shares under MPS (§5).
 //!
 //! The thief scheduler produces "continuous" fractional allocations that
-//! may span physical GPUs. To avoid cross-GPU communication, Ekya first
-//! quantises allocations to inverse powers of two (1/2, 1/4, 1/8) and
-//! then packs jobs onto GPUs in descending order of demand to reduce
-//! fragmentation \[28\]. Changing a job's allocation under Nvidia MPS
-//! requires restarting the process, which the actor-based implementation
-//! mitigates but does not eliminate — the pool charges a configurable
-//! restart penalty on reallocation.
+//! may span physical GPUs. To avoid cross-GPU communication, Ekya
+//! quantises allocations to inverse powers of two (1/2, 1/4, 1/8).
+//! Changing a job's allocation under Nvidia MPS requires restarting the
+//! process, which the actor-based implementation mitigates but does not
+//! eliminate — [`MpsCosts`] prices that restart.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,103 +26,6 @@ pub fn quantize_inv_pow2(alloc: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// A job's placement request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlacementRequest {
-    /// Caller-assigned job id.
-    pub job: u32,
-    /// Quantised GPU demand.
-    pub demand: f64,
-}
-
-/// Where a job landed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlacementAssignment {
-    /// The job id.
-    pub job: u32,
-    /// GPU indices used (one entry per whole GPU; fractional jobs use a
-    /// single GPU).
-    pub gpus: Vec<usize>,
-    /// Fraction of each listed GPU consumed (1.0 for whole-GPU entries).
-    pub fraction: f64,
-}
-
-/// Result of packing a set of jobs onto the pool.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Placement {
-    /// Successful assignments.
-    pub assignments: Vec<PlacementAssignment>,
-    /// Jobs that did not fit (demand exceeded remaining capacity).
-    pub unplaced: Vec<u32>,
-    /// Unused capacity summed over GPUs, in GPU units.
-    pub fragmentation: f64,
-}
-
-/// Packs jobs onto `num_gpus` physical GPUs: multi-GPU jobs take whole
-/// GPUs; fractional jobs first-fit onto the fullest GPU that still has
-/// room (best-fit-decreasing), so small slices fill gaps left by large
-/// ones.
-pub fn pack(requests: &[PlacementRequest], num_gpus: usize) -> Placement {
-    let mut free = vec![1.0f64; num_gpus];
-    let mut assignments = Vec::new();
-    let mut unplaced = Vec::new();
-
-    // Descending demand (paper: "descending order of demands to reduce
-    // fragmentation"); stable tie-break on job id for determinism.
-    let mut order: Vec<&PlacementRequest> = requests.iter().filter(|r| r.demand > 0.0).collect();
-    order.sort_by(|a, b| {
-        b.demand
-            .partial_cmp(&a.demand)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.job.cmp(&b.job))
-    });
-
-    const EPS: f64 = 1e-9;
-    for req in order {
-        if req.demand >= 1.0 - EPS {
-            // Whole-GPU job: take the first `n` completely free GPUs.
-            let n = req.demand.round() as usize;
-            let free_idx: Vec<usize> = free
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| **f >= 1.0 - EPS)
-                .map(|(i, _)| i)
-                .take(n)
-                .collect();
-            if free_idx.len() < n {
-                unplaced.push(req.job);
-                continue;
-            }
-            for &i in &free_idx {
-                free[i] = 0.0;
-            }
-            assignments.push(PlacementAssignment { job: req.job, gpus: free_idx, fraction: 1.0 });
-        } else {
-            // Fractional job: best fit — the GPU with the least remaining
-            // space that still fits.
-            let target = free
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| **f >= req.demand - EPS)
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(i, _)| i);
-            match target {
-                Some(i) => {
-                    free[i] -= req.demand;
-                    assignments.push(PlacementAssignment {
-                        job: req.job,
-                        gpus: vec![i],
-                        fraction: req.demand,
-                    });
-                }
-                None => unplaced.push(req.job),
-            }
-        }
-    }
-    let fragmentation = free.iter().sum();
-    Placement { assignments, unplaced, fragmentation }
 }
 
 /// MPS reallocation cost model: seconds of downtime a job pays when its
@@ -167,75 +68,5 @@ mod tests {
         for &a in &[0.13, 0.27, 0.6, 0.99, 1.5, 3.2] {
             assert!(quantize_inv_pow2(a) <= a + 1e-9, "quantize({a}) grew");
         }
-    }
-
-    #[test]
-    fn whole_gpu_jobs_take_whole_gpus() {
-        let reqs = vec![
-            PlacementRequest { job: 0, demand: 2.0 },
-            PlacementRequest { job: 1, demand: 1.0 },
-        ];
-        let p = pack(&reqs, 4);
-        assert!(p.unplaced.is_empty());
-        let a0 = p.assignments.iter().find(|a| a.job == 0).unwrap();
-        assert_eq!(a0.gpus.len(), 2);
-        let used: std::collections::HashSet<usize> =
-            p.assignments.iter().flat_map(|a| a.gpus.iter().copied()).collect();
-        assert_eq!(used.len(), 3, "no GPU shared between whole-GPU jobs");
-        assert!((p.fragmentation - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fractional_jobs_share_gpus() {
-        let reqs = vec![
-            PlacementRequest { job: 0, demand: 0.5 },
-            PlacementRequest { job: 1, demand: 0.25 },
-            PlacementRequest { job: 2, demand: 0.25 },
-        ];
-        let p = pack(&reqs, 1);
-        assert!(p.unplaced.is_empty());
-        assert!(p.fragmentation.abs() < 1e-9, "perfectly packed");
-    }
-
-    #[test]
-    fn overflow_reports_unplaced() {
-        let reqs = vec![
-            PlacementRequest { job: 0, demand: 1.0 },
-            PlacementRequest { job: 1, demand: 1.0 },
-        ];
-        let p = pack(&reqs, 1);
-        assert_eq!(p.unplaced, vec![1]);
-    }
-
-    #[test]
-    fn zero_demand_jobs_are_ignored() {
-        let reqs = vec![PlacementRequest { job: 0, demand: 0.0 }];
-        let p = pack(&reqs, 1);
-        assert!(p.assignments.is_empty());
-        assert!(p.unplaced.is_empty());
-    }
-
-    #[test]
-    fn best_fit_reduces_fragmentation() {
-        // 0.5 + 0.5 on one GPU, 0.25 x 4 on the other: best-fit-decreasing
-        // achieves zero fragmentation on 2 GPUs.
-        let reqs = vec![
-            PlacementRequest { job: 0, demand: 0.5 },
-            PlacementRequest { job: 1, demand: 0.5 },
-            PlacementRequest { job: 2, demand: 0.25 },
-            PlacementRequest { job: 3, demand: 0.25 },
-            PlacementRequest { job: 4, demand: 0.25 },
-            PlacementRequest { job: 5, demand: 0.25 },
-        ];
-        let p = pack(&reqs, 2);
-        assert!(p.unplaced.is_empty());
-        assert!(p.fragmentation.abs() < 1e-9, "fragmentation = {}", p.fragmentation);
-    }
-
-    #[test]
-    fn packing_is_deterministic() {
-        let reqs: Vec<PlacementRequest> =
-            (0..8).map(|i| PlacementRequest { job: i, demand: 0.25 }).collect();
-        assert_eq!(pack(&reqs, 2), pack(&reqs, 2));
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`engine`] — deterministic discrete-event core (integer-microsecond
 //!   clock, generation-based lazy cancellation);
-//! * [`gpu`] — fractional GPU pool: inverse-power-of-two quantisation,
-//!   descending-demand packing, MPS restart costs (§5);
+//! * [`gpu`] — fractional GPU shares: inverse-power-of-two quantisation
+//!   and MPS restart costs (§5);
 //! * [`runner`] — the end-to-end window runner: teacher labelling,
 //!   micro-profiling, policy planning, epoch-by-epoch *real* training,
 //!   checkpoint hot-swaps, mid-window estimate correction and
@@ -30,7 +30,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Engine, Generation};
-pub use gpu::{pack, quantize_inv_pow2, MpsCosts, Placement, PlacementRequest};
+pub use gpu::{quantize_inv_pow2, MpsCosts};
 pub use metrics::{RunReport, StreamWindowReport, Timeline, WindowReport};
 pub use runner::{run_windows, RunnerConfig};
 pub use time::SimTime;

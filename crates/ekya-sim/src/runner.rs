@@ -20,15 +20,15 @@
 //! truth does not exist on the edge.
 
 use crate::engine::{Engine, Generation};
-use crate::gpu::{pack, quantize_inv_pow2, MpsCosts, PlacementRequest};
+use crate::gpu::{quantize_inv_pow2, MpsCosts};
 use crate::metrics::{RunReport, StreamWindowReport, Timeline, WindowReport};
 use crate::time::SimTime;
 use ekya_core::adapt::{needs_correction, refit_curve};
 use ekya_core::{
-    build_inference_profiles, default_inference_grid, default_retrain_grid, stream_seed,
-    InProgressRetrain, InferenceConfig, InferenceProfile, MicroProfilerParams, Policy, PolicyCtx,
-    PolicyStream, PreparedWindow, RetrainConfig, RetrainExecution, RetrainProfile, StreamLearner,
-    TrainHyper,
+    best_feasible_infer, build_inference_profiles, default_inference_grid, default_retrain_grid,
+    stream_seed, InProgressRetrain, InferenceConfig, InferenceProfile, MicroProfilerParams, Policy,
+    PolicyCtx, PolicyStream, PreparedWindow, RetrainConfig, RetrainExecution, RetrainProfile,
+    StreamLearner, TrainHyper,
 };
 use ekya_nn::cost::CostModel;
 use ekya_nn::data::DataView;
@@ -65,8 +65,8 @@ pub struct RunnerConfig {
     pub exemplar_per_class: usize,
     /// Charge micro-profiling GPU time by delaying training starts.
     pub charge_profiling: bool,
-    /// Quantise allocations to inverse powers of two and pack onto
-    /// physical GPUs before execution (§5 placement).
+    /// Quantise allocations to inverse powers of two before execution
+    /// (§5 placement).
     pub quantize_placement: bool,
     /// Enable mid-window estimate correction + rescheduling (§5).
     pub adapt_estimates: bool,
@@ -334,21 +334,9 @@ fn run_one_window<P: Policy + ?Sized>(
             (p.config.frame_sampling - want.frame_sampling).abs() < 1e-9
                 && (p.config.resolution - want.resolution).abs() < 1e-9
         });
-        if let Some(p) = wanted {
-            if p.gpu_demand <= gpus + 1e-9 {
-                return (p.config, p.accuracy_factor);
-            }
-        }
-        profiles
-            .iter()
-            .filter(|p| p.gpu_demand <= gpus + 1e-9)
-            .max_by(|a, b| {
-                a.accuracy_factor
-                    .partial_cmp(&b.accuracy_factor)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|p| (p.config, p.accuracy_factor))
-            .unwrap_or((*want, 0.0))
+        best_feasible_infer(wanted, gpus)
+            .or_else(|| best_feasible_infer(profiles, gpus))
+            .map_or((*want, 0.0), |p| (p.config, p.accuracy_factor))
     };
 
     let mut train_alloc: Vec<f64> =
@@ -358,14 +346,6 @@ fn run_one_window<P: Policy + ?Sized>(
         for a in train_alloc.iter_mut().chain(infer_gpus.iter_mut()) {
             *a = quantize_inv_pow2(*a);
         }
-        // Record fragmentation; execution uses the quantised shares.
-        let reqs: Vec<PlacementRequest> = train_alloc
-            .iter()
-            .chain(infer_gpus.iter())
-            .enumerate()
-            .map(|(i, &d)| PlacementRequest { job: i as u32, demand: d })
-            .collect();
-        let _ = pack(&reqs, cfg.total_gpus.ceil() as usize);
     }
 
     let mut af: Vec<f64> = Vec::with_capacity(n);

@@ -27,8 +27,9 @@
 use crate::metrics::{RunReport, StreamWindowReport, WindowReport};
 use crate::runner::RunnerConfig;
 use ekya_core::{
-    build_inference_profiles, richest_config, stream_seed, CurveKey, InferenceProfile, Policy,
-    PolicyCtx, PolicyStream, RetrainExecution, RetrainProfile, StreamLearner,
+    best_feasible_infer, build_inference_profiles, richest_config, stream_seed, CurveKey,
+    InferenceProfile, Policy, PolicyCtx, PolicyStream, RetrainExecution, RetrainProfile,
+    StreamLearner,
 };
 use ekya_nn::data::DataView;
 use ekya_nn::fit::LearningCurve;
@@ -333,23 +334,15 @@ impl ReplayPolicyHarness {
                 let st = &wt.streams[s];
                 let sp = &plan.streams[s];
                 // Effective inference factor (downgrade to feasible).
-                let af = infer_profiles[s]
-                    .iter()
-                    .filter(|p| p.gpu_demand <= sp.infer_gpus + 1e-9)
-                    .map(|p| p.accuracy_factor)
-                    .fold(0.0, f64::max)
+                let wanted = infer_profiles[s].iter().find(|p| {
+                    (p.config.frame_sampling - sp.infer_config.frame_sampling).abs() < 1e-9
+                        && (p.config.resolution - sp.infer_config.resolution).abs() < 1e-9
+                });
+                let af = best_feasible_infer(&infer_profiles[s], sp.infer_gpus)
+                    .map_or(0.0, |p| p.accuracy_factor)
                     .min(
-                        infer_profiles[s]
-                            .iter()
-                            .find(|p| {
-                                (p.config.frame_sampling - sp.infer_config.frame_sampling).abs()
-                                    < 1e-9
-                                    && (p.config.resolution - sp.infer_config.resolution).abs()
-                                        < 1e-9
-                                    && p.gpu_demand <= sp.infer_gpus + 1e-9
-                            })
-                            .map(|p| p.accuracy_factor)
-                            .unwrap_or(f64::INFINITY),
+                        best_feasible_infer(wanted, sp.infer_gpus)
+                            .map_or(f64::INFINITY, |p| p.accuracy_factor),
                     );
 
                 let mut avg;

@@ -10,6 +10,7 @@
 //!
 //! Run with: `cargo run --release --example cloud_vs_edge`
 
+use ekya::baselines::CloudNetwork;
 use ekya::prelude::*;
 use ekya::video::DatasetSpec;
 
@@ -32,7 +33,7 @@ fn main() {
     println!("{:-<22}-+----------+---------------------------", "");
     println!("{:<22} | {:>8.3} | (retrains locally)", "Ekya (edge)", ekya_report.mean_accuracy());
 
-    for link in LinkModel::table4_presets() {
+    for link in CloudNetwork::ALL.map(CloudNetwork::link) {
         let mut cloud_cfg = CloudRunConfig::new(link, cfg.clone());
         cloud_cfg.upload_sampling = 0.1;
         let report = run_cloud_retraining(&streams, &cloud_cfg, windows);

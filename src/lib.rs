@@ -5,11 +5,11 @@
 //!
 //! This facade crate re-exports the full workspace:
 //!
-//! * [`core`] (`ekya-core`) — thief scheduler, micro-profiler, estimator;
+//! * [`core`] (`ekya-core`) — thief scheduler, micro-profiler, estimator,
+//!   and the edge↔cloud links of Table 4 (`core::net`);
 //! * [`nn`] (`ekya-nn`) — learning substrate (MLPs, SGD, NNLS curve fits);
 //! * [`video`] (`ekya-video`) — synthetic drifting video workloads;
 //! * [`sim`] (`ekya-sim`) — discrete-event execution + trace replay;
-//! * [`net`] (`ekya-net`) — edge↔cloud links (Table 4);
 //! * [`server`] (`ekya-server`) — the live deployment: one serving shape,
 //!   `EdgeDaemon` (inference shards, supervised trainers, hot-swaps), on
 //!   the actor runtime re-exported as [`actors`] (the paper's Ray, §5:
@@ -43,7 +43,6 @@
 
 pub use ekya_baselines as baselines;
 pub use ekya_core as core;
-pub use ekya_net as net;
 pub use ekya_nn as nn;
 pub use ekya_server as server;
 pub use ekya_server::actors;
@@ -57,11 +56,11 @@ pub mod prelude {
         holdout_configs, run_cloud_retraining, run_fig2b, run_model_cache, CloudRunConfig,
         EkyaFixedConfig, EkyaFixedRes, OraclePolicy, UniformPolicy,
     };
+    pub use ekya_core::net::LinkModel;
     pub use ekya_core::{
         default_inference_grid, default_retrain_grid, EkyaPolicy, InferenceConfig, MicroProfiler,
         MicroProfilerParams, Policy, RetrainConfig, SchedulerParams,
     };
-    pub use ekya_net::LinkModel;
     pub use ekya_nn::{CostModel, LearningCurve, Mlp, MlpArch};
     pub use ekya_server::{EdgeDaemon, ServeConfig};
     pub use ekya_sim::{

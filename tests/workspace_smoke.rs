@@ -35,7 +35,7 @@ fn prelude_symbols_importable() {
     let _ = std::any::type_name::<SchedulerParams>();
     fn _policy_is_object_safe(_: &dyn Policy) {}
 
-    // ekya-net / ekya-nn
+    // ekya-core::net / ekya-nn
     let _ = std::any::type_name::<LinkModel>();
     let _ = std::any::type_name::<CostModel>();
     let _ = std::any::type_name::<LearningCurve>();
@@ -164,7 +164,7 @@ fn orchestrator_symbols_importable() {
     let _ = ekya_orchestrate::backoff_delay as fn(u64, usize) -> std::time::Duration;
 }
 
-/// The facade re-exports all eight sub-crates as modules, plus the
+/// The facade re-exports all seven sub-crates as modules, plus the
 /// server's actor runtime as `ekya::actors` — the same types, not copies.
 #[test]
 fn facade_modules_present() {
@@ -173,7 +173,7 @@ fn facade_modules_present() {
     ) -> ekya::server::actors::ActorHandle<DummyActor> = |handle| handle;
     let _ = std::any::type_name::<ekya::baselines::uniform::UniformPolicy>();
     let _ = std::any::type_name::<ekya::core::Schedule>();
-    let _ = std::any::type_name::<ekya::net::Direction>();
+    let _ = std::any::type_name::<ekya::core::net::LinkQueue>();
     let _ = std::any::type_name::<ekya::nn::Matrix>();
     let _ = std::any::type_name::<ekya::server::TrainOutcome>();
     let _ = std::any::type_name::<ekya::sim::SimTime>();
