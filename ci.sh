@@ -3,7 +3,7 @@
 #
 #   ./ci.sh quick   — fmt + clippy + ekya-lint + a quick-mode harness
 #                     smoke across several bins (including a 2-shard +
-#                     grid_merge byte-identity check and a supervised
+#                     ekya_grid merge byte-identity check and a supervised
 #                     ekya_grid run with an injected shard kill) + the
 #                     thief scheduler at fleet scale (scheduler_runtime,
 #                     whose check is that every schedule fits its GPU
@@ -45,8 +45,8 @@ case "$MODE" in
   quick)
     lint
 
-    echo "==> cargo build --release -p ekya-bench -p ekya-orchestrate (harness + launcher bins)"
-    cargo build --release -p ekya-bench -p ekya-orchestrate --bins
+    echo "==> cargo build --release -p ekya-bench (harness + launcher bins)"
+    cargo build --release -p ekya-bench --bins
 
     # Quick-mode grid smoke across several bins: the declarative grids
     # shrink under EKYA_QUICK=1 and the harness fans them out across
@@ -58,14 +58,14 @@ case "$MODE" in
     # shard processes, merge the shard reports, and require the merged
     # file to be byte-identical to the unsharded run above (the harness's
     # sharding guarantee, checked with plain cmp).
-    echo "==> harness smoke: 2-shard fig06 + grid_merge (union ≡ unsharded, byte for byte)"
+    echo "==> harness smoke: 2-shard fig06 + ekya_grid merge (union ≡ unsharded, byte for byte)"
     mkdir -p target
     cp results/fig06_streams.json target/fig06_unsharded.json
     EKYA_QUICK=1 EKYA_WINDOWS=2 EKYA_SHARD=0/2 \
       cargo run --release -q -p ekya-bench --bin fig06_streams
     EKYA_QUICK=1 EKYA_WINDOWS=2 EKYA_SHARD=1/2 \
       cargo run --release -q -p ekya-bench --bin fig06_streams
-    cargo run --release -q -p ekya-bench --bin grid_merge -- \
+    cargo run --release -q -p ekya-bench --bin ekya_grid -- merge \
       results/fig06_streams_shard0of2.json results/fig06_streams_shard1of2.json \
       -o results/fig06_streams.json
     cmp results/fig06_streams.json target/fig06_unsharded.json
@@ -87,11 +87,11 @@ case "$MODE" in
     echo "==> orchestrator smoke: ekya_grid run fig07 (4 shards, 1 injected kill) ≡ unsharded"
     rm -rf target/orchestrate_smoke
     EKYA_QUICK=1 EKYA_WINDOWS=2 EKYA_STREAMS=4 \
-      cargo run --release -q -p ekya-orchestrate --bin ekya_grid -- \
+      cargo run --release -q -p ekya-bench --bin ekya_grid -- \
       run --bin fig07_provisioning --shards 4 --max-retries 2 --inject-crash 0:1 \
       --backoff-ms 100 --run-dir target/orchestrate_smoke --no-promote \
       --verify-against target/fig07_unsharded.json
-    cargo run --release -q -p ekya-orchestrate --bin ekya_grid -- \
+    cargo run --release -q -p ekya-bench --bin ekya_grid -- \
       status --run-dir target/orchestrate_smoke
     cmp target/orchestrate_smoke/fig07_provisioning.json target/fig07_unsharded.json
     echo "    supervised run (crash-retried) ≡ unsharded ✓"

@@ -7,8 +7,8 @@
 //!   stream to one fixed retraining configuration.
 
 use ekya_core::{
-    pick_configs_fixed, thief_schedule, InferenceConfig, PlannedRetrain, Policy, PolicyCtx,
-    RetrainChoice, RetrainConfig, SchedulerParams, StreamInput, StreamPlan, WindowPlan,
+    pick_configs_fixed, thief_schedule, Policy, PolicyCtx, RetrainConfig, RetrainProfile,
+    SchedulerParams, WindowPlan,
 };
 
 /// Ekya without the thief allocator: static 50/50 partition per stream,
@@ -37,43 +37,10 @@ impl Policy for EkyaFixedRes {
         let n = ctx.streams.len().max(1) as f64;
         let infer_gpus = ctx.total_gpus * self.inference_share / n;
         let train_gpus = ctx.total_gpus * (1.0 - self.inference_share) / n;
-        let inputs: Vec<StreamInput<'_>> = ctx
-            .streams
-            .iter()
-            .map(|s| StreamInput {
-                id: s.id,
-                serving_accuracy: s.serving_accuracy,
-                retrain_profiles: s.retrain_profiles,
-                infer_profiles: s.infer_profiles,
-                in_progress: None,
-            })
-            .collect();
+        let inputs = ctx.stream_inputs(None);
         let alloc: Vec<(f64, f64)> = vec![(infer_gpus, train_gpus); ctx.streams.len()];
         let schedule = pick_configs_fixed(&inputs, &alloc, ctx.window_secs, &self.params);
-        WindowPlan {
-            streams: schedule
-                .decisions
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let s = &ctx.streams[i];
-                    StreamPlan {
-                        retrain: match d.retrain {
-                            RetrainChoice::Start { profile_idx } => Some(PlannedRetrain {
-                                config: s.retrain_profiles[profile_idx].config,
-                                gpus: train_gpus,
-                            }),
-                            _ => None,
-                        },
-                        infer_config: d
-                            .infer_profile_idx
-                            .map(|idx| s.infer_profiles[idx].config)
-                            .unwrap_or(InferenceConfig::FALLBACK),
-                        infer_gpus,
-                    }
-                })
-                .collect(),
-        }
+        WindowPlan::from_schedule(&schedule, &inputs)
     }
 }
 
@@ -101,50 +68,18 @@ impl Policy for EkyaFixedConfig {
     fn plan_window(&mut self, ctx: &PolicyCtx<'_>) -> WindowPlan {
         // Restrict every stream's candidates to the pinned configuration
         // (the micro-profile for it is still used for cost/accuracy).
-        let filtered: Vec<Vec<ekya_core::RetrainProfile>> = ctx
+        let filtered: Vec<Vec<RetrainProfile>> = ctx
             .streams
             .iter()
             .map(|s| {
                 s.retrain_profiles.iter().filter(|p| p.config == self.config).cloned().collect()
             })
             .collect();
-        let inputs: Vec<StreamInput<'_>> = ctx
-            .streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| StreamInput {
-                id: s.id,
-                serving_accuracy: s.serving_accuracy,
-                retrain_profiles: &filtered[i],
-                infer_profiles: s.infer_profiles,
-                in_progress: None,
-            })
-            .collect();
-        let schedule = thief_schedule(&inputs, ctx.window_secs, &self.params);
-        WindowPlan {
-            streams: schedule
-                .decisions
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let s = &ctx.streams[i];
-                    StreamPlan {
-                        retrain: match d.retrain {
-                            RetrainChoice::Start { profile_idx } => Some(PlannedRetrain {
-                                config: filtered[i][profile_idx].config,
-                                gpus: d.train_gpus,
-                            }),
-                            _ => None,
-                        },
-                        infer_config: d
-                            .infer_profile_idx
-                            .map(|idx| s.infer_profiles[idx].config)
-                            .unwrap_or(InferenceConfig::FALLBACK),
-                        infer_gpus: d.infer_gpus,
-                    }
-                })
-                .collect(),
+        let mut inputs = ctx.stream_inputs(None);
+        for (input, pinned) in inputs.iter_mut().zip(&filtered) {
+            input.retrain_profiles = pinned;
         }
+        WindowPlan::from_schedule(&thief_schedule(&inputs, ctx.window_secs, &self.params), &inputs)
     }
 }
 

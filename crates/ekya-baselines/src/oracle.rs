@@ -6,10 +6,7 @@
 //! illustrative example (§3.2, Fig 4) and the upper bound the thief
 //! heuristic is judged against in tests.
 
-use ekya_core::{
-    optimal_schedule, InferenceConfig, PlannedRetrain, Policy, PolicyCtx, RetrainChoice,
-    SchedulerParams, StreamInput, StreamPlan, WindowPlan,
-};
+use ekya_core::{optimal_schedule, Policy, PolicyCtx, SchedulerParams, WindowPlan};
 
 /// The oracle policy.
 #[derive(Debug, Clone)]
@@ -32,42 +29,11 @@ impl Policy for OraclePolicy {
     }
 
     fn plan_window(&mut self, ctx: &PolicyCtx<'_>) -> WindowPlan {
-        let inputs: Vec<StreamInput<'_>> = ctx
-            .streams
-            .iter()
-            .map(|s| StreamInput {
-                id: s.id,
-                serving_accuracy: s.serving_accuracy,
-                retrain_profiles: s.retrain_profiles,
-                infer_profiles: s.infer_profiles,
-                in_progress: None,
-            })
-            .collect();
-        let schedule = optimal_schedule(&inputs, ctx.window_secs, &self.params);
-        WindowPlan {
-            streams: schedule
-                .decisions
-                .iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    let s = &ctx.streams[i];
-                    StreamPlan {
-                        retrain: match d.retrain {
-                            RetrainChoice::Start { profile_idx } => Some(PlannedRetrain {
-                                config: s.retrain_profiles[profile_idx].config,
-                                gpus: d.train_gpus,
-                            }),
-                            _ => None,
-                        },
-                        infer_config: d
-                            .infer_profile_idx
-                            .map(|idx| s.infer_profiles[idx].config)
-                            .unwrap_or(InferenceConfig::FALLBACK),
-                        infer_gpus: d.infer_gpus,
-                    }
-                })
-                .collect(),
-        }
+        let inputs = ctx.stream_inputs(None);
+        WindowPlan::from_schedule(
+            &optimal_schedule(&inputs, ctx.window_secs, &self.params),
+            &inputs,
+        )
     }
 }
 

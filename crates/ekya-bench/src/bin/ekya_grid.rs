@@ -6,6 +6,7 @@
 //! ekya_grid run --bin fig06_streams --shards 4 [--max-retries 2] ...
 //! ekya_grid status [--run NAME | --run-dir PATH]
 //! ekya_grid resume [--run NAME | --run-dir PATH] [--max-retries K]
+//! ekya_grid merge SHARD.json... [-o OUT] [--verify-against REF]
 //! ekya_grid worker --bin BIN          (internal: one shard, env-driven)
 //! ```
 //!
@@ -19,38 +20,49 @@
 //! report) live under the run directory, default
 //! `results/orchestrate/<run>/`.
 //!
+//! The science knobs come from the `EKYA_*` env alone
+//! (`ekya_bench::Knobs::from_env`), pinned into the plan at launch; each
+//! shard gets `EKYA_WORKERS` ÷ shards worker threads (at least one).
+//!
 //! `run` flags: `--bin` (required; see `ekya_bench::shardable_bins`),
 //! `--shards N` (default 2), `--max-retries K` (default 2),
 //! `--stall-timeout SECS` (default 600), `--backoff-ms MS` (default
-//! 500), `--poll-ms MS` (default 200), `--run NAME` / `--run-dir PATH`,
-//! `--workers-per-shard W` (default: `EKYA_WORKERS` — or hardware
-//! parallelism — divided by the shard count),
-//! `--seed`/`--windows`/`--streams`/`--quick` (override the `EKYA_*`
-//! env, which is otherwise inherited into the plan),
-//! `--worker-program PATH` (substitute the shard worker executable —
-//! e.g. the `examples/ssh_worker.sh` wrapper for multi-machine fan-out;
-//! default: this very binary in `worker` mode),
+//! 500), `--run NAME` / `--run-dir PATH`, `--worker-program PATH`
+//! (substitute the shard worker executable — e.g. the
+//! `examples/ssh_worker.sh` wrapper for multi-machine fan-out; default:
+//! this very binary in `worker` mode),
 //! `--verify-against FILE` (fail unless the merged report is
 //! byte-identical to FILE), `--no-promote`, and `--inject-crash I:K`
 //! (fault injection: shard I's first attempt exits after K cells — the
 //! retry-with-resume proof CI runs).
 //!
-//! Exit codes: 0 on success, 1 on a failed run or supervisor error,
-//! 2 on usage errors.
+//! `merge` recombines shard reports collected by hand — e.g. copied back
+//! from machines without a shared filesystem — with the same driver
+//! `run` uses: the output defaults to `results/<name>.json`, and
+//! `--verify-against` fails unless it is byte-identical to REF, naming
+//! the first diverging cell.
+//!
+//! Exit codes: 0 on success, 1 on a failed run or merge, 2 on usage
+//! errors or when the supervisor itself cannot proceed.
 
-use ekya_orchestrate::{
-    read_status, supervise, Plan, PlanEnv, RunState, Spawner, Status, SuperviseOpts,
+use ekya_bench::orchestrate::{
+    merge_run, read_status, supervise, MergedInfo, Plan, RunState, Spawner, Status, SuperviseOpts,
 };
-use std::path::PathBuf;
+use ekya_bench::Knobs;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let result = match args.split_first().map(|(cmd, rest)| (cmd.as_str(), rest)) {
         Some(("run", rest)) => cmd_run(rest),
         Some(("status", rest)) => cmd_status(rest),
         Some(("resume", rest)) => cmd_resume(rest),
+        Some(("merge", rest)) => cmd_merge(rest),
         Some(("worker", rest)) => cmd_worker(rest),
         _ => Err(usage()),
     };
@@ -67,39 +79,67 @@ fn usage() -> String {
     "usage: ekya_grid run --bin BIN --shards N [options] | \
      status [--run NAME | --run-dir PATH] | \
      resume [--run NAME | --run-dir PATH] [--max-retries K] | \
+     merge SHARD.json... [-o OUT] [--verify-against REF] | \
      worker --bin BIN (internal)"
         .to_string()
 }
 
-/// A parsed flag list: `--key value` pairs plus boolean switches.
-struct Flags(Vec<(String, Option<String>)>);
+/// A parsed command line: the subcommand's `known` flags as `--key
+/// value` pairs or switches (`-o` is `--out`), plus positional arguments
+/// when `positional`. Anything else is a usage error, so a misspelt or
+/// retired flag fails instead of being ignored.
+struct Flags {
+    pairs: Vec<(String, Option<String>)>,
+    positional: Vec<String>,
+}
 
-const SWITCHES: [&str; 3] = ["--quick", "--no-promote", "--help"];
+const SWITCHES: [&str; 1] = ["--no-promote"];
+
+/// `run`'s flags; `resume` takes those from `--max-retries` on (the
+/// rest are pinned in the plan).
+const RUN_FLAGS: [&str; 11] = [
+    "--bin",
+    "--shards",
+    "--stall-timeout",
+    "--backoff-ms",
+    "--max-retries",
+    "--run",
+    "--run-dir",
+    "--worker-program",
+    "--verify-against",
+    "--no-promote",
+    "--inject-crash",
+];
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut out = Vec::new();
+    fn parse(args: &[String], known: &[&str], positional: bool) -> Result<Self, String> {
+        let mut flags = Self { pairs: Vec::new(), positional: Vec::new() };
         let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            if !flag.starts_with("--") {
-                return Err(format!("unexpected argument `{flag}` — {}", usage()));
+        while let Some(arg) = it.next() {
+            let flag = if arg == "-o" { "--out" } else { arg.as_str() };
+            if !known.contains(&flag) {
+                if positional && !flag.starts_with('-') {
+                    flags.positional.push(arg.clone());
+                    continue;
+                }
+                return Err(format!("unexpected argument `{arg}` — {}", usage()));
             }
-            if SWITCHES.contains(&flag.as_str()) {
-                out.push((flag.clone(), None));
+            let value = if SWITCHES.contains(&flag) {
+                None
             } else {
-                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                out.push((flag.clone(), Some(value.clone())));
-            }
+                Some(it.next().ok_or_else(|| format!("{flag} needs a value"))?.clone())
+            };
+            flags.pairs.push((flag.to_string(), value));
         }
-        Ok(Self(out))
+        Ok(flags)
     }
 
     fn get(&self, flag: &str) -> Option<&str> {
-        self.0.iter().rev().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
+        self.pairs.iter().rev().find(|(f, _)| f == flag).and_then(|(_, v)| v.as_deref())
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.0.iter().any(|(f, _)| f == flag)
+        self.pairs.iter().any(|(f, _)| f == flag)
     }
 
     fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
@@ -129,7 +169,7 @@ fn run_dir_of(flags: &Flags, bin_for_default: Option<&str>) -> Result<PathBuf, S
 /// `examples/ssh_worker.sh`); the default is this very binary re-invoked
 /// in `worker` mode. The program is pinned into the plan, so `resume`
 /// respawns through the same program a run was launched with.
-fn spawner_for(plan: &Plan, run_dir: &std::path::Path) -> Result<Spawner, String> {
+fn spawner_for(plan: &Plan, run_dir: &Path) -> Result<Spawner, String> {
     match &plan.worker_program {
         Some(program) => Ok(Spawner::new(PathBuf::from(program), run_dir)),
         None => Spawner::current_exe(run_dir),
@@ -164,12 +204,25 @@ fn supervise_opts(flags: &Flags, resume: bool) -> Result<SuperviseOpts, String> 
         }
     };
     Ok(SuperviseOpts {
-        poll_interval: Duration::from_millis(flags.parsed("--poll-ms")?.unwrap_or(200)),
         resume,
         inject_crash,
         verify_against: flags.get("--verify-against").map(PathBuf::from),
         promote: !flags.has("--no-promote"),
+        ..SuperviseOpts::default()
     })
+}
+
+/// `path (fingerprint F), verified ≡ REF, promoted to P` for a merge.
+fn describe(merged: &MergedInfo) -> String {
+    let verified = merged.verified_against.as_deref().map(|r| format!(", verified ≡ {r}"));
+    let promoted = merged.promoted_to.as_deref().map(|p| format!(", promoted to {p}"));
+    format!(
+        "{} (fingerprint {}){}{}",
+        merged.path,
+        merged.fingerprint,
+        verified.unwrap_or_default(),
+        promoted.unwrap_or_default()
+    )
 }
 
 fn finish(status: Status) -> ExitCode {
@@ -177,21 +230,10 @@ fn finish(status: Status) -> ExitCode {
         RunState::Complete => {
             let merged = status.merged.expect("complete run has a merge");
             println!(
-                "ekya_grid: COMPLETE — {} cells across {} shards → {} (fingerprint {}){}{}",
+                "ekya_grid: COMPLETE — {} cells across {} shards → {}",
                 status.total_cells,
                 status.shards.len(),
-                merged.path,
-                merged.fingerprint,
-                merged
-                    .verified_against
-                    .as_deref()
-                    .map(|r| format!(", verified ≡ {r}"))
-                    .unwrap_or_default(),
-                merged
-                    .promoted_to
-                    .as_deref()
-                    .map(|p| format!(", promoted to {p}"))
-                    .unwrap_or_default(),
+                describe(&merged)
             );
             ExitCode::SUCCESS
         }
@@ -207,11 +249,7 @@ fn finish(status: Status) -> ExitCode {
 }
 
 fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
-    if flags.has("--help") {
-        println!("{}", usage());
-        return Ok(ExitCode::SUCCESS);
-    }
+    let flags = Flags::parse(args, &RUN_FLAGS, false)?;
     let bin = flags.get("--bin").ok_or("run: --bin is required")?.to_string();
     let shards: usize = flags.parsed("--shards")?.unwrap_or(2);
     let run_dir = run_dir_of(&flags, Some(&bin))?;
@@ -224,32 +262,10 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         ));
     }
 
-    // Knobs: the environment is the base, CLI flags win, and the result
-    // is pinned into the plan for every subsequent spawn and resume.
-    let mut knobs = ekya_bench::Knobs::from_env();
-    if let Some(seed) = flags.parsed("--seed")? {
-        knobs = knobs.with_seed(seed);
-    }
-    if let Some(windows) = flags.parsed("--windows")? {
-        knobs = knobs.with_windows(Some(windows));
-    }
-    if let Some(streams) = flags.parsed("--streams")? {
-        knobs = knobs.with_streams(Some(streams));
-    }
-    if flags.has("--quick") {
-        knobs = knobs.with_quick(true);
-    }
-    // Default worker split honors EKYA_WORKERS (knobs.workers()), not
-    // raw hardware parallelism — the shard processes together use what
-    // one foreground run would have used.
-    let workers_per_shard = flags
-        .parsed("--workers-per-shard")?
-        .unwrap_or_else(|| (knobs.workers() / shards.max(1)).max(1));
-
     let mut plan = Plan::new(
         &bin,
         shards,
-        PlanEnv::from_knobs(&knobs, workers_per_shard),
+        Knobs::from_env(),
         flags.parsed("--max-retries")?.unwrap_or(2),
         flags.parsed("--stall-timeout")?.unwrap_or(600),
         flags.parsed("--backoff-ms")?.unwrap_or(500),
@@ -261,7 +277,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         plan.bin,
         plan.total_cells,
         plan.shards.len(),
-        plan.env.workers,
+        plan.knobs.workers,
         run_dir.display()
     );
 
@@ -271,11 +287,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
-    if flags.has("--help") {
-        println!("{}", usage());
-        return Ok(ExitCode::SUCCESS);
-    }
+    let flags = Flags::parse(args, &RUN_FLAGS[4..], false)?;
     let run_dir = run_dir_of(&flags, None)?;
     let mut plan = Plan::load(&run_dir)?;
     if let Some(max_retries) = flags.parsed("--max-retries")? {
@@ -299,12 +311,27 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     Ok(finish(status))
 }
 
-fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
-    if flags.has("--help") {
-        println!("{}", usage());
-        return Ok(ExitCode::SUCCESS);
+fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(args, &["--out", "--verify-against"], true)?;
+    if flags.positional.is_empty() {
+        return Err(format!("merge: no shard reports given — {}", usage()));
     }
+    let shards: Vec<PathBuf> = flags.positional.iter().map(PathBuf::from).collect();
+    let out = flags.get("--out").map(Path::new);
+    match merge_run(&shards, out, flags.get("--verify-against").map(Path::new)) {
+        Ok(merged) => {
+            println!("ekya_grid: merged {} shard reports → {}", shards.len(), describe(&merged));
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(e) => {
+            eprintln!("ekya_grid: merge FAILED — {e}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(args, &["--run", "--run-dir"], false)?;
     let run_dir = run_dir_of(&flags, None)?;
     let status = read_status(&run_dir)?;
     let rate = if status.cells_per_sec > 0.0 {
@@ -371,13 +398,8 @@ fn cmd_status(args: &[String]) -> Result<ExitCode, String> {
 /// the supervisor has no build-time dependency on the bin binaries and
 /// tests can spawn it via `CARGO_BIN_EXE_ekya_grid`.
 fn cmd_worker(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args)?;
-    if flags.has("--help") {
-        println!("{}", usage());
-        return Ok(ExitCode::SUCCESS);
-    }
+    let flags = Flags::parse(args, &["--bin"], false)?;
     let bin = flags.get("--bin").ok_or("worker: --bin is required")?;
-    let knobs = ekya_bench::Knobs::from_env();
-    ekya_bench::run_bin(bin, &knobs)?;
+    ekya_bench::run_bin(bin, &Knobs::from_env())?;
     Ok(ExitCode::SUCCESS)
 }

@@ -56,7 +56,7 @@ fn main() {
         std::process::exit(2);
     };
     let cfg =
-        FleetConfig { arrival, ..FleetConfig::parallel(streams, windows, knobs.seed(), workers) };
+        FleetConfig { arrival, ..FleetConfig::parallel(streams, windows, knobs.seed, workers) };
 
     println!(
         "ekya_loadgen: {streams} streams × {windows} windows, {arrival_raw} arrivals, \

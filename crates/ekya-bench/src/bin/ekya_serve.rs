@@ -110,7 +110,7 @@ fn main() {
     let cfg = FleetConfig {
         arrival,
         crash_mid_window: knob::serve_crash_after(),
-        ..FleetConfig::parallel(streams, windows, knobs.seed(), knobs.workers())
+        ..FleetConfig::parallel(streams, windows, knobs.seed, knobs.workers())
     };
 
     println!(

@@ -11,7 +11,8 @@
 //!                                            (chrome://tracing, Perfetto)
 //!   ekya_trace merge <out.jsonl> <in.jsonl>...
 //!                                            shard-merge traces (the
-//!                                            trace analogue of grid_merge)
+//!                                            trace analogue of
+//!                                            `ekya_grid merge`)
 //!   ekya_trace validate <trace.jsonl...>     schema + canonical-order check
 //!
 //! With no file arguments, `summary`/`timeline`/`validate` operate on

@@ -32,7 +32,7 @@ fn main() {
     knobs.warn_if_sharded("fig02_motivation");
     knobs.warn_if_resume("fig02_motivation");
     let num_windows = knobs.windows(10);
-    let seed = knobs.seed();
+    let seed = knobs.seed;
 
     // ---- (a) class distribution over windows ----
     let ds = VideoDataset::generate(DatasetSpec::new(DatasetKind::Cityscapes, num_windows, seed));

@@ -9,7 +9,7 @@
 //! Declarative grid on the parallel harness: the sweep is
 //! [`ekya_bench::fig06_grid`], fanned out across `EKYA_WORKERS` threads.
 //! `EKYA_SHARD=i/N` runs one slice of the grid (merge the shard reports
-//! with `grid_merge`); `EKYA_RESUME=1` continues a killed run.
+//! with `ekya_grid merge`); `EKYA_RESUME=1` continues a killed run.
 //! Run: `cargo run --release -p ekya-bench --bin fig06_streams`
 //! Knobs: EKYA_WINDOWS (default 4), EKYA_QUICK=1, EKYA_WORKERS,
 //!        EKYA_SHARD, EKYA_RESUME (see crates/ekya-bench/README.md).
@@ -18,7 +18,7 @@ use ekya_bench::{f3, fig06_grid, run_grid_bin, Knobs, Table};
 
 fn main() {
     let knobs = Knobs::from_env();
-    let grid = fig06_grid(knobs.quick(), knobs.windows(4), knobs.seed());
+    let grid = fig06_grid(knobs.quick, knobs.windows(4), knobs.seed);
     let run = run_grid_bin("fig06_streams", &grid, &knobs);
     let report = &run.report;
 

@@ -9,7 +9,7 @@
 //! [`Scenario`](ekya_bench::Scenario) identities
 //! ([`run_fig07_bin`]), so the full
 //! shard/resume machinery applies: `EKYA_SHARD=i/N` runs one slice of
-//! the grid (merge with `grid_merge` or drive the whole run with
+//! the grid (merge with `ekya_grid merge` or drive the whole run with
 //! `ekya_grid`), `EKYA_RESUME=1` continues a killed run. The harness
 //! report lands in `results/fig07_provisioning.json` (`_shardIofN` when
 //! sharded); the derived figure points move to

@@ -12,7 +12,7 @@
 //! full shard/resume machinery applies: the harness report lands in
 //! `results/fig08_factors.json` (`_shardIofN` when sharded), the derived
 //! figure points in `results/fig08_factors_points.json`.
-//! `EKYA_SHARD=i/N` runs one slice of the grid (merge with `grid_merge`
+//! `EKYA_SHARD=i/N` runs one slice of the grid (merge with `ekya_grid merge`
 //! or drive the whole run with `ekya_grid`); `EKYA_RESUME=1` continues a
 //! killed run.
 //!

@@ -11,7 +11,7 @@
 //! the one thing a busy worker pool would distort). The harness report
 //! lands in `results/fig10_delta.json`, the derived Δ-sensitivity points
 //! in `results/fig10_delta_points.json`. `EKYA_SHARD=i/N` runs one slice
-//! of the grid (merge with `grid_merge`); `EKYA_RESUME=1` continues a
+//! of the grid (merge with `ekya_grid merge`); `EKYA_RESUME=1` continues a
 //! killed run.
 //!
 //! Run: `cargo run --release -p ekya-bench --bin fig10_delta`
@@ -45,7 +45,7 @@ fn main() {
     let knobs = Knobs::from_env();
     let windows = knobs.windows(4);
     let num_streams = knobs.streams(10);
-    let seed = knobs.seed();
+    let seed = knobs.seed;
     let kind = DatasetKind::Cityscapes;
 
     // ---- Accuracy: a (GPUs × Δ) grid of full mechanistic runs. ----
@@ -57,7 +57,7 @@ fn main() {
     if !report.is_complete() {
         println!(
             "[shard report: {} of {} cells — the Δ table needs the whole grid; \
-             merge the shards with `grid_merge` first]",
+             merge the shards with `ekya_grid merge` first]",
             report.cells.len(),
             report.total_cells
         );

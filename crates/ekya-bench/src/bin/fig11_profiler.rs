@@ -59,7 +59,7 @@ fn main() {
 
     let windows = knobs.windows(4);
     let num_streams = knobs.streams(4);
-    let seed = knobs.seed();
+    let seed = knobs.seed;
     let kind = DatasetKind::Cityscapes;
 
     // ---- (a) estimation-error distribution ----
@@ -106,7 +106,7 @@ fn main() {
     // ---- (b) robustness to controlled estimate noise ----
     // Pure lookups into the harness report (by spec equality — every
     // EkyaNoise cell reports under the plain "Ekya" policy name).
-    let eps_grid = fig11_eps(knobs.quick());
+    let eps_grid = fig11_eps(knobs.quick);
     let at = |eps: f64, gpus: f64| {
         report
             .cells

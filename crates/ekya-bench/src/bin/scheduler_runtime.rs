@@ -57,7 +57,7 @@ fn profiles(n_configs: usize, seed: u64) -> Vec<RetrainProfile> {
 }
 
 fn main() {
-    let seed = Knobs::from_env().seed();
+    let seed = Knobs::from_env().seed;
     let infer = ekya_core::build_inference_profiles(
         &CostModel::default(),
         1.0,

@@ -11,7 +11,7 @@
 //! Declarative grid on the parallel harness (scheduler × GPUs × streams);
 //! the harness report lands in `results/table3_capacity.json` and the
 //! derived capacity rows in `results/table3_capacity_rows.json`.
-//! `EKYA_SHARD=i/N` runs one slice of the grid (merge with `grid_merge`);
+//! `EKYA_SHARD=i/N` runs one slice of the grid (merge with `ekya_grid merge`);
 //! `EKYA_RESUME=1` continues a killed run.
 //! Run: `cargo run --release -p ekya-bench --bin table3_capacity`
 //! Knobs: EKYA_WINDOWS (default 4), EKYA_THRESHOLD, EKYA_WORKERS,
@@ -36,14 +36,14 @@ fn main() {
     // The grid definition is shared with the orchestrator's planner and
     // worker (`ekya_bench::bins`), so `ekya_grid` shards of this bin can
     // never disagree with a hand-launched run about cell identity.
-    let grid = table3_grid(knobs.windows(4), knobs.seed());
+    let grid = table3_grid(knobs.windows(4), knobs.seed);
     let gpu_axis = [grid.gpu_counts[0], grid.gpu_counts[1]];
     let run = run_grid_bin("table3_capacity", &grid, &knobs);
     let report = &run.report;
     if !report.is_complete() {
         println!(
             "[shard report: {} of {} cells — capacity rows are whole-grid; \
-             merge the shards with `grid_merge` first]",
+             merge the shards with `ekya_grid merge` first]",
             report.cells.len(),
             report.total_cells
         );

@@ -66,7 +66,7 @@ fn main() {
         // so a missing lookup here is a grid-construction bug — fail
         // loudly rather than fabricate a 0.0 row.
         let ekya_acc = acc_of(&PolicySpec::Ekya).expect("table4 grid includes the Ekya cell");
-        let scales = table4_scales(knobs.quick());
+        let scales = table4_scales(knobs.quick);
 
         let mut rows = Vec::new();
         for network in CloudNetwork::ALL {

@@ -1,5 +1,6 @@
 //! Declarative identity of the shardable fig/table bins — the registry
-//! the `ekya-orchestrate` supervisor plans, spawns, and merges against.
+//! the `ekya_grid` supervisor ([`crate::orchestrate`]) plans, spawns,
+//! and merges against.
 //!
 //! Each shardable bin is a pure function of the shared environment knobs
 //! ([`Knobs`]): its grid (and therefore its cell count and shard ranges)
@@ -114,7 +115,7 @@ pub fn fig08_grid(quick: bool, windows: usize, streams: usize, base_seed: u64) -
 /// `fig08_factors` binary's presentation, so none of them can describe
 /// a different grid than the one that executes.
 pub fn fig08_grid_for(knobs: &Knobs) -> Grid {
-    fig08_grid(knobs.quick(), knobs.windows(6), knobs.streams(10), knobs.seed())
+    fig08_grid(knobs.quick, knobs.windows(6), knobs.streams(10), knobs.seed)
 }
 
 /// The Figure 7 dataset axis: two datasets under quick mode, all four
@@ -143,7 +144,7 @@ pub fn fig07_grid(quick: bool, windows: usize, streams: usize, base_seed: u64) -
 /// [`fig07_grid`] under the shared env knobs (defaults: 6 windows,
 /// 10 streams).
 pub fn fig07_grid_for(knobs: &Knobs) -> Grid {
-    fig07_grid(knobs.quick(), knobs.windows(6), knobs.streams(10), knobs.seed())
+    fig07_grid(knobs.quick, knobs.windows(6), knobs.streams(10), knobs.seed)
 }
 
 /// The Table 4 bandwidth-scale axis: how much fatter each link is tried
@@ -174,11 +175,11 @@ pub fn table4_policies(quick: bool) -> Vec<PolicySpec> {
 /// The Table 4 grid (cloud retraining vs Ekya at the edge): Cityscapes,
 /// 8 streams sharing [`TABLE4_GPUS`] GPUs over 400-second windows.
 pub fn table4_grid_for(knobs: &Knobs) -> Grid {
-    Grid::new(knobs.windows(4), knobs.seed())
+    Grid::new(knobs.windows(4), knobs.seed)
         .datasets(&[DatasetKind::Cityscapes])
         .stream_counts(&[knobs.streams(8)])
         .gpu_counts(&[TABLE4_GPUS])
-        .policies(table4_policies(knobs.quick()))
+        .policies(table4_policies(knobs.quick))
 }
 
 /// Evaluation windows of a Table 5 run: the first half of the windows
@@ -192,7 +193,7 @@ pub fn table5_pretrain_windows(windows: usize) -> usize {
 /// Cityscapes stream set. The window count is floored at 2 so the cache
 /// design always has at least one cache window and one eval window.
 pub fn table5_grid_for(knobs: &Knobs) -> Grid {
-    Grid::new(knobs.windows(8).max(2), knobs.seed())
+    Grid::new(knobs.windows(8).max(2), knobs.seed)
         .datasets(&[DatasetKind::Cityscapes])
         .stream_counts(&[knobs.streams(6)])
         .gpu_counts(&[TABLE5_GPUS])
@@ -204,7 +205,7 @@ pub fn table5_grid_for(knobs: &Knobs) -> Grid {
 /// the same `Scenario` identity and seeding as any other grid cell, so
 /// its numbers line up with any grid containing this cell.
 pub fn fig09_grid_for(knobs: &Knobs) -> Grid {
-    Grid::new(knobs.windows(8), knobs.seed())
+    Grid::new(knobs.windows(8), knobs.seed)
         .datasets(&[DatasetKind::UrbanBuilding])
         .stream_counts(&[2])
         .gpu_counts(&[1.0])
@@ -226,12 +227,12 @@ pub fn fig11_eps(quick: bool) -> &'static [f64] {
 /// injects the spec's ε into `RunnerConfig::profiler.noise_std` before
 /// executing the windows mechanistically.
 pub fn fig11_grid_for(knobs: &Knobs) -> Grid {
-    Grid::new(knobs.windows(4), knobs.seed())
+    Grid::new(knobs.windows(4), knobs.seed)
         .datasets(&[DatasetKind::Cityscapes])
         .stream_counts(&[knobs.streams(4)])
         .gpu_counts(&FIG11_GPUS)
         .policies(
-            fig11_eps(knobs.quick())
+            fig11_eps(knobs.quick)
                 .iter()
                 .map(|&noise_std| PolicySpec::EkyaNoise { noise_std })
                 .collect(),
@@ -249,7 +250,7 @@ pub fn ablation_policies() -> Vec<PolicySpec> {
 /// The design-ablation grid (DESIGN.md §5 toggles): Cityscapes, one
 /// stream count, 2 GPUs, [`ablation_policies`].
 pub fn ablation_grid_for(knobs: &Knobs) -> Grid {
-    Grid::new(knobs.windows(4), knobs.seed())
+    Grid::new(knobs.windows(4), knobs.seed)
         .datasets(&[DatasetKind::Cityscapes])
         .stream_counts(&[knobs.streams(6)])
         .gpu_counts(&[2.0])
@@ -500,9 +501,9 @@ pub fn shardable_bins() -> [&'static str; 10] {
 /// registry does not know (the bins that do not shard).
 pub fn bin_workload(bin: &str, knobs: &Knobs) -> Option<Grid> {
     match bin {
-        "fig06_streams" => Some(fig06_grid(knobs.quick(), knobs.windows(4), knobs.seed())),
-        "table3_capacity" => Some(table3_grid(knobs.windows(4), knobs.seed())),
-        "fig10_delta" => Some(fig10_grid(knobs.windows(4), knobs.streams(10), knobs.seed())),
+        "fig06_streams" => Some(fig06_grid(knobs.quick, knobs.windows(4), knobs.seed)),
+        "table3_capacity" => Some(table3_grid(knobs.windows(4), knobs.seed)),
+        "fig10_delta" => Some(fig10_grid(knobs.windows(4), knobs.streams(10), knobs.seed)),
         "fig08_factors" => Some(fig08_grid_for(knobs)),
         "fig07_provisioning" => Some(fig07_grid_for(knobs)),
         "table4_cloud" => Some(table4_grid_for(knobs)),
@@ -565,15 +566,17 @@ mod tests {
     fn workloads_respond_to_knobs() {
         for bin in ["fig08_factors", "fig07_provisioning", "table4_cloud", "fig11_profiler"] {
             let full = bin_workload(bin, &Knobs::default()).unwrap().cells().len();
-            let quick =
-                bin_workload(bin, &Knobs::default().with_quick(true)).unwrap().cells().len();
+            let quick = bin_workload(bin, &Knobs { quick: true, ..Knobs::default() })
+                .unwrap()
+                .cells()
+                .len();
             assert!(quick < full, "quick {bin} grid should shrink ({quick} vs {full})");
         }
 
         // The seed flows into the planned grid, so a plan and its
         // workers can never silently disagree on cell identity.
         let a = bin_workload("fig06_streams", &Knobs::default()).unwrap();
-        let b = bin_workload("fig06_streams", &Knobs::default().with_seed(7)).unwrap();
+        let b = bin_workload("fig06_streams", &Knobs { seed: 7, ..Knobs::default() }).unwrap();
         assert_ne!(a.cells()[0].seed, b.cells()[0].seed);
     }
 
@@ -584,7 +587,7 @@ mod tests {
         for (quick, full) in [
             (fig07_grid(true, 6, 10, 42), fig07_grid(false, 6, 10, 42)),
             (
-                table4_grid_for(&Knobs::default().with_quick(true)),
+                table4_grid_for(&Knobs { quick: true, ..Knobs::default() }),
                 table4_grid_for(&Knobs::default()),
             ),
         ] {
@@ -600,7 +603,7 @@ mod tests {
         // EKYA_WINDOWS=1 would starve the cache design of an evaluation
         // window; the grid floors the axis so planner and workers agree
         // on the clamped value.
-        let w = table5_grid_for(&Knobs::default().with_windows(Some(1)));
+        let w = table5_grid_for(&Knobs { windows: Some(1), ..Knobs::default() });
         assert_eq!(w.windows, 2);
         assert_eq!(table5_pretrain_windows(w.windows), 1);
         assert!(table5_pretrain_windows(w.windows) < w.windows);

@@ -183,8 +183,8 @@ impl ConfigSweep {
 pub fn run_config_bin(knobs: &Knobs) -> (ConfigSweep, Vec<ConfigPoint>) {
     knobs.warn_if_sharded("fig03_configs");
     knobs.warn_if_resume("fig03_configs");
-    let sweep = ConfigSweep::prepare(knobs.seed());
-    let mut points = sweep.measure(&config_grid(knobs.quick()), knobs.workers());
+    let sweep = ConfigSweep::prepare(knobs.seed);
+    let mut points = sweep.measure(&config_grid(knobs.quick), knobs.workers());
     let flags = pareto_flags(&points);
     for (p, on) in points.iter_mut().zip(flags) {
         p.on_pareto = on;

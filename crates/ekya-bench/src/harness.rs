@@ -45,29 +45,28 @@ use std::time::Instant;
 // ---------------------------------------------------------------------
 
 /// The environment knobs shared by every `ekya-bench` binary, parsed in
-/// exactly one place:
-///
-/// * `EKYA_WINDOWS` — retraining windows (per-bin default);
-/// * `EKYA_STREAMS` — concurrent streams (per-bin default);
-/// * `EKYA_SEED` — base RNG seed (default 42);
-/// * `EKYA_QUICK=1` — shrink sweeps for a fast smoke run;
-/// * `EKYA_WORKERS` — harness worker threads (default: available
-///   hardware parallelism);
-/// * `EKYA_SHARD=i/N` — run only shard `i` of `N` of the grid's cell
-///   range (grid bins; see [`crate::grid::ShardSpec`]);
-/// * `EKYA_RESUME` — `1` to resume from this run's own previous report
-///   or checkpoint, or a path to resume from an explicit report file.
-///
-/// See `crates/ekya-bench/README.md` for the full operator guide.
-#[derive(Debug, Clone)]
+/// exactly one place ([`Knobs::from_env`]) and pinned whole into a
+/// supervised run's `plan.json`. See `crates/ekya-bench/README.md` for
+/// the full operator guide.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Knobs {
-    windows: Option<usize>,
-    streams: Option<usize>,
-    seed: u64,
-    quick: bool,
-    workers: usize,
-    shard: Option<ShardSpec>,
-    resume: Option<String>,
+    /// `EKYA_WINDOWS` — retraining windows, `None` for the bin's default.
+    pub windows: Option<usize>,
+    /// `EKYA_STREAMS` — concurrent streams, `None` for the bin's default.
+    pub streams: Option<usize>,
+    /// `EKYA_SEED` — base RNG seed (default 42).
+    pub seed: u64,
+    /// `EKYA_QUICK=1` — shrink sweeps for a fast smoke run.
+    pub quick: bool,
+    /// `EKYA_WORKERS` — harness worker threads (default: available
+    /// hardware parallelism).
+    pub workers: usize,
+    /// `EKYA_SHARD=i/N` — run only shard `i` of `N` of the grid's cell
+    /// range (grid bins; see [`crate::grid::ShardSpec`]).
+    pub shard: Option<ShardSpec>,
+    /// `EKYA_RESUME=1` — resume from this run's own previous report or
+    /// checkpoint.
+    pub resume: bool,
 }
 
 impl Default for Knobs {
@@ -82,82 +81,45 @@ impl Default for Knobs {
             quick: false,
             workers: default_workers(),
             shard: None,
-            resume: None,
+            resume: false,
         }
     }
 }
 
 impl Knobs {
-    /// Reads every knob from the environment.
+    /// Reads every knob from the environment. Unset or empty means the
+    /// default; a flag (`EKYA_QUICK`, `EKYA_RESUME`) is `0` or `1`.
     ///
     /// # Panics
-    /// On a malformed `EKYA_SHARD` value — a typo silently running the
-    /// whole grid (and later merging as an overlap) would be far worse
-    /// than failing fast.
+    /// On a malformed value, naming the variable — a typo silently
+    /// running the default (and a supervisor pinning it into every
+    /// shard's plan, or a malformed `EKYA_SHARD` later merging as an
+    /// overlap) would be far worse than failing fast.
     pub fn from_env() -> Self {
-        fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok().and_then(|v| v.parse().ok())
+        fn var(name: &str) -> Option<String> {
+            std::env::var(name).ok().filter(|v| !v.is_empty())
         }
-        let shard = std::env::var("EKYA_SHARD")
-            .ok()
-            .filter(|v| !v.is_empty())
-            .map(|v| ShardSpec::parse(&v).unwrap_or_else(|e| panic!("EKYA_SHARD: {e}")));
-        let resume = std::env::var("EKYA_RESUME").ok().filter(|v| !v.is_empty() && v != "0");
+        fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+            var(name).map(|v| v.parse().unwrap_or_else(|_| panic!("{name}: cannot parse `{v}`")))
+        }
+        fn flag(name: &str) -> bool {
+            match var(name).as_deref() {
+                None | Some("0") => false,
+                Some("1") => true,
+                Some(v) => panic!("{name}: expected 0 or 1, got `{v}`"),
+            }
+        }
+        let defaults = Self::default();
         Self {
             windows: parse("EKYA_WINDOWS"),
             streams: parse("EKYA_STREAMS"),
-            seed: parse("EKYA_SEED").unwrap_or(42),
-            quick: std::env::var("EKYA_QUICK").map(|v| v == "1").unwrap_or(false),
-            workers: parse("EKYA_WORKERS").unwrap_or_else(default_workers),
-            shard,
-            resume,
+            seed: parse("EKYA_SEED").unwrap_or(defaults.seed),
+            quick: flag("EKYA_QUICK"),
+            workers: parse("EKYA_WORKERS").unwrap_or(defaults.workers),
+            shard: var("EKYA_SHARD")
+                .map(|v| ShardSpec::parse(&v).unwrap_or_else(|e| panic!("EKYA_SHARD: {e}"))),
+            resume: flag("EKYA_RESUME"),
         }
-    }
-
-    /// Sets the window override (the programmatic `EKYA_WINDOWS`) —
-    /// these builder-style setters are what lets a supervisor like
-    /// `ekya-orchestrate` drive [`run_grid_bin`] and the bin registry
-    /// without mutating its own process environment.
-    pub fn with_windows(mut self, windows: Option<usize>) -> Self {
-        self.windows = windows;
-        self
-    }
-
-    /// Sets the stream-count override (the programmatic `EKYA_STREAMS`).
-    pub fn with_streams(mut self, streams: Option<usize>) -> Self {
-        self.streams = streams;
-        self
-    }
-
-    /// Sets the base RNG seed (the programmatic `EKYA_SEED`).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets quick mode (the programmatic `EKYA_QUICK`).
-    pub fn with_quick(mut self, quick: bool) -> Self {
-        self.quick = quick;
-        self
-    }
-
-    /// Sets the worker-thread count (the programmatic `EKYA_WORKERS`).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// The raw window override (`EKYA_WINDOWS`), `None` when the bin's
-    /// default applies — what a supervisor records in its plan so
-    /// respawned shards inherit exactly the launch-time knobs.
-    pub fn windows_override(&self) -> Option<usize> {
-        self.windows
-    }
-
-    /// The raw stream-count override (`EKYA_STREAMS`), `None` when the
-    /// bin's default applies.
-    pub fn streams_override(&self) -> Option<usize> {
-        self.streams
     }
 
     /// Number of retraining windows (`EKYA_WINDOWS`, else the bin's
@@ -172,33 +134,10 @@ impl Knobs {
         self.streams.unwrap_or(default)
     }
 
-    /// Base RNG seed (`EKYA_SEED`, default 42).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// True when `EKYA_QUICK=1`.
-    pub fn quick(&self) -> bool {
-        self.quick
-    }
-
     /// Worker threads for the harness pool (`EKYA_WORKERS`, default:
     /// hardware parallelism).
     pub fn workers(&self) -> usize {
         self.workers.max(1)
-    }
-
-    /// The shard this process runs (`EKYA_SHARD=i/N`), or `None` for the
-    /// whole grid.
-    pub fn shard(&self) -> Option<ShardSpec> {
-        self.shard
-    }
-
-    /// The resume request (`EKYA_RESUME`): `Some("1")` to resume from
-    /// this run's own report/checkpoint, `Some(path)` for an explicit
-    /// prior report, `None` when unset (or `0`/empty).
-    pub fn resume(&self) -> Option<&str> {
-        self.resume.as_deref()
     }
 
     /// Warns (once, to stderr) when `EKYA_SHARD` is set but the calling
@@ -218,7 +157,7 @@ impl Knobs {
     /// bin does not checkpoint/resume — the operator expecting a cheap
     /// rerun is told everything recomputes instead of a silent no-op.
     pub fn warn_if_resume(&self, bin: &str) {
-        if self.resume.is_some() {
+        if self.resume {
             eprintln!(
                 "[{bin}: EKYA_RESUME ignored — this bin does not resume; \
                  recomputing from scratch]"
@@ -431,7 +370,7 @@ impl HarnessReport {
     pub fn print_shard_notice(&self, what: &str) {
         println!(
             "[shard report: {} of {} cells — {what} whole-grid; \
-             merge the shards with `grid_merge` first]",
+             merge the shards with `ekya_grid merge` first]",
             self.cells.len(),
             self.total_cells
         );
@@ -943,13 +882,13 @@ pub fn run_grid_bin(name: &str, grid: &Grid, knobs: &Knobs) -> GridRun {
 /// are not plain simulations, e.g. fig08's trace replay.
 ///
 /// Also honors `EKYA_ORCH_CRASH_AFTER=n` (fault injection: exit after
-/// `n` completed cells), which the `ekya-orchestrate` supervisor sets on
+/// `n` completed cells), which the `ekya_grid` supervisor sets on
 /// a shard's first attempt to prove retry-with-resume converges.
 pub fn run_grid_bin_with<F>(name: &str, grid: &Grid, knobs: &Knobs, eval: F) -> GridRun
 where
     F: Fn(&Scenario) -> CellResult + Sync,
 {
-    let shard = knobs.shard();
+    let shard = knobs.shard;
     let out = report_path(name, shard);
     let partial = out.with_extension("partial.json");
 
@@ -962,25 +901,12 @@ where
         eprintln!("[{name}: EKYA_TRACE → {}]", path.display());
     }
 
-    let prior = match knobs.resume() {
-        None => BTreeMap::new(),
-        Some("1") => {
-            let (prior, source) = load_prior(&out, &partial);
-            eprintln!("[{name}: EKYA_RESUME=1 — prior from {source}]");
-            prior
-        }
-        Some(path) => {
-            let path = PathBuf::from(path);
-            let report = load_report(&path)
-                .unwrap_or_else(|e| panic!("EKYA_RESUME points at an unusable report: {e}"));
-            let prior = report.prior_cells();
-            eprintln!(
-                "[{name}: EKYA_RESUME — prior from {} ({} usable cells)]",
-                path.display(),
-                prior.len()
-            );
-            prior
-        }
+    let prior = if knobs.resume {
+        let (prior, source) = load_prior(&out, &partial);
+        eprintln!("[{name}: EKYA_RESUME=1 — prior from {source}]");
+        prior
+    } else {
+        BTreeMap::new()
     };
 
     let total = grid.cells().len();
@@ -1035,22 +961,14 @@ mod tests {
     #[test]
     fn knobs_fall_back_to_defaults() {
         // Not set in the test environment → per-bin defaults apply.
-        let knobs = Knobs {
-            windows: None,
-            streams: None,
-            seed: 42,
-            quick: false,
-            workers: 3,
-            shard: None,
-            resume: None,
-        };
+        let knobs = Knobs { workers: 3, ..Knobs::default() };
         assert_eq!(knobs.windows(6), 6);
         assert_eq!(knobs.streams(10), 10);
-        assert_eq!(knobs.seed(), 42);
-        assert!(!knobs.quick());
+        assert_eq!(knobs.seed, 42);
+        assert!(!knobs.quick);
         assert_eq!(knobs.workers(), 3);
-        assert_eq!(knobs.shard(), None);
-        assert_eq!(knobs.resume(), None);
+        assert_eq!(knobs.shard, None);
+        assert!(!knobs.resume);
     }
 
     /// A fabricated cell (no simulation) for merge/prior unit tests.

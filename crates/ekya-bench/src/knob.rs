@@ -43,7 +43,8 @@ pub fn arrival() -> String {
 /// instrumented hot path costs one relaxed atomic load. `1` writes the
 /// logical-plane trace to `results/TRACE_<bin>.jsonl` (plus a
 /// `.wall.json` sidecar); any other value is used as the trace file
-/// path verbatim. The logical trace is byte-identical across runs,
+/// path verbatim (an `ekya_grid` supervisor hands its shard workers `1`
+/// instead, so each shard writes its own trace). The logical trace is byte-identical across runs,
 /// worker counts, and shard merges — see the operator guide's
 /// "Observability" section.
 pub fn trace() -> Option<String> {

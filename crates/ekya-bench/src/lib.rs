@@ -21,11 +21,11 @@
 //! * `EKYA_WORKERS` — harness worker threads (default: hardware
 //!   parallelism);
 //! * `EKYA_SHARD=i/N` — run shard `i` of `N` of a grid bin's cell range
-//!   (merge the per-shard reports with the `grid_merge` bin);
-//! * `EKYA_RESUME` — resume a killed or partial run from its previous
-//!   report/checkpoint (`1`), or from an explicit report path;
-//! * `EKYA_RESULTS_DIR` — redirect `results/` (used by the
-//!   `ekya-orchestrate` supervisor to give each run its own directory).
+//!   (merge the per-shard reports with `ekya_grid merge`);
+//! * `EKYA_RESUME=1` — resume a killed or partial run from its previous
+//!   report/checkpoint;
+//! * `EKYA_RESULTS_DIR` — redirect `results/` (used by the `ekya_grid`
+//!   supervisor to give each run its own directory).
 //!
 //! The serving-path bins (`ekya_serve`, `ekya_loadgen`; see [`serve`])
 //! additionally read `EKYA_STREAMS_LIVE` (fleet size), `EKYA_ARRIVAL`
@@ -33,8 +33,8 @@
 //! injection) via [`knob`].
 //!
 //! The shardable bins also have a declarative identity ([`bins`]) that
-//! the `ekya-orchestrate` crate's `ekya_grid` launcher uses to plan,
-//! spawn, supervise, and merge a whole sharded run with one command.
+//! the `ekya_grid` launcher ([`orchestrate`]) uses to plan, spawn,
+//! supervise, and merge a whole sharded run with one command.
 //!
 //! The full operator guide — every knob, the report JSON schema, worked
 //! sharding/resume examples, and the determinism guarantees — lives in
@@ -45,6 +45,7 @@ pub mod config_profile;
 pub mod grid;
 pub mod harness;
 pub mod knob;
+pub mod orchestrate;
 pub mod serve;
 
 pub use bins::{
@@ -123,7 +124,7 @@ impl Table {
 
 /// Writes `value` as pretty-printed JSON to `path`, creating the parent
 /// directory first. The single place result files are produced — every
-/// writer (bins via [`save_json`], the harness's reports, `grid_merge`)
+/// writer (bins via [`save_json`], the harness's reports, `ekya_grid merge`)
 /// goes through it, so the on-disk format can never diverge between
 /// them (the byte-identity guarantees depend on that).
 pub fn write_json<T: Serialize>(path: &std::path::Path, value: &T) -> Result<(), String> {
@@ -159,7 +160,7 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) -> Option<PathBuf> {
 /// when run through cargo, else relative to the current directory).
 ///
 /// `EKYA_RESULTS_DIR` overrides the resolution entirely — the
-/// `ekya-orchestrate` supervisor points each shard worker (and its
+/// `ekya_grid` supervisor points each shard worker (and its
 /// hermetic tests) at a per-run directory this way, so orchestrated
 /// shard reports and checkpoints never collide with a foreground run's.
 pub fn results_dir() -> PathBuf {

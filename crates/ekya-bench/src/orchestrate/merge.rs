@@ -1,17 +1,19 @@
-//! The merge driver: once every shard reports complete, recombine the
-//! shard reports in-process into the file an unsharded run writes,
-//! fingerprint it, optionally verify it against a reference, and promote
-//! it into the canonical `results/` directory.
+//! The merge driver: recombine shard reports in-process into the file an
+//! unsharded run writes, fingerprint it, and optionally verify it against
+//! a reference — run by the supervisor once every shard reports complete,
+//! and by `ekya_grid merge` over shard files collected by hand. A
+//! supervised run then promotes the result into the canonical `results/`
+//! directory.
 
-use crate::plan::Plan;
-use ekya_bench::{fnv1a, load_report, merge_reports, results_dir, write_json, HarnessReport};
+use super::plan::Plan;
+use crate::{fnv1a, load_report, merge_reports, results_dir, write_json, HarnessReport};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// The outcome of a successful merge, recorded in `status.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MergedInfo {
-    /// The merged whole-grid report inside the run directory.
+    /// The merged whole-grid report.
     pub path: String,
     /// FNV-1a fingerprint (hex) of the merged file's bytes — two runs of
     /// the same grid under the same knobs must produce the same value,
@@ -26,23 +28,24 @@ pub struct MergedInfo {
     pub promoted_to: Option<String>,
 }
 
-/// Merges the run's shard reports into `<run_dir>/<bin>.json` with
-/// [`merge_reports`] and verifies the result byte-for-byte against
-/// `verify_against` when given.
+/// Merges the shard reports at `shards` with [`merge_reports`] into `out`
+/// (default `results/<name>.json`) and verifies the result byte-for-byte
+/// against `verify_against` when given.
 ///
 /// All the structural safety nets of the merger apply:
 /// overlapping/missing/truncated slices and knob-inconsistent shards are
-/// rejected with the offending range named.
+/// rejected with the offending range named. A failed verification names
+/// the first diverging cell.
 pub fn merge_run(
-    plan: &Plan,
-    run_dir: &Path,
+    shards: &[PathBuf],
+    out: Option<&Path>,
     verify_against: Option<&Path>,
 ) -> Result<MergedInfo, String> {
-    let out = plan.merged_path(run_dir);
-    let reports: Vec<HarnessReport> = (0..plan.shards.len())
-        .map(|i| load_report(&plan.shard_report_path(run_dir, i)))
-        .collect::<Result<_, _>>()?;
-    write_json(&out, &merge_reports(&reports)?)?;
+    let reports = shards.iter().map(|p| load_report(p)).collect::<Result<Vec<_>, _>>()?;
+    let merged = merge_reports(&reports)?;
+    let out =
+        out.map_or_else(|| results_dir().join(format!("{}.json", merged.name)), Path::to_path_buf);
+    write_json(&out, &merged)?;
 
     let bytes =
         std::fs::read(&out).map_err(|e| format!("cannot re-read {}: {e}", out.display()))?;
@@ -54,11 +57,12 @@ pub fn merge_run(
             if expect != bytes {
                 return Err(format!(
                     "merged report {} is NOT byte-identical to the reference {} \
-                     (merged fingerprint {fingerprint}, reference {:016x}) — \
+                     (merged fingerprint {fingerprint}, reference {:016x}) — {}; \
                      mismatched knobs or a determinism regression",
                     out.display(),
                     reference.display(),
-                    fnv1a(&expect)
+                    fnv1a(&expect),
+                    divergence(&merged, reference)
                 ));
             }
             Some(reference.display().to_string())
@@ -74,9 +78,30 @@ pub fn merge_run(
     })
 }
 
+/// Where `merged` departs from the reference report at `reference`: the
+/// first diverging cell when the reference parses as a harness report.
+fn divergence(merged: &HarnessReport, reference: &Path) -> String {
+    let expect = match load_report(reference) {
+        Ok(expect) => expect,
+        Err(e) => return format!("the reference is not a harness report ({e})"),
+    };
+    if merged.cells.len() != expect.cells.len() {
+        return format!("cell counts differ: {} vs {}", merged.cells.len(), expect.cells.len());
+    }
+    match merged.cells.iter().zip(&expect.cells).enumerate().find(|(_, (a, b))| a != b) {
+        Some((i, (a, b))) => format!(
+            "reports diverge at cell {i} ({}): {} vs {}",
+            a.scenario.label(),
+            a.mean_accuracy,
+            b.mean_accuracy
+        ),
+        None => "cells agree but report envelopes differ".to_string(),
+    }
+}
+
 /// Copies the merged report to the canonical `results/<bin>.json` — the
 /// file an unsharded foreground run writes — and returns that path.
-pub fn promote(plan: &Plan, run_dir: &Path) -> Result<PathBuf, String> {
+pub(crate) fn promote(plan: &Plan, run_dir: &Path) -> Result<PathBuf, String> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let dst = dir.join(format!("{}.json", plan.bin));

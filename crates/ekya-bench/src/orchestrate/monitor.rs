@@ -2,9 +2,9 @@
 //! heartbeat) and the atomically-rewritten `status.json` that
 //! `ekya_grid status` renders while shards execute.
 
-use crate::merge::MergedInfo;
-use crate::plan::Plan;
-use ekya_bench::HarnessReport;
+use super::merge::MergedInfo;
+use super::plan::Plan;
+use crate::load_report;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -115,16 +115,16 @@ pub struct Status {
 }
 
 /// `<run_dir>/status.json`.
-pub fn status_path(run_dir: &Path) -> PathBuf {
+pub(crate) fn status_path(run_dir: &Path) -> PathBuf {
     run_dir.join("status.json")
 }
 
 /// Atomically rewrites `status.json` (tmp sibling + rename), so a
 /// concurrent `ekya_grid status` never reads a torn file.
-pub fn write_status(run_dir: &Path, status: &Status) -> Result<(), String> {
+pub(crate) fn write_status(run_dir: &Path, status: &Status) -> Result<(), String> {
     let path = status_path(run_dir);
     let tmp = path.with_extension("tmp");
-    ekya_bench::write_json(&tmp, status)?;
+    crate::write_json(&tmp, status)?;
     std::fs::rename(&tmp, &path).map_err(|e| format!("cannot rename {}: {e}", tmp.display()))
 }
 
@@ -142,7 +142,7 @@ pub fn read_status(run_dir: &Path) -> Result<Status, String> {
 /// megabytes on real grids, so the supervisor compares this signature
 /// on every poll tick and pays for a full [`probe_shard`] parse only
 /// when something actually changed on disk.
-pub fn probe_signature(plan: &Plan, run_dir: &Path, i: usize) -> Option<(SystemTime, u64)> {
+pub(crate) fn probe_signature(plan: &Plan, run_dir: &Path, i: usize) -> Option<(SystemTime, u64)> {
     let sig = |p: PathBuf| {
         let meta = std::fs::metadata(&p).ok()?;
         Some((meta.modified().ok()?, meta.len()))
@@ -157,33 +157,33 @@ pub fn probe_signature(plan: &Plan, run_dir: &Path, i: usize) -> Option<(SystemT
 
 /// A progress probe of one shard's on-disk artifacts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Progress {
+pub(crate) struct Progress {
     /// Cells the shard has durably completed (final report, else
     /// checkpoint).
-    pub cells_done: usize,
+    pub(crate) cells_done: usize,
     /// True when the final shard report is complete.
-    pub complete: bool,
+    pub(crate) complete: bool,
     /// Modification time of the newest artifact — together with
     /// `cells_done`, the heartbeat the stall detector watches.
-    pub heartbeat: Option<SystemTime>,
+    pub(crate) heartbeat: Option<SystemTime>,
 }
 
 /// Probes shard `i`'s report/checkpoint files: a complete final report
 /// wins; otherwise the `.partial.json` checkpoint's cell count is the
 /// durable progress. Unparseable files (e.g. a kill mid-write) read as
 /// no progress — exactly how a resuming worker treats them.
-pub fn probe_shard(plan: &Plan, run_dir: &Path, i: usize) -> Progress {
+pub(crate) fn probe_shard(plan: &Plan, run_dir: &Path, i: usize) -> Progress {
     let expected = plan.shards[i].cells();
     let report = plan.shard_report_path(run_dir, i);
     let mtime = |p: &Path| std::fs::metadata(p).and_then(|m| m.modified()).ok();
 
-    if let Ok(r) = load_json::<HarnessReport>(&report) {
+    if let Ok(r) = load_report(&report) {
         if r.cells.len() == expected {
             return Progress { cells_done: expected, complete: true, heartbeat: mtime(&report) };
         }
     }
     let partial = plan.shard_partial_path(run_dir, i);
-    if let Ok(p) = load_json::<HarnessReport>(&partial) {
+    if let Ok(p) = load_report(&partial) {
         return Progress {
             cells_done: p.cells.len().min(expected),
             complete: false,
@@ -193,27 +193,14 @@ pub fn probe_shard(plan: &Plan, run_dir: &Path, i: usize) -> Progress {
     Progress { cells_done: 0, complete: false, heartbeat: None }
 }
 
-fn load_json<T: serde::Deserialize>(path: &Path) -> Result<T, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanEnv;
+    use crate::{HarnessReport, Knobs};
 
     fn tiny_plan() -> Plan {
-        Plan::new(
-            "fig06_streams",
-            2,
-            PlanEnv { seed: 42, windows: Some(1), streams: None, quick: true, workers: 1 },
-            1,
-            600,
-            100,
-        )
-        .unwrap()
+        let knobs = Knobs { windows: Some(1), quick: true, workers: 1, ..Knobs::default() };
+        Plan::new("fig06_streams", 2, knobs, 1, 600, 100).unwrap()
     }
 
     #[test]
@@ -276,7 +263,7 @@ mod tests {
             failed: 0,
             cells: Vec::new(),
         };
-        ekya_bench::write_json(&plan.shard_partial_path(&dir, 0), &partial).unwrap();
+        crate::write_json(&plan.shard_partial_path(&dir, 0), &partial).unwrap();
         let p = probe_shard(&plan, &dir, 0);
         assert_eq!((p.cells_done, p.complete), (0, false));
         assert!(p.heartbeat.is_some(), "checkpoint mtime is the heartbeat");

@@ -1,58 +1,16 @@
-//! The run plan: a bin's shard partition plus the pinned env knobs,
+//! The run plan: a bin's shard partition plus the pinned [`Knobs`],
 //! serialized to `<run_dir>/plan.json`.
 //!
 //! The plan is computed **once**, at launch, from the bin's declarative
-//! workload (`ekya_bench::bin_workload`) — every spawn, retry, and
+//! workload ([`bin_workload`]) — every spawn, retry, and
 //! `ekya_grid resume` afterwards reads the knobs back from the plan
 //! instead of the (possibly drifted) environment, so all attempts of
 //! all shards of a run are guaranteed to agree on cell identity. That
 //! is the precondition for the merge's byte-identity guarantee.
 
-use ekya_bench::{bin_workload, shardable_bins, Knobs, ShardSpec};
+use crate::{bin_workload, shardable_bins, Knobs, ShardSpec};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-
-/// The launch-time values of the shared env knobs, pinned into the plan
-/// (the serialized counterpart of `ekya_bench::Knobs`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlanEnv {
-    /// Base RNG seed (`EKYA_SEED`).
-    pub seed: u64,
-    /// Window override (`EKYA_WINDOWS`), `None` = the bin's default.
-    pub windows: Option<usize>,
-    /// Stream override (`EKYA_STREAMS`), `None` = the bin's default.
-    pub streams: Option<usize>,
-    /// Quick mode (`EKYA_QUICK=1`).
-    pub quick: bool,
-    /// Worker threads **per shard process** (`EKYA_WORKERS`).
-    pub workers: usize,
-}
-
-impl PlanEnv {
-    /// Captures knobs (typically `Knobs::from_env()` plus CLI overrides)
-    /// with an explicit per-shard worker count.
-    pub fn from_knobs(knobs: &Knobs, workers_per_shard: usize) -> Self {
-        Self {
-            seed: knobs.seed(),
-            windows: knobs.windows_override(),
-            streams: knobs.streams_override(),
-            quick: knobs.quick(),
-            workers: workers_per_shard.max(1),
-        }
-    }
-
-    /// The programmatic `Knobs` these pinned values resolve to — what
-    /// the planner hands to `bin_workload` so plan and workers see the
-    /// same grid.
-    pub fn to_knobs(&self) -> Knobs {
-        Knobs::default()
-            .with_seed(self.seed)
-            .with_windows(self.windows)
-            .with_streams(self.streams)
-            .with_quick(self.quick)
-            .with_workers(self.workers)
-    }
-}
 
 /// One shard of the plan: its `ShardSpec` and the contiguous cell slice
 /// it owns.
@@ -83,8 +41,10 @@ pub struct Plan {
     pub total_cells: usize,
     /// The shard partition, in index order; slices tile `0..total_cells`.
     pub shards: Vec<ShardPlan>,
-    /// Pinned env knobs every attempt of every shard runs under.
-    pub env: PlanEnv,
+    /// Pinned knobs every attempt of every shard runs under. `shard` and
+    /// `resume` are always unset here: they vary per attempt, and the
+    /// spawner sets them.
+    pub knobs: Knobs,
     /// Retries allowed per shard beyond its first attempt.
     pub max_retries: usize,
     /// Kill-and-retry a shard after this long without checkpoint
@@ -101,7 +61,9 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Plans `bin` across `shards` processes under the pinned `env`.
+    /// Plans `bin` across `shards` processes under `knobs`, whose worker
+    /// threads are split evenly across the shards (at least one each), so
+    /// the shard processes together use what one foreground run would.
     ///
     /// Fails on an unknown/non-shardable bin or a zero shard count. More
     /// shards than cells is allowed (the surplus shards own empty slices
@@ -109,7 +71,7 @@ impl Plan {
     pub fn new(
         bin: &str,
         shards: usize,
-        env: PlanEnv,
+        knobs: Knobs,
         max_retries: usize,
         stall_timeout_secs: u64,
         backoff_ms: u64,
@@ -117,7 +79,13 @@ impl Plan {
         if shards == 0 {
             return Err("cannot plan a run with 0 shards".into());
         }
-        let grid = bin_workload(bin, &env.to_knobs()).ok_or_else(|| {
+        let knobs = Knobs {
+            workers: (knobs.workers() / shards).max(1),
+            shard: None,
+            resume: false,
+            ..knobs
+        };
+        let grid = bin_workload(bin, &knobs).ok_or_else(|| {
             format!(
                 "unknown or non-shardable bin `{bin}` — shardable bins: {}",
                 shardable_bins().join(", ")
@@ -135,7 +103,7 @@ impl Plan {
             bin: bin.to_string(),
             total_cells,
             shards,
-            env,
+            knobs,
             max_retries,
             stall_timeout_secs,
             backoff_ms,
@@ -150,7 +118,7 @@ impl Plan {
 
     /// Serializes the plan into the run directory (creating it).
     pub fn save(&self, run_dir: &Path) -> Result<(), String> {
-        ekya_bench::write_json(&Self::path(run_dir), self)
+        crate::write_json(&Self::path(run_dir), self)
     }
 
     /// Loads the plan of an existing run directory.
@@ -191,13 +159,22 @@ impl Plan {
 mod tests {
     use super::*;
 
-    fn quick_env() -> PlanEnv {
-        PlanEnv { seed: 42, windows: Some(1), streams: None, quick: true, workers: 1 }
+    fn quick_env() -> Knobs {
+        Knobs { windows: Some(1), quick: true, workers: 1, ..Knobs::default() }
     }
 
     #[test]
     fn plan_partitions_the_grid_exactly() {
-        let plan = Plan::new("fig06_streams", 4, quick_env(), 2, 600, 500).unwrap();
+        // The launch env's per-attempt knobs never reach the plan, and its
+        // worker threads are shared out across the shards.
+        let launch = Knobs {
+            workers: 9,
+            shard: Some(ShardSpec { index: 1, count: 2 }),
+            resume: true,
+            ..quick_env()
+        };
+        let plan = Plan::new("fig06_streams", 4, launch, 2, 600, 500).unwrap();
+        assert_eq!(plan.knobs, Knobs { workers: 2, ..quick_env() });
         assert_eq!(plan.shards.len(), 4);
         // The slices tile 0..total_cells contiguously.
         assert_eq!(plan.shards[0].start, 0);
@@ -233,12 +210,5 @@ mod tests {
         assert!(report.ends_with("fig08_factors_shard1of3.json"), "{report:?}");
         assert!(plan.shard_partial_path(&dir, 1).ends_with("fig08_factors_shard1of3.partial.json"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn plan_env_roundtrips_to_knobs() {
-        let env = quick_env();
-        let knobs = env.to_knobs();
-        assert_eq!(PlanEnv::from_knobs(&knobs, 1), env);
     }
 }

@@ -22,13 +22,13 @@
 //! disk for a later `ekya_grid resume`, but the run ends
 //! [`RunState::Failed`] and nothing is merged.
 
-use crate::merge::{merge_run, promote};
-use crate::monitor::{
+use super::merge::{merge_run, promote};
+use super::monitor::{
     probe_shard, probe_signature, write_status, RunState, ShardEvent, ShardFailure, ShardState,
     ShardStatus, Status,
 };
-use crate::plan::Plan;
-use crate::spawn::Spawner;
+use super::plan::Plan;
+use super::spawn::Spawner;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::{Duration, Instant, SystemTime};
@@ -67,7 +67,7 @@ impl Default for SuperviseOpts {
 
 /// Backoff before retry `retry` (1-based): `backoff_ms · 2^(retry-1)`,
 /// exponent capped so pathological retry counts cannot overflow.
-pub fn backoff_delay(backoff_ms: u64, retry: usize) -> Duration {
+fn backoff_delay(backoff_ms: u64, retry: usize) -> Duration {
     Duration::from_millis(backoff_ms.saturating_mul(1u64 << (retry.saturating_sub(1)).min(10)))
 }
 
@@ -276,7 +276,10 @@ pub fn supervise(
     status.state = RunState::Merging;
     status.events.push(run_event("merging", ""));
     write_status(run_dir, &status)?;
-    let mut merged = merge_run(plan, run_dir, opts.verify_against.as_deref())?;
+    let shards: Vec<PathBuf> =
+        (0..plan.shards.len()).map(|i| plan.shard_report_path(run_dir, i)).collect();
+    let mut merged =
+        merge_run(&shards, Some(&plan.merged_path(run_dir)), opts.verify_against.as_deref())?;
     if opts.promote {
         merged.promoted_to = Some(promote(plan, run_dir)?.display().to_string());
     }
@@ -389,7 +392,7 @@ fn record_failure(
 /// reuse must never hit an innocent process. Linux-only (`/proc`
 /// cmdline check); elsewhere the pids are reported for manual cleanup.
 fn reap_orphan_workers(plan: &Plan, run_dir: &Path) {
-    let Ok(prior) = crate::monitor::read_status(run_dir) else { return };
+    let Ok(prior) = super::monitor::read_status(run_dir) else { return };
     for s in prior.shards.iter().filter(|s| s.state == ShardState::Running) {
         let Some(pid) = s.pid else { continue };
         if cfg!(target_os = "linux") {

@@ -3,12 +3,12 @@
 //!
 //! A worker is `<program> worker --bin <bin>` — by default the
 //! `ekya_grid` binary itself (`std::env::current_exe`), which runs the
-//! bin's sweep in-process via `ekya_bench::run_bin`. The program is a
+//! bin's sweep in-process via [`crate::run_bin`]. The program is a
 //! plain path so tests can substitute fault-simulation scripts (a
 //! worker that hangs, a worker that exits nonzero) without touching the
 //! supervision logic.
 
-use crate::plan::Plan;
+use super::plan::Plan;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -18,7 +18,10 @@ use std::process::{Child, Command, Stdio};
 /// environment and re-set from the plan, so a stray `EKYA_SHARD` (or a
 /// supervisor itself running under `EKYA_QUICK`) in the operator's shell
 /// can never leak into a worker and desynchronize it from the plan.
-const OWNED_ENV: [&str; 9] = [
+/// `EKYA_TRACE` is owned too: a literal trace path would have every
+/// shard rewrite the same file, so a traced supervisor hands its workers
+/// `EKYA_TRACE=1` and each shard writes its own suffixed trace.
+const OWNED_ENV: [&str; 10] = [
     "EKYA_SHARD",
     "EKYA_RESUME",
     "EKYA_SEED",
@@ -28,6 +31,7 @@ const OWNED_ENV: [&str; 9] = [
     "EKYA_WORKERS",
     "EKYA_RESULTS_DIR",
     "EKYA_ORCH_CRASH_AFTER",
+    "EKYA_TRACE",
 ];
 
 /// Launches shard workers for one run directory.
@@ -56,8 +60,8 @@ impl Spawner {
 
     /// Spawns one attempt of shard `index`: `EKYA_SHARD=i/N`, the plan's
     /// pinned knobs, `EKYA_RESUME=1` when `resume` (retries and resumed
-    /// runs), and `EKYA_ORCH_CRASH_AFTER` when `crash_after` injects a
-    /// fault. Stdout/stderr append to the shard's log with an attempt
+    /// runs), `EKYA_ORCH_CRASH_AFTER` when `crash_after` injects a
+    /// fault, and `EKYA_TRACE=1` when the supervisor itself is traced. Stdout/stderr append to the shard's log with an attempt
     /// header, so one file tells the whole story of a flaky shard.
     pub fn spawn(
         &self,
@@ -93,17 +97,18 @@ impl Spawner {
         for key in OWNED_ENV {
             cmd.env_remove(key);
         }
+        let knobs = &plan.knobs;
         cmd.env("EKYA_SHARD", shard.shard.to_string())
-            .env("EKYA_SEED", plan.env.seed.to_string())
-            .env("EKYA_WORKERS", plan.env.workers.to_string())
+            .env("EKYA_SEED", knobs.seed.to_string())
+            .env("EKYA_WORKERS", knobs.workers.to_string())
             .env("EKYA_RESULTS_DIR", &self.run_dir);
-        if let Some(w) = plan.env.windows {
+        if let Some(w) = knobs.windows {
             cmd.env("EKYA_WINDOWS", w.to_string());
         }
-        if let Some(s) = plan.env.streams {
+        if let Some(s) = knobs.streams {
             cmd.env("EKYA_STREAMS", s.to_string());
         }
-        if plan.env.quick {
+        if knobs.quick {
             cmd.env("EKYA_QUICK", "1");
         }
         if resume {
@@ -111,6 +116,9 @@ impl Spawner {
         }
         if let Some(k) = crash_after {
             cmd.env("EKYA_ORCH_CRASH_AFTER", k.to_string());
+        }
+        if crate::knob::trace().is_some() {
+            cmd.env("EKYA_TRACE", "1");
         }
         cmd.stdin(Stdio::null()).stdout(Stdio::from(log)).stderr(Stdio::from(err_log));
         cmd.spawn().map_err(|e| {

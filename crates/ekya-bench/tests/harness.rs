@@ -143,7 +143,7 @@ fn knobs_parse_from_env_once() {
     // `from_env` reads the ambient environment; unset knobs fall back to
     // the per-bin defaults passed at the call sites.
     let knobs = Knobs::from_env();
-    let _ = knobs.quick();
+    let _ = knobs.quick;
     assert!(knobs.workers() >= 1);
     assert!(knobs.windows(7) >= 1);
     assert!(knobs.streams(3) >= 1);

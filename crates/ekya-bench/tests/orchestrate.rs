@@ -1,5 +1,4 @@
-//! Integration tests for the supervised launcher's failure paths — the
-//! guarantees the ISSUE prescribes:
+//! Integration tests for the supervised launcher's failure paths:
 //!
 //! 1. a shard killed mid-grid (crash injection) is retried with resume
 //!    and the run converges to a merged report **byte-identical** to an
@@ -15,9 +14,10 @@
 //! tests substitute tiny shell scripts as the worker program, which is
 //! exactly what the `Spawner.program` indirection exists for.
 
-use ekya_orchestrate::{
-    read_status, supervise, Plan, PlanEnv, RunState, ShardState, Spawner, SuperviseOpts,
+use ekya_bench::orchestrate::{
+    read_status, supervise, Plan, RunState, ShardState, Spawner, SuperviseOpts,
 };
+use ekya_bench::Knobs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -35,8 +35,15 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// The quick fig08 workload: one trace recording plus 8 cheap replay
 /// cells — the lightest real grid, and it exercises the fig08 port onto
 /// the shard/resume machinery at the same time.
-fn quick_env() -> PlanEnv {
-    PlanEnv { seed: 42, windows: Some(1), streams: Some(2), quick: true, workers: 1 }
+fn quick_env() -> Knobs {
+    Knobs {
+        seed: 42,
+        windows: Some(1),
+        streams: Some(2),
+        quick: true,
+        workers: 1,
+        ..Knobs::default()
+    }
 }
 
 #[cfg(unix)]
@@ -238,8 +245,8 @@ fn every_newly_ported_small_bin_merges_byte_identical_across_4_shards() {
         let reference = ref_dir.join(format!("{bin}.json"));
         assert!(reference.is_file(), "reference {bin} report missing");
 
-        let env = PlanEnv { seed: 42, windows: Some(2), streams: Some(2), quick: true, workers: 1 };
-        let plan = Plan::new(bin, 4, env, 1, 600, 10).unwrap();
+        let knobs = Knobs { windows: Some(2), ..quick_env() };
+        let plan = Plan::new(bin, 4, knobs, 1, 600, 10).unwrap();
         plan.save(&run_dir).unwrap();
         let spawner = Spawner::new(ekya_grid_bin(), &run_dir);
         let opts = SuperviseOpts {
@@ -350,4 +357,90 @@ fn clean_exit_without_a_report_counts_as_a_failure() {
         status.shards[0].failures
     );
     let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+/// `ekya_grid <args>` with none of this process's `EKYA_*` env, under
+/// the quick fig-bin knobs plus `env`, writing into `dir`.
+fn ekya_grid(args: &[&str], dir: &Path, env: &[(&str, &str)]) -> std::process::Output {
+    let mut cmd = std::process::Command::new(ekya_grid_bin());
+    for (key, _) in std::env::vars().filter(|(k, _)| k.starts_with("EKYA_")) {
+        cmd.env_remove(key);
+    }
+    cmd.args(args)
+        .env("EKYA_QUICK", "1")
+        .env("EKYA_WINDOWS", "1")
+        .env("EKYA_SEED", "42")
+        .env("EKYA_WORKERS", "1")
+        .env("EKYA_RESULTS_DIR", dir)
+        .envs(env.iter().copied())
+        .output()
+        .expect("ekya_grid spawns")
+}
+
+#[test]
+fn merge_subcommand_is_byte_identical_and_refuses_overlap_and_divergence() {
+    let dir = temp_dir("merge_cli");
+    let fig06 = ["worker", "--bin", "fig06_streams"];
+    for env in [&[][..], &[("EKYA_SHARD", "0/2")], &[("EKYA_SHARD", "1/2")]] {
+        let out = ekya_grid(&fig06, &dir, env);
+        assert!(out.status.success(), "fig06 worker {env:?} failed");
+    }
+    let shard = |i: usize| dir.join(format!("fig06_streams_shard{i}of2.json"));
+    let unsharded = dir.join("fig06_streams.json");
+    let (s0, s1) = (shard(0), shard(1));
+    let (s0, s1) = (s0.to_str().unwrap(), s1.to_str().unwrap());
+
+    // Two shard reports merge to the unsharded run's bytes.
+    let merged = dir.join("merged.json");
+    let out = ekya_grid(&["merge", s0, s1, "-o", merged.to_str().unwrap()], &dir, &[]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(std::fs::read(&merged).unwrap(), std::fs::read(&unsharded).unwrap());
+
+    // The same shard twice is an overlap, named by its cell range.
+    let out = ekya_grid(&["merge", s0, s0, "-o", merged.to_str().unwrap()], &dir, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("overlapping shards: shard 0/2 (cells 0.."), "{stderr}");
+
+    // A reference that differs in one cell fails verification, naming it.
+    let mut reference = ekya_bench::load_report(&unsharded).unwrap();
+    reference.cells[3].mean_accuracy += 0.125;
+    let reference_path = dir.join("reference.json");
+    ekya_bench::write_json(&reference_path, &reference).unwrap();
+    let verify = ["merge", s0, s1, "-o", merged.to_str().unwrap(), "--verify-against"];
+    let out = ekya_grid(&[&verify[..], &[reference_path.to_str().unwrap()]].concat(), &dir, &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    let label = reference.cells[3].scenario.label();
+    assert!(stderr.contains(&format!("reports diverge at cell 3 ({label})")), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn supervised_shards_each_write_their_own_trace() {
+    // A literal EKYA_TRACE path in the supervisor's env must not reach
+    // the workers, or every shard rewrites the same file.
+    let dir = temp_dir("trace");
+    let run_dir = dir.join("run");
+    let literal = dir.join("one.jsonl");
+    let args = ["run", "--bin", "fig08_factors", "--shards", "2", "--backoff-ms", "10"];
+    let run = [&args[..], &["--no-promote", "--run-dir", run_dir.to_str().unwrap()]].concat();
+    let env = [("EKYA_STREAMS", "2"), ("EKYA_TRACE", literal.to_str().unwrap())];
+    let out = ekya_grid(&run, &dir, &env);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    for i in 0..2 {
+        let trace = run_dir.join(format!("TRACE_fig08_factors_shard{i}of2.jsonl"));
+        assert!(trace.is_file(), "shard {i} wrote no trace of its own at {}", trace.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_knobs_fail_fast_naming_the_variable() {
+    let dir = temp_dir("bad_knob");
+    let out = ekya_grid(&["worker", "--bin", "fig09_allocation"], &dir, &[("EKYA_SEED", "0x2a")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "EKYA_SEED=0x2a must not run under the default seed");
+    assert!(stderr.contains("EKYA_SEED"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

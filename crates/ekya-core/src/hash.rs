@@ -2,7 +2,7 @@
 //!
 //! Cell seeding (`ekya-bench`), hold-out registry memo keys
 //! (`ekya-baselines`), trace fingerprints (`ekya-sim`), and merge
-//! fingerprints (`ekya-orchestrate`) all need a hash that is identical
+//! fingerprints (`ekya_grid`) all need a hash that is identical
 //! across processes, machines, and runs — `std::hash` is seeded
 //! per-process, so it cannot provide run-to-run determinism. FNV-1a is
 //! the one implementation they share; a change here reshuffles every

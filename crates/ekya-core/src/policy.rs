@@ -10,7 +10,7 @@
 use crate::config::{InferenceConfig, RetrainConfig};
 use crate::profile::{InferenceProfile, RetrainProfile};
 use crate::scheduler::{
-    thief_schedule, InProgressRetrain, RetrainChoice, SchedulerParams, StreamInput,
+    thief_schedule, InProgressRetrain, RetrainChoice, Schedule, SchedulerParams, StreamInput,
 };
 use ekya_video::StreamId;
 use serde::{Deserialize, Serialize};
@@ -48,6 +48,32 @@ pub struct PolicyCtx<'a> {
     pub streams: Vec<PolicyStream<'a>>,
 }
 
+impl PolicyCtx<'_> {
+    /// The scheduler's view of the streams, in order. With `in_flight`
+    /// (a mid-window replan), each stream carries its in-progress job,
+    /// and a stream without in-flight work gets no retraining candidates:
+    /// at most one retraining per video per window (Eq. 1 constraint 3).
+    pub fn stream_inputs<'s>(&'s self, in_flight: Option<&[InFlight]>) -> Vec<StreamInput<'s>> {
+        self.streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let retrain_profiles = match in_flight {
+                    Some(f) if f[i].is_none() => &[][..],
+                    _ => s.retrain_profiles,
+                };
+                StreamInput {
+                    id: s.id,
+                    serving_accuracy: s.serving_accuracy,
+                    retrain_profiles,
+                    infer_profiles: s.infer_profiles,
+                    in_progress: in_flight.and_then(|f| f[i].clone()),
+                }
+            })
+            .collect()
+    }
+}
+
 /// A planned retraining job.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannedRetrain {
@@ -77,6 +103,33 @@ pub struct WindowPlan {
 }
 
 impl WindowPlan {
+    /// The plan a scheduler's `schedule` over `inputs` stands for: a
+    /// started retraining runs its profile's configuration on the
+    /// decision's training GPUs, and a stream with no feasible inference
+    /// configuration serves at [`InferenceConfig::FALLBACK`]. Profile
+    /// indices resolve against each input's own candidate lists.
+    pub fn from_schedule(schedule: &Schedule, inputs: &[StreamInput<'_>]) -> Self {
+        let streams = schedule
+            .decisions
+            .iter()
+            .zip(inputs)
+            .map(|(d, s)| {
+                let retrain = match d.retrain {
+                    RetrainChoice::Start { profile_idx } => Some(PlannedRetrain {
+                        config: s.retrain_profiles[profile_idx].config,
+                        gpus: d.train_gpus,
+                    }),
+                    _ => None,
+                };
+                let infer_config = d
+                    .infer_profile_idx
+                    .map_or(InferenceConfig::FALLBACK, |idx| s.infer_profiles[idx].config);
+                StreamPlan { retrain, infer_config, infer_gpus: d.infer_gpus }
+            })
+            .collect();
+        Self { streams }
+    }
+
     /// Total GPUs the plan allocates.
     pub fn total_gpus(&self) -> f64 {
         self.streams.iter().map(|s| s.infer_gpus + s.retrain.map(|r| r.gpus).unwrap_or(0.0)).sum()
@@ -148,33 +201,6 @@ impl EkyaPolicy {
     pub fn params(&self) -> &SchedulerParams {
         &self.params
     }
-
-    fn to_stream_inputs<'a>(
-        ctx: &'a PolicyCtx<'a>,
-        in_flight: Option<&'a [InFlight]>,
-    ) -> Vec<StreamInput<'a>> {
-        ctx.streams
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                // During a mid-window replan, streams without in-flight
-                // work may not start a *new* retraining (at most one
-                // retraining per video per window — Eq. 1 constraint 3),
-                // so their candidate list is emptied.
-                let retrain_profiles = match in_flight {
-                    Some(f) if f[i].is_none() => &[][..],
-                    _ => s.retrain_profiles,
-                };
-                StreamInput {
-                    id: s.id,
-                    serving_accuracy: s.serving_accuracy,
-                    retrain_profiles,
-                    infer_profiles: s.infer_profiles,
-                    in_progress: in_flight.and_then(|f| f[i].clone()),
-                }
-            })
-            .collect()
-    }
 }
 
 impl Policy for EkyaPolicy {
@@ -183,29 +209,8 @@ impl Policy for EkyaPolicy {
     }
 
     fn plan_window(&mut self, ctx: &PolicyCtx<'_>) -> WindowPlan {
-        let inputs = Self::to_stream_inputs(ctx, None);
-        let schedule = thief_schedule(&inputs, ctx.window_secs, &self.params);
-        let streams = schedule
-            .decisions
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let s = &ctx.streams[i];
-                let retrain = match d.retrain {
-                    RetrainChoice::Start { profile_idx } => Some(PlannedRetrain {
-                        config: s.retrain_profiles[profile_idx].config,
-                        gpus: d.train_gpus,
-                    }),
-                    _ => None,
-                };
-                let infer_config = d
-                    .infer_profile_idx
-                    .map(|idx| s.infer_profiles[idx].config)
-                    .unwrap_or(InferenceConfig::FALLBACK);
-                StreamPlan { retrain, infer_config, infer_gpus: d.infer_gpus }
-            })
-            .collect();
-        WindowPlan { streams }
+        let inputs = ctx.stream_inputs(None);
+        WindowPlan::from_schedule(&thief_schedule(&inputs, ctx.window_secs, &self.params), &inputs)
     }
 
     fn replan(
@@ -214,7 +219,7 @@ impl Policy for EkyaPolicy {
         in_flight: &[InFlight],
         remaining_secs: f64,
     ) -> Option<Vec<ReplanStream>> {
-        let inputs = Self::to_stream_inputs(ctx, Some(in_flight));
+        let inputs = ctx.stream_inputs(Some(in_flight));
         // `lookahead_windows` is in full-window units, but the scheduler
         // scales it by whatever horizon it is handed. Mid-window the
         // horizon is the (shrinking) remainder, so compensate to keep the

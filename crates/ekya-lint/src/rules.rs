@@ -92,8 +92,8 @@ impl Default for Config {
                 ("wallclock-in-cell", "crates/ekya-telemetry/src/timing.rs"),
                 // Orchestrator heartbeat ages and retry backoff are
                 // wall-clock by nature and never reach report files.
-                ("wallclock-in-cell", "crates/ekya-orchestrate/src/retry.rs"),
-                ("wallclock-in-cell", "crates/ekya-orchestrate/src/bin/ekya_grid.rs"),
+                ("wallclock-in-cell", "crates/ekya-bench/src/orchestrate/retry.rs"),
+                ("wallclock-in-cell", "crates/ekya-bench/src/bin/ekya_grid.rs"),
                 // Bench mains time whole passes for human-readable
                 // stderr output, not for cell content.
                 ("wallclock-in-cell", "crates/ekya-bench/src/bin/scheduler_runtime.rs"),
@@ -105,7 +105,7 @@ impl Default for Config {
                 ("wallclock-in-cell", "crates/ekya-bench/src/bin/ekya_loadgen.rs"),
                 // ekya_grid's status table renders Option<String> fields
                 // ("-" for absent) — display formatting, not metrics.
-                ("silent-default-metric", "crates/ekya-orchestrate/src/bin/ekya_grid.rs"),
+                ("silent-default-metric", "crates/ekya-bench/src/bin/ekya_grid.rs"),
             ],
         }
     }

@@ -30,7 +30,7 @@
 //! The crate is dependency-light on purpose (vendored `serde` and
 //! `serde_json` only) so every layer — `ekya-core`'s
 //! microprofiler and thief scheduler, `ekya-bench`'s grid executor, the
-//! `ekya-server` daemon, `ekya-orchestrate`'s supervisor — can emit
+//! `ekya-server` daemon, the `ekya_grid` supervisor — can emit
 //! into the same session. The `ekya_trace` bin (in `ekya-bench`)
 //! renders sessions: `summary`, `timeline`, `export --chrome`.
 

@@ -22,7 +22,7 @@
 #     --stall-timeout).
 #
 # Usage (one shard per remote host class):
-#   cargo run --release -p ekya-orchestrate --bin ekya_grid -- \
+#   cargo run --release -p ekya-bench --bin ekya_grid -- \
 #     run --bin fig07_provisioning --shards 8 \
 #     --worker-program examples/ssh_worker.sh
 #
@@ -37,7 +37,7 @@ REMOTE_RESULTS="${EKYA_SSH_RESULTS_DIR:-${EKYA_RESULTS_DIR:?supervisor did not s
 # supervisor's own (digits, i/N, 0/1), so plain quoting is safe.
 ENV_ARGS="EKYA_RESULTS_DIR='$REMOTE_RESULTS'"
 for var in EKYA_SHARD EKYA_RESUME EKYA_SEED EKYA_WINDOWS EKYA_STREAMS \
-           EKYA_QUICK EKYA_WORKERS EKYA_ORCH_CRASH_AFTER; do
+           EKYA_QUICK EKYA_WORKERS EKYA_ORCH_CRASH_AFTER EKYA_TRACE; do
   eval "val=\${$var:-}"
   if [ -n "$val" ]; then
     ENV_ARGS="$ENV_ARGS $var='$val'"

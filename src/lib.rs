@@ -21,12 +21,11 @@
 //!   window, cell, shard, model version) plus a quarantined wall-clock
 //!   plane, off by default (`EKYA_TRACE`).
 //!
-//! Two experiment-layer crates ride on top (dev-dependencies of this
-//! facade, guarded by `tests/workspace_smoke.rs`): `ekya-bench` — the
-//! parallel experiment harness with one binary per paper table/figure —
-//! and `ekya-orchestrate` — the `ekya_grid` launcher that plans,
-//! spawns, supervises, retries, and merges a sharded grid run as one
-//! command.
+//! The experiment layer rides on top (a dev-dependency of this facade,
+//! guarded by `tests/workspace_smoke.rs`): `ekya-bench` — the parallel
+//! experiment harness with one binary per paper table/figure, plus the
+//! `ekya_grid` launcher that plans, spawns, supervises, retries, and
+//! merges a sharded grid run as one command.
 //!
 //! ## Quickstart
 //!

@@ -83,7 +83,7 @@ fn harness_symbols_importable() {
     let _ = ekya_bench::cell_seed as *const ();
 
     // Sharded + resumable execution surface (EKYA_SHARD / EKYA_RESUME +
-    // the grid_merge bin ride on these).
+    // `ekya_grid merge` ride on these).
     let _ = std::any::type_name::<ekya_bench::ShardSpec>();
     let _ = std::any::type_name::<ekya_bench::GridExec>();
     let _ = std::any::type_name::<ekya_bench::GridRun>();
@@ -107,9 +107,9 @@ fn harness_symbols_importable() {
 }
 
 /// The orchestration surface: the shardable-bin registry + custom-eval
-/// grid execution in `ekya-bench`, the perf trajectory, and the
-/// plan/spawn/monitor/retry/merge layers of `ekya-orchestrate` that the
-/// `ekya_grid` launcher (and its tests) ride on.
+/// grid execution in `ekya-bench`, and the plan/spawn/monitor/retry/merge
+/// layers of `ekya_bench::orchestrate` that the `ekya_grid` launcher (and
+/// its tests) ride on.
 #[test]
 fn orchestrator_symbols_importable() {
     // ekya-bench: bin registry + programmatic knob surface.
@@ -143,25 +143,21 @@ fn orchestrator_symbols_importable() {
     let _ = ekya_bench::run_grid_bin_with::<fn(&ekya_bench::Scenario) -> ekya_bench::CellResult>
         as *const ();
 
-    // ekya-orchestrate: plan / spawn / monitor / retry / merge.
-    let _ = std::any::type_name::<ekya_orchestrate::Plan>();
-    let _ = std::any::type_name::<ekya_orchestrate::PlanEnv>();
-    let _ = std::any::type_name::<ekya_orchestrate::ShardPlan>();
-    let _ = std::any::type_name::<ekya_orchestrate::Spawner>();
-    let _ = std::any::type_name::<ekya_orchestrate::Status>();
-    let _ = std::any::type_name::<ekya_orchestrate::ShardStatus>();
-    let _ = std::any::type_name::<ekya_orchestrate::ShardState>();
-    let _ = std::any::type_name::<ekya_orchestrate::ShardFailure>();
-    let _ = std::any::type_name::<ekya_orchestrate::RunState>();
-    let _ = std::any::type_name::<ekya_orchestrate::SuperviseOpts>();
-    let _ = std::any::type_name::<ekya_orchestrate::MergedInfo>();
-    let _ = ekya_orchestrate::supervise as *const ();
-    let _ = ekya_orchestrate::merge_run as *const ();
-    let _ = ekya_orchestrate::promote as *const ();
-    let _ = ekya_orchestrate::probe_shard as *const ();
-    let _ = ekya_orchestrate::read_status as *const ();
-    let _ = ekya_orchestrate::write_status as *const ();
-    let _ = ekya_orchestrate::backoff_delay as fn(u64, usize) -> std::time::Duration;
+    // ekya_bench::orchestrate: plan / spawn / monitor / retry / merge.
+    use ekya_bench::orchestrate as orch;
+    let _ = std::any::type_name::<orch::Plan>();
+    let _ = std::any::type_name::<orch::ShardPlan>();
+    let _ = std::any::type_name::<orch::Spawner>();
+    let _ = std::any::type_name::<orch::Status>();
+    let _ = std::any::type_name::<orch::ShardStatus>();
+    let _ = std::any::type_name::<orch::ShardState>();
+    let _ = std::any::type_name::<orch::ShardFailure>();
+    let _ = std::any::type_name::<orch::RunState>();
+    let _ = std::any::type_name::<orch::SuperviseOpts>();
+    let _ = std::any::type_name::<orch::MergedInfo>();
+    let _ = orch::supervise as *const ();
+    let _ = orch::merge_run as *const ();
+    let _ = orch::read_status as *const ();
 }
 
 /// The facade re-exports all seven sub-crates as modules, plus the
