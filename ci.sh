@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tiered verification for the Ekya workspace. Run from the repo root.
 #
-#   ./ci.sh quick   — fmt + clippy + ekya-lint + a quick-mode harness
+#   ./ci.sh quick   — fmt + clippy + ekya-lint + the ekya-nn unit tests
+#                     (≈1 s in release: the GEMM kernel, frozen-input and
+#                     inference-pass bit-identity oracles) + a quick-mode harness
 #                     smoke across several bins (including a 2-shard +
 #                     ekya_grid merge byte-identity check and a supervised
 #                     ekya_grid run with an injected shard kill) + the
@@ -44,6 +46,13 @@ lint() {
 case "$MODE" in
   quick)
     lint
+
+    # The nn oracles pin every kernel and forward-pass shortcut to its
+    # reference bit for bit (GEMM vs naive folds, freeze-once training vs
+    # per-epoch, the inference pass's class vs training's softmax argmax).
+    # They take about a second in release, so the fast tier runs them too.
+    echo "==> cargo test --release -q -p ekya-nn (kernel, frozen-input, classify oracles)"
+    cargo test --release -q -p ekya-nn
 
     echo "==> cargo build --release -p ekya-bench (harness + launcher bins)"
     cargo build --release -p ekya-bench --bins

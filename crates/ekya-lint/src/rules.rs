@@ -93,7 +93,6 @@ impl Default for Config {
                 // Orchestrator heartbeat ages and retry backoff are
                 // wall-clock by nature and never reach report files.
                 ("wallclock-in-cell", "crates/ekya-bench/src/orchestrate/retry.rs"),
-                ("wallclock-in-cell", "crates/ekya-bench/src/bin/ekya_grid.rs"),
                 // Bench mains time whole passes for human-readable
                 // stderr output, not for cell content.
                 ("wallclock-in-cell", "crates/ekya-bench/src/bin/scheduler_runtime.rs"),

@@ -24,6 +24,26 @@ fn allowlisted_paths_exist() {
     }
 }
 
+/// Every allowlist entry earns its place: linting its file without that
+/// one entry finds at least one violation of its rule. An entry whose
+/// file no longer has the effect fails here instead of lingering as a
+/// blanket exemption for whatever that file grows next.
+#[test]
+fn every_allowlist_entry_suppresses_a_finding() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let full = ekya_lint::Config::default();
+    for (rule, path) in &full.path_allow {
+        let mut cfg = full.clone();
+        cfg.path_allow.retain(|entry| entry != &(*rule, *path));
+        let src = std::fs::read_to_string(root.join(path)).expect("allowlisted file readable");
+        let found = ekya_lint::lint_source(path, &src, &cfg);
+        assert!(
+            found.iter().any(|v| v.rule == *rule),
+            "allowlist entry ({rule}, {path}) suppresses no finding — delete it"
+        );
+    }
+}
+
 /// Every vendored shim has a user: each `vendor/<name>` appears in the
 /// `[dependencies]` or `[dev-dependencies]` of some *other* member
 /// manifest. The root `[workspace.dependencies]` table does not count —

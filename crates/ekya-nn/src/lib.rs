@@ -9,7 +9,13 @@
 //! thousands of retraining jobs inside a simulation:
 //!
 //! * [`mlp`] — genuinely trained MLP classifiers with per-layer freezing
-//!   and head resizing (the paper's retraining hyperparameters, §3.1);
+//!   and head resizing (the paper's retraining hyperparameters, §3.1).
+//!   Training and inference run separate forward passes: serving and
+//!   every accuracy evaluation fuse bias + ReLU, keep no masks, and read
+//!   the class off the logits, with a softmax only for rows whose top
+//!   two logits sit within 2^-10 or that hold a non-finite logit
+//!   (bit-exact against training's `argmax(softmax)`; the argument is on
+//!   [`tensor::softmax_row`]);
 //! * [`fit`] — the micro-profiler's learning-curve model and the
 //!   Lawson–Hanson NNLS solver it is fitted with (§4.3);
 //! * [`cost`] — the calibrated GPU-time cost model (GPU-seconds per epoch

@@ -29,9 +29,21 @@
 //! computes a row from that row alone, so a row frozen inside the whole
 //! dataset has the bits it would have inside any minibatch.
 //! [`Mlp::train_epoch`] is exactly `frozen_inputs` + `train_epoch_frozen`.
+//!
+//! Inference and training run separate forward passes over the same
+//! weights. Training's keeps every layer's activations and ReLU masks
+//! for backprop and ends in a softmax, whose probabilities the loss
+//! reads. Inference (serving and every accuracy evaluation, frozen or
+//! not) needs only the class, so its pass adds each hidden layer's bias
+//! and applies ReLU in one sweep, records no mask, keeps two ping-pong
+//! activation buffers, and stops at the logits. The class is read off
+//! the logits; when the top logit does not clear the others by `2^-10`,
+//! or a logit is not finite, the row's softmax runs through the same
+//! [`softmax_row`] as training's, so the class is bit-exactly
+//! `argmax(softmax(logits))` (the argument is in that function's doc).
 
 use crate::data::{DataView, Sample};
-use crate::tensor::{relu_inplace_into, softmax_rows, Matrix};
+use crate::tensor::{relu_inplace_into, softmax_row, softmax_rows, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -167,23 +179,30 @@ impl Workspace {
     }
 }
 
-/// Reusable forward-pass buffers for batched prediction — the public,
-/// serving-path analogue of the private training `Workspace`. One
-/// scratch serves any sequence of [`Mlp::predict_into`] /
-/// [`Mlp::accuracy_with`] calls: batch features, per-layer activations
-/// and ReLU masks, softmax probabilities, and the prediction vector all
-/// reuse one allocation each, reshaped in place as batch sizes — and
-/// even *models* (a hot-swap to a deeper, shallower, wider, or narrower
-/// network) — change underneath it. Every `_into` kernel fully rewrites
-/// its output for the current shape, so a dirty oversized buffer can
-/// never leak stale tail bytes into a result; the scratch path is
-/// bit-identical to the allocating [`Mlp::predict`].
+/// Reusable buffers for the inference forward pass — serving's
+/// [`Mlp::predict_into`] and [`Mlp::accuracy_with`]. One scratch holds
+/// the batch's input block, two ping-pong activation buffers (each layer
+/// reads one and writes the other), a one-row buffer for the softmax
+/// fallback of the class rule, and the prediction vector. Each reuses
+/// one allocation, reshaped in place as batch sizes — and even *models*
+/// (a hot-swap to a deeper, shallower, wider, or narrower network) —
+/// change underneath it. Every kernel fully rewrites its output for the
+/// current shape, so a dirty oversized buffer can never leak stale tail
+/// bytes into a result; the scratch path is bit-identical to the
+/// allocating [`Mlp::predict`].
+///
+/// The pass keeps no ReLU masks and computes no softmax: the class is
+/// read off the logits by a rule that is bit-exact against
+/// `argmax(softmax(logits))`. A row whose max is finite and clears every
+/// other logit by `2^-10` has a softmax whose max is strict and at the
+/// same index (`exp(0) = 1` against at most `1 - 2^-11`, a gap f32
+/// rounding cannot close; [`softmax_row`] has the full argument), so the
+/// logit argmax is the class. Any other row goes through the softmax.
 #[derive(Debug)]
 pub struct PredictScratch {
     x: Matrix,
-    acts: Vec<Matrix>,
-    masks: Vec<Vec<bool>>,
-    probs: Matrix,
+    h: [Matrix; 2],
+    row: Vec<f32>,
     preds: Vec<usize>,
 }
 
@@ -192,20 +211,10 @@ impl PredictScratch {
     pub fn new() -> Self {
         Self {
             x: Matrix::zeros(0, 0),
-            acts: Vec::new(),
-            masks: Vec::new(),
-            probs: Matrix::zeros(0, 0),
+            h: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
+            row: Vec::new(),
             preds: Vec::new(),
         }
-    }
-
-    /// Fits the per-layer buffer *counts* to `model`'s depth (`acts`
-    /// needs `layers + 1` slots, `masks` `layers - 1`). The matrices
-    /// inside reshape themselves inside the forward kernels, so layer
-    /// count is the scratch's only model-shape dependence.
-    fn fit(&mut self, model: &Mlp) {
-        self.acts.resize_with(model.layers.len() + 1, || Matrix::zeros(0, 0));
-        self.masks.resize_with(model.layers.len().saturating_sub(1), Vec::new);
     }
 }
 
@@ -297,7 +306,9 @@ impl Mlp {
     }
 
     /// Forward pass on a batch. Returns per-layer pre-activation inputs
-    /// (needed for backprop) plus the softmax probabilities.
+    /// plus the softmax probabilities — the training pass, as the
+    /// inference path's oracle.
+    #[cfg(test)]
     fn forward_full(&self, x: &Matrix) -> (Vec<Matrix>, Vec<Vec<bool>>, Matrix) {
         let mut acts: Vec<Matrix> = (0..=self.layers.len()).map(|_| Matrix::zeros(0, 0)).collect();
         let mut masks: Vec<Vec<bool>> = (1..self.layers.len()).map(|_| Vec::new()).collect();
@@ -307,9 +318,9 @@ impl Mlp {
     }
 
     /// [`Mlp::forward_full`] writing into caller-owned buffers (a
-    /// [`Workspace`]'s), so the per-batch activations, masks, and
-    /// probabilities reuse one allocation each across an epoch.
-    /// `acts` must hold `layers + 1` slots and `masks` `layers - 1`.
+    /// [`Workspace`]'s). `acts` must hold `layers + 1` slots and `masks`
+    /// `layers - 1`.
+    #[cfg(test)]
     fn forward_into(
         &self,
         x: &Matrix,
@@ -382,6 +393,40 @@ impl Mlp {
         );
     }
 
+    /// The inference forward pass from layer `start` up, reading `x` as
+    /// that layer's input and writing each row's class into `preds`.
+    /// Each layer is the GEMM into one of the ping-pong buffers `h`, then
+    /// one sweep adding the bias after the GEMM sum (so the accumulation
+    /// order is training's) and, on hidden layers, ReLU with training's
+    /// bits: NaN and `-0.0` become `+0.0`. The output layer stops at the
+    /// logits, and [`class_of`] reads each row's class off them, with
+    /// `row` as its softmax buffer.
+    fn classify_from(
+        &self,
+        start: usize,
+        x: &Matrix,
+        h: &mut [Matrix; 2],
+        row: &mut Vec<f32>,
+        preds: &mut Vec<usize>,
+    ) {
+        let [mut out, mut spare] = h.each_mut();
+        let mut input = x;
+        for (i, layer) in self.layers.iter().enumerate().skip(start) {
+            input.matmul_into(&layer.w, out);
+            let hidden = i + 1 < self.layers.len();
+            for r in 0..out.rows() {
+                for (v, &b) in out.row_mut(r).iter_mut().zip(&layer.b) {
+                    let z = *v + b;
+                    *v = if !hidden || z > 0.0 { z } else { 0.0 };
+                }
+            }
+            std::mem::swap(&mut out, &mut spare);
+            input = spare;
+        }
+        preds.clear();
+        preds.extend((0..input.rows()).map(|r| class_of(input.row(r), row)));
+    }
+
     /// [`Mlp::accuracy`] on a dataset already run through the frozen
     /// layers — the same value, bit for bit, without recomputing them.
     ///
@@ -390,28 +435,14 @@ impl Mlp {
     /// model's lowest trainable one.
     pub fn accuracy_frozen(&self, data: &FrozenInputs) -> f64 {
         self.check_frozen(data);
-        if data.is_empty() {
-            return 0.0;
-        }
-        let n = self.layers.len();
-        let mut acts: Vec<Matrix> = (0..=n).map(|_| Matrix::zeros(0, 0)).collect();
-        let mut masks: Vec<Vec<bool>> = (1..n).map(|_| Vec::new()).collect();
-        let mut probs = Matrix::zeros(0, 0);
-        acts[data.layer].copy_from(&data.x);
-        self.forward_from(data.layer, &mut acts, &mut masks, &mut probs);
-        let correct =
-            data.labels.iter().enumerate().filter(|&(r, &y)| argmax(probs.row(r)) == y).count();
-        correct as f64 / data.len() as f64
+        let PredictScratch { h, row, preds, .. } = &mut PredictScratch::new();
+        self.classify_from(data.layer, &data.x, h, row, preds);
+        fraction_correct(preds, data.labels.iter().copied())
     }
 
     /// Predicted class indices for a batch of samples.
     pub fn predict(&self, samples: &[Sample]) -> Vec<usize> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        let x = batch_features(samples, self.arch.input_dim);
-        let (_, _, probs) = self.forward_full(&x);
-        (0..probs.rows()).map(|r| argmax(probs.row(r))).collect()
+        self.predict_into(samples, &mut PredictScratch::new()).to_vec()
     }
 
     /// [`Mlp::predict`] through caller-owned scratch buffers: the
@@ -423,58 +454,28 @@ impl Mlp {
         samples: &[Sample],
         scratch: &'a mut PredictScratch,
     ) -> &'a [usize] {
-        scratch.preds.clear();
-        if samples.is_empty() {
-            return &scratch.preds;
-        }
-        scratch.fit(self);
-        let PredictScratch { x, acts, masks, probs, preds } = scratch;
+        let PredictScratch { x, h, row, preds } = scratch;
         let input_dim = self.arch.input_dim;
         x.resize_zeroed(samples.len(), input_dim);
         for (r, s) in samples.iter().enumerate() {
             assert_eq!(s.x.len(), input_dim, "sample dimensionality mismatch");
             x.row_mut(r).copy_from_slice(&s.x);
         }
-        self.forward_into(x, acts, masks, probs);
-        preds.extend((0..probs.rows()).map(|r| argmax(probs.row(r))));
-        &scratch.preds
+        self.classify_from(0, x, h, row, preds);
+        preds
     }
 
     /// [`Mlp::accuracy`] through a [`PredictScratch`] — the same value,
     /// computed without per-call allocation.
     pub fn accuracy_with(&self, data: DataView<'_>, scratch: &mut PredictScratch) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
         let preds = self.predict_into(data.samples, scratch);
-        let correct = preds.iter().zip(data.samples).filter(|(p, s)| **p == s.y).count();
-        correct as f64 / data.len() as f64
+        fraction_correct(preds, data.samples.iter().map(|s| s.y))
     }
 
     /// Classification accuracy on a dataset view, in `[0, 1]`.
     /// Returns 0 for an empty view.
     pub fn accuracy(&self, data: DataView<'_>) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let preds = self.predict(data.samples);
-        let correct = preds.iter().zip(data.samples).filter(|(p, s)| **p == s.y).count();
-        correct as f64 / data.len() as f64
-    }
-
-    /// Mean cross-entropy loss on a dataset view.
-    pub fn loss(&self, data: DataView<'_>) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let x = batch_features(data.samples, self.arch.input_dim);
-        let (_, _, probs) = self.forward_full(&x);
-        let mut total = 0.0f64;
-        for (r, s) in data.samples.iter().enumerate() {
-            let p = probs.get(r, s.y).max(1e-12);
-            total -= (p as f64).ln();
-        }
-        total / data.len() as f64
+        self.accuracy_with(data, &mut PredictScratch::new())
     }
 
     /// Backward pass for a batch, writing gradients for trainable layers
@@ -619,6 +620,29 @@ impl Mlp {
     }
 }
 
+/// The class a row of logits names: bit-exactly the [`argmax`] of its
+/// softmax. When the row max `m` is finite and every other logit `l`
+/// has `l - m <= -2^-10`, that is the index of `m` (see [`softmax_row`]
+/// for why); any other row — a tie, a near-tie, a NaN or `+∞` — is
+/// copied into `probs` and run through the softmax itself.
+fn class_of(logits: &[f32], probs: &mut Vec<f32>) -> usize {
+    const MARGIN: f32 = -1.0 / 1024.0;
+    let (mut t, mut m) = (0, f32::NEG_INFINITY);
+    for (i, &l) in logits.iter().enumerate() {
+        if l > m {
+            (t, m) = (i, l);
+        }
+    }
+    // NaN fails the margin comparison, so it always takes the fallback.
+    if m.is_finite() && logits.iter().enumerate().all(|(i, &l)| i == t || l - m <= MARGIN) {
+        return t;
+    }
+    probs.clear();
+    probs.extend_from_slice(logits);
+    softmax_row(probs);
+    argmax(probs)
+}
+
 /// Index of a row's largest probability, the predicted class (ties, and
 /// NaNs, which compare equal, resolve as [`Iterator::max_by`] does).
 fn argmax(row: &[f32]) -> usize {
@@ -627,6 +651,15 @@ fn argmax(row: &[f32]) -> usize {
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(i, _)| i)
         .unwrap_or(0)
+}
+
+/// The share of `preds` equal to their `labels`; 0 for no predictions.
+fn fraction_correct(preds: &[usize], labels: impl Iterator<Item = usize>) -> f64 {
+    if preds.is_empty() {
+        return 0.0;
+    }
+    let correct = preds.iter().zip(labels).filter(|&(&p, y)| p == y).count();
+    correct as f64 / preds.len() as f64
 }
 
 /// Stacks sample features into a batch matrix.
@@ -722,17 +755,18 @@ mod tests {
         assert!(after > 0.95, "expected >0.95 accuracy, got {after} (before: {before})");
     }
 
+    /// The mean training loss `train_epoch` reports falls from the first
+    /// epoch to the last, and accuracy does not drop.
     #[test]
     fn loss_decreases_with_training() {
         let data = toy_data(100, 2);
         let view = DataView::new(&data, 2);
         let mut model = Mlp::new(MlpArch { input_dim: 2, hidden: vec![8], num_classes: 2 }, 3);
-        let initial = model.loss(view);
+        let initial_accuracy = model.accuracy(view);
         let mut opt = Sgd::new(&model, 0.05, 0.9);
-        for e in 0..10 {
-            model.train_epoch(view, &mut opt, 16, e);
-        }
-        assert!(model.loss(view) < initial);
+        let losses: Vec<f64> = (0..10).map(|e| model.train_epoch(view, &mut opt, 16, e)).collect();
+        assert!(losses[9] < losses[0], "epoch losses {losses:?}");
+        assert!(model.accuracy(view) >= initial_accuracy);
     }
 
     #[test]
@@ -1030,6 +1064,137 @@ mod tests {
         }
     }
 
+    /// The training pass's prediction: the [`argmax`] of each softmax
+    /// row, and the logits it was taken over.
+    fn training_argmax(model: &Mlp, samples: &[Sample]) -> (Vec<usize>, Matrix) {
+        let x = batch_features(samples, model.arch.input_dim);
+        let (mut acts, _, probs) = model.forward_full(&x);
+        let preds = (0..probs.rows()).map(|r| argmax(probs.row(r))).collect();
+        (preds, acts.pop().expect("the output layer's logits"))
+    }
+
+    /// The inference pass against the training pass, over 600 seeded
+    /// instances: 1–3 hidden layers of width 1–32, 2–6 classes, and
+    /// every freeze cut. Every fifth instance copies one output column
+    /// onto another (an exact logit tie), every fifth adds a bias offset
+    /// of 2^-10 to 2^-40 to the copy (a near-tie inside the margin), every
+    /// fifth sets weights to `±∞` or NaN, and every fifth scales weights
+    /// by 1e38 so sums overflow to `±∞`. The ties, near-ties and
+    /// non-finite rows must each reach the softmax fallback many times.
+    /// One scratch serves every instance, so each runs on buffers the
+    /// previous model left dirty, and the previous model is re-run after
+    /// it (the first three instances are deep → shallow → deep).
+    /// The logits and `predict_into`, `predict`, `accuracy` and
+    /// `accuracy_frozen` at each cut must all agree with the training
+    /// pass, bit for bit.
+    #[test]
+    fn classify_matches_training_forward_argmax() {
+        let mut rng = StdRng::seed_from_u64(0xC1A55);
+        let mut scratch = PredictScratch::new();
+        let mut prev: Option<(Mlp, Vec<Sample>, Vec<usize>)> = None;
+        let (mut ties, mut near_ties, mut non_finite) = (0, 0, 0);
+        for case in 0..600u64 {
+            let input_dim = rng.gen_range(1..=8usize);
+            let num_classes = rng.gen_range(2..=6usize);
+            let hidden: Vec<usize> = match case {
+                0 | 2 => vec![32, 24, 16],
+                1 => vec![1],
+                _ => (0..rng.gen_range(1..=3usize)).map(|_| rng.gen_range(1..=32usize)).collect(),
+            };
+            let mut model = Mlp::new(MlpArch { input_dim, hidden, num_classes }, case);
+            let head = model.layers.len() - 1;
+            let (a, b) = (rng.gen_range(0..num_classes), rng.gen_range(0..num_classes));
+            match case % 5 {
+                // Column `b` becomes a copy of column `a`, half the time
+                // lifted so the pair usually holds the row max: identical
+                // GEMM sums, so the logits tie exactly or differ by the
+                // bias offset, 2^-10 down to 2^-40. Half the near-ties
+                // also zero the head's weights, so the logits are the
+                // biases alone and an unlifted offset is small enough
+                // for the softmax to round the pair to equal values.
+                kind @ (1 | 2) => {
+                    let layer = &mut model.layers[head];
+                    for r in 0..layer.w.rows() {
+                        let v = layer.w.get(r, a);
+                        layer.w.set(r, b, v);
+                    }
+                    layer.b[a] += [0.0, 4.0][rng.gen_range(0..2)];
+                    layer.b[b] = layer.b[a];
+                    if kind == 2 && a != b {
+                        if rng.gen_range(0..2) == 0 {
+                            layer.w = Matrix::zeros(layer.w.rows(), layer.w.cols());
+                        }
+                        let offset = 2f32.powi(-rng.gen_range(10..=40));
+                        layer.b[b] += if rng.gen_range(0..2) == 0 { offset } else { -offset };
+                    }
+                }
+                kind @ (3 | 4) => {
+                    for _ in 0..rng.gen_range(1..=3) {
+                        let layer = &mut model.layers[rng.gen_range(0..=head)];
+                        let (r, c) =
+                            (rng.gen_range(0..layer.w.rows()), rng.gen_range(0..layer.w.cols()));
+                        let bad = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][rng.gen_range(0..3)];
+                        layer.w.set(r, c, if kind == 3 { bad } else { layer.w.get(r, c) * 1e38 });
+                    }
+                }
+                _ => {}
+            }
+            let samples: Vec<Sample> = (0..rng.gen_range(1..=12))
+                .map(|_| {
+                    let x = (0..input_dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                    Sample::new(x, rng.gen_range(0..num_classes))
+                })
+                .collect();
+
+            let (want, logits) = training_argmax(&model, &samples);
+            for r in 0..logits.rows() {
+                let row = logits.row(r);
+                let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                if !row.iter().all(|l| l.is_finite()) {
+                    non_finite += 1;
+                } else if row.iter().filter(|&&l| l == m).count() > 1 {
+                    ties += 1;
+                } else if row.iter().any(|&l| l != m && l - m > -1.0 / 1024.0) {
+                    near_ties += 1;
+                }
+            }
+            assert_eq!(model.predict_into(&samples, &mut scratch), &want[..], "case {case}");
+            // The pass leaves the logits in the ping-pong buffer its last
+            // layer wrote; they carry the training pass's bits.
+            let got = &scratch.h[(model.layers.len() - 1) % 2];
+            assert_eq!((got.rows(), got.cols()), (logits.rows(), logits.cols()), "case {case}");
+            for (g, w) in got.data().iter().zip(logits.data()) {
+                assert_eq!(g.to_bits(), w.to_bits(), "case {case}: logits");
+            }
+            assert_eq!(model.predict(&samples), want, "case {case}: predict");
+            let view = DataView::new(&samples, num_classes);
+            let correct = want.iter().zip(&samples).filter(|(p, s)| **p == s.y).count();
+            let accuracy = correct as f64 / samples.len() as f64;
+            assert_eq!(model.accuracy(view).to_bits(), accuracy.to_bits(), "case {case}");
+            for cut in 1..=model.layers.len() {
+                model.set_layers_trained(cut);
+                let frozen = model.frozen_inputs(view);
+                assert_eq!(
+                    model.accuracy_frozen(&frozen).to_bits(),
+                    accuracy.to_bits(),
+                    "case {case}: {cut} layers trained"
+                );
+            }
+            if let Some((model, samples, want)) = &prev {
+                assert_eq!(
+                    model.predict_into(samples, &mut scratch),
+                    &want[..],
+                    "case {case}: swap"
+                );
+            }
+            prev = Some((model, samples, want));
+        }
+        assert!(
+            ties >= 100 && near_ties >= 100 && non_finite >= 100,
+            "fallback rows: {ties} ties, {near_ties} near-ties, {non_finite} non-finite"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "lowest trainable")]
     fn frozen_inputs_cut_at_another_layer_are_refused() {
@@ -1046,7 +1211,13 @@ mod tests {
         let empty: Vec<Sample> = vec![];
         let view = DataView::new(&empty, 2);
         assert_eq!(model.accuracy(view), 0.0);
-        assert_eq!(model.loss(view), 0.0);
+        assert!(model.predict(&empty).is_empty());
+        let frozen = model.frozen_inputs(view);
+        assert_eq!(model.accuracy_frozen(&frozen), 0.0);
+        let mut trained = model.clone();
+        let mut opt = Sgd::new(&trained, 0.1, 0.9);
+        assert_eq!(trained.train_epoch(view, &mut opt, 8, 0), 0.0);
+        assert_eq!(weight_bits(&trained), weight_bits(&model), "an empty epoch moved weights");
     }
 
     #[test]

@@ -246,23 +246,42 @@ pub fn relu_inplace_into(m: &mut Matrix, mask: &mut Vec<bool>) {
     }
 }
 
-/// Row-wise softmax in place. Numerically stabilised by subtracting the
-/// row max before exponentiating.
+/// Row-wise softmax in place: [`softmax_row`] on every row.
 pub fn softmax_rows(m: &mut Matrix) {
-    let cols = m.cols;
     for r in 0..m.rows {
-        let row = m.row_mut(r);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        debug_assert!(sum > 0.0);
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-        let _ = cols;
+        softmax_row(m.row_mut(r));
+    }
+}
+
+/// Softmax of one row in place. Numerically stabilised by subtracting the
+/// row max before exponentiating. The one copy of the softmax arithmetic:
+/// training's [`softmax_rows`] and the inference path's fallback both run
+/// it, so the two agree bit for bit.
+///
+/// Inference reads the predicted class off the logits and calls this only
+/// when the logits cannot settle it. Let a row's max `m` be finite and
+/// held at index `t`, and let every other `l_i` satisfy
+/// `l_i - m <= -2^-10`, computed in f32 exactly as below (a `-∞` entry
+/// does, and its `exp` is 0; NaN never does). Then
+/// `exp(0) = 1`, and every other `exp(l_i - m)` is at most
+/// `exp(-2^-10) ≈ 1 - 2^-10`, which stays below `1 - 2^-11` even with a
+/// few ulps of libm error. Dividing by the same sum is monotone, and a
+/// relative gap of 2^-11 survives f32's 2^-24 rounding, so `p_t` is the
+/// strict unique maximum of the softmax row: the logit argmax is its
+/// argmax, bit-exactly. A tie, a near-tie, or a non-finite logit (`0 · ∞`
+/// from the branch-free GEMM) runs this function instead.
+pub fn softmax_row(row: &mut [f32]) {
+    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    // The max's own term is exp(0) = 1, so a finite row sums to at least
+    // 1; a row holding NaN or +∞ (or only -∞) sums to NaN.
+    debug_assert!(sum >= 1.0 || sum.is_nan());
+    for v in row.iter_mut() {
+        *v /= sum;
     }
 }
 
