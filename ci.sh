@@ -2,8 +2,11 @@
 # Tiered verification for the Ekya workspace. Run from the repo root.
 #
 #   ./ci.sh quick   — fmt + clippy + ekya-lint + the ekya-nn unit tests
-#                     (≈1 s in release: the GEMM kernel, frozen-input and
-#                     inference-pass bit-identity oracles) + a quick-mode harness
+#                     (≈1 s in release: the GEMM kernel, training-step,
+#                     frozen-input and inference-pass bit-identity
+#                     oracles) + the four fnv1a byte pins a training-bit
+#                     change would move (RunReport, trace, cloud,
+#                     status_view; ≈0.3 s warm) + a quick-mode harness
 #                     smoke across several bins (including a 2-shard +
 #                     ekya_grid merge byte-identity check and a supervised
 #                     ekya_grid run with an injected shard kill) + the
@@ -53,6 +56,13 @@ case "$MODE" in
     # They take about a second in release, so the fast tier runs them too.
     echo "==> cargo test --release -q -p ekya-nn (kernel, frozen-input, classify oracles)"
     cargo test --release -q -p ekya-nn
+
+    # The fnv1a byte pins downstream of the nn: the simulator's RunReport
+    # and window trace, the cloud baseline's report, and the daemon's
+    # status_view. A kernel or training change that moves one bit of a
+    # trained weight moves one of these, so the fast tier runs them too.
+    echo "==> cargo test --release -q (RunReport, trace, cloud, status_view fnv1a pins)"
+    cargo test --release -q -p ekya-sim -p ekya-baselines -p ekya-server pinned_across_refactors
 
     echo "==> cargo build --release -p ekya-bench (harness + launcher bins)"
     cargo build --release -p ekya-bench --bins

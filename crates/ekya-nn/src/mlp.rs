@@ -30,20 +30,22 @@
 //! dataset has the bits it would have inside any minibatch.
 //! [`Mlp::train_epoch`] is exactly `frozen_inputs` + `train_epoch_frozen`.
 //!
-//! Inference and training run separate forward passes over the same
-//! weights. Training's keeps every layer's activations and ReLU masks
-//! for backprop and ends in a softmax, whose probabilities the loss
-//! reads. Inference (serving and every accuracy evaluation, frozen or
-//! not) needs only the class, so its pass adds each hidden layer's bias
-//! and applies ReLU in one sweep, records no mask, keeps two ping-pong
-//! activation buffers, and stops at the logits. The class is read off
-//! the logits; when the top logit does not clear the others by `2^-10`,
-//! or a logit is not finite, the row's softmax runs through the same
-//! [`softmax_row`] as training's, so the class is bit-exactly
+//! Every layer, in training and inference alike, is one GEMM followed by
+//! one sweep that adds the bias after the GEMM sum and, on hidden layers,
+//! applies ReLU. No ReLU mask is recorded: a stored activation `relu(z)`
+//! is positive exactly where `z` is, so backprop reads the activation
+//! itself. The momentum update touches each weight once. Training keeps
+//! every layer's activations for backprop and ends in a softmax, whose
+//! probabilities the loss reads. Inference (serving and every accuracy
+//! evaluation, frozen or not) needs only the class, so its pass keeps two
+//! ping-pong activation buffers and stops at the logits. The class is
+//! read off the logits; when the top logit does not clear the others by
+//! `2^-10`, or a logit is not finite, the row's softmax runs through the
+//! same [`softmax_row`] as training's, so the class is bit-exactly
 //! `argmax(softmax(logits))` (the argument is in that function's doc).
 
 use crate::data::{DataView, Sample};
-use crate::tensor::{relu_inplace_into, softmax_row, softmax_rows, Matrix};
+use crate::tensor::{softmax_row, softmax_rows, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -146,17 +148,17 @@ impl FrozenInputs {
 }
 
 /// Reusable buffers for one training run: batch labels, per-layer
-/// activations/masks (the minibatch itself is gathered straight into the
-/// activation slot of the lowest trainable layer), softmax probabilities,
-/// the two backprop delta buffers, and the per-layer gradients. One
-/// workspace serves every minibatch of an epoch (buffers are reshaped in
-/// place as batch sizes change), which removes the per-batch allocation
-/// churn the original loop paid — the dominant cost of many small
-/// training runs like the micro-profiler's.
+/// activations (the minibatch itself is gathered straight into the
+/// activation slot of the lowest trainable layer; backprop reads the ReLU
+/// derivative off the activations, so there are no masks), softmax
+/// probabilities, the two backprop delta buffers, and the per-layer
+/// gradients. One workspace serves every minibatch of an epoch (buffers
+/// are reshaped in place as batch sizes change), which removes the
+/// per-batch allocation churn the original loop paid — the dominant cost
+/// of many small training runs like the micro-profiler's.
 struct Workspace {
     labels: Vec<usize>,
     acts: Vec<Matrix>,
-    masks: Vec<Vec<bool>>,
     probs: Matrix,
     delta: Matrix,
     delta_next: Matrix,
@@ -169,7 +171,6 @@ impl Workspace {
         Self {
             labels: Vec::new(),
             acts: (0..=model.layers.len()).map(|_| Matrix::zeros(0, 0)).collect(),
-            masks: (1..model.layers.len()).map(|_| Vec::new()).collect(),
             probs: Matrix::zeros(0, 0),
             delta: Matrix::zeros(0, 0),
             delta_next: Matrix::zeros(0, 0),
@@ -305,65 +306,49 @@ impl Mlp {
         self.layers[h] = Dense::he_init(neurons, self.arch.num_classes, &mut rng);
     }
 
-    /// Forward pass on a batch. Returns per-layer pre-activation inputs
-    /// plus the softmax probabilities — the training pass, as the
-    /// inference path's oracle.
+    /// Forward pass on a batch. Returns every layer's input plus the
+    /// output layer's logits, and the softmax probabilities — the
+    /// training pass, as the inference path's oracle.
     #[cfg(test)]
-    fn forward_full(&self, x: &Matrix) -> (Vec<Matrix>, Vec<Vec<bool>>, Matrix) {
+    fn forward_full(&self, x: &Matrix) -> (Vec<Matrix>, Matrix) {
         let mut acts: Vec<Matrix> = (0..=self.layers.len()).map(|_| Matrix::zeros(0, 0)).collect();
-        let mut masks: Vec<Vec<bool>> = (1..self.layers.len()).map(|_| Vec::new()).collect();
         let mut probs = Matrix::zeros(0, 0);
-        self.forward_into(x, &mut acts, &mut masks, &mut probs);
-        (acts, masks, probs)
+        self.forward_into(x, &mut acts, &mut probs);
+        (acts, probs)
     }
 
     /// [`Mlp::forward_full`] writing into caller-owned buffers (a
-    /// [`Workspace`]'s). `acts` must hold `layers + 1` slots and `masks`
-    /// `layers - 1`.
+    /// [`Workspace`]'s). `acts` must hold `layers + 1` slots.
     #[cfg(test)]
-    fn forward_into(
-        &self,
-        x: &Matrix,
-        acts: &mut [Matrix],
-        masks: &mut [Vec<bool>],
-        probs: &mut Matrix,
-    ) {
+    fn forward_into(&self, x: &Matrix, acts: &mut [Matrix], probs: &mut Matrix) {
         acts[0].copy_from(x);
-        self.forward_from(0, acts, masks, probs);
+        self.forward_from(0, acts, probs);
     }
 
     /// The forward pass from layer `start` up, reading its input from
-    /// `acts[start]`; the slots and masks below `start` are left as they
-    /// are.
-    fn forward_from(
-        &self,
-        start: usize,
-        acts: &mut [Matrix],
-        masks: &mut [Vec<bool>],
-        probs: &mut Matrix,
-    ) {
+    /// `acts[start]`; the slots below `start` are left as they are.
+    fn forward_from(&self, start: usize, acts: &mut [Matrix], probs: &mut Matrix) {
         for i in start..self.layers.len() {
             let (prev, rest) = acts.split_at_mut(i + 1);
-            let mask = masks.get_mut(i);
-            self.layer_into(i, &prev[i], &mut rest[0], mask);
+            self.layer_into(i, &prev[i], &mut rest[0]);
         }
         probs.copy_from(&acts[self.layers.len()]);
         softmax_rows(probs);
     }
 
-    /// Layer `i` on a batch: `z = x W + b`, then ReLU recording `mask`
-    /// (hidden layers only; the output layer keeps its logits).
-    fn layer_into(&self, i: usize, x: &Matrix, z: &mut Matrix, mask: Option<&mut Vec<bool>>) {
+    /// Layer `i` on a batch: the GEMM `x W` into `z`, then one sweep that
+    /// adds the bias after the GEMM sum and, on hidden layers, applies
+    /// ReLU: `z` where `z > 0`, else `+0.0` (NaN and `-0.0` included).
+    /// The output layer keeps its logits.
+    fn layer_into(&self, i: usize, x: &Matrix, z: &mut Matrix) {
         let layer = &self.layers[i];
         x.matmul_into(&layer.w, z);
+        let hidden = i + 1 < self.layers.len();
         for r in 0..z.rows() {
-            let row = z.row_mut(r);
-            for (v, &b) in row.iter_mut().zip(layer.b.iter()) {
-                *v += b;
+            for (v, &b) in z.row_mut(r).iter_mut().zip(&layer.b) {
+                let s = *v + b;
+                *v = if !hidden || s > 0.0 { s } else { 0.0 };
             }
-        }
-        if i + 1 < self.layers.len() {
-            relu_inplace_into(z, mask.expect("a hidden layer has a mask slot"));
         }
     }
 
@@ -375,9 +360,8 @@ impl Mlp {
         let layer = self.lowest_trainable();
         let mut x = batch_features(data.samples, self.arch.input_dim);
         let mut z = Matrix::zeros(0, 0);
-        let mut mask = Vec::new();
         for i in 0..layer {
-            self.layer_into(i, &x, &mut z, Some(&mut mask));
+            self.layer_into(i, &x, &mut z);
             std::mem::swap(&mut x, &mut z);
         }
         FrozenInputs { layer, x, labels: data.samples.iter().map(|s| s.y).collect() }
@@ -395,12 +379,10 @@ impl Mlp {
 
     /// The inference forward pass from layer `start` up, reading `x` as
     /// that layer's input and writing each row's class into `preds`.
-    /// Each layer is the GEMM into one of the ping-pong buffers `h`, then
-    /// one sweep adding the bias after the GEMM sum (so the accumulation
-    /// order is training's) and, on hidden layers, ReLU with training's
-    /// bits: NaN and `-0.0` become `+0.0`. The output layer stops at the
-    /// logits, and [`class_of`] reads each row's class off them, with
-    /// `row` as its softmax buffer.
+    /// Each layer is training's [`Mlp::layer_into`], writing into one of
+    /// the ping-pong buffers `h`. The output layer stops at the logits,
+    /// and [`class_of`] reads each row's class off them, with `row` as
+    /// its softmax buffer.
     fn classify_from(
         &self,
         start: usize,
@@ -411,15 +393,8 @@ impl Mlp {
     ) {
         let [mut out, mut spare] = h.each_mut();
         let mut input = x;
-        for (i, layer) in self.layers.iter().enumerate().skip(start) {
-            input.matmul_into(&layer.w, out);
-            let hidden = i + 1 < self.layers.len();
-            for r in 0..out.rows() {
-                for (v, &b) in out.row_mut(r).iter_mut().zip(&layer.b) {
-                    let z = *v + b;
-                    *v = if !hidden || z > 0.0 { z } else { 0.0 };
-                }
-            }
+        for i in start..self.layers.len() {
+            self.layer_into(i, input, out);
             std::mem::swap(&mut out, &mut spare);
             input = spare;
         }
@@ -482,11 +457,15 @@ impl Mlp {
     /// into `gw`/`gb` (frozen layers keep whatever the buffers held; the
     /// optimiser skips them via the trainable mask). `delta`/`delta_next`
     /// are scratch buffers for the backpropagated error.
+    ///
+    /// The ReLU derivative is read off the stored activations: hidden
+    /// layer `i - 1` stored `relu(z)`, which is `z` where `z > 0` and
+    /// `+0.0` elsewhere (NaN and `-0.0` included), so `relu(z) > 0`
+    /// holds exactly where `z > 0` does.
     #[allow(clippy::too_many_arguments)]
     fn backward_into(
         &self,
         activations: &[Matrix],
-        masks: &[Vec<bool>],
         probs: &Matrix,
         labels: &[usize],
         delta: &mut Matrix,
@@ -525,11 +504,8 @@ impl Mlp {
             if i > lowest_trainable {
                 // delta_{i-1} = (delta * W_i^T) ⊙ relu'(z_{i-1})
                 delta.matmul_t_into(&self.layers[i].w, delta_next);
-                let mask = &masks[i - 1];
-                for (v, &m) in delta_next.data_mut().iter_mut().zip(mask.iter()) {
-                    if !m {
-                        *v = 0.0;
-                    }
+                for (v, &a) in delta_next.data_mut().iter_mut().zip(activations[i].data()) {
+                    *v = if a > 0.0 { *v } else { 0.0 };
                 }
                 std::mem::swap(delta, delta_next);
             }
@@ -590,7 +566,7 @@ impl Mlp {
                 x.row_mut(r).copy_from_slice(data.x.row(i));
                 ws.labels.push(data.labels[i]);
             }
-            self.forward_from(start, &mut ws.acts, &mut ws.masks, &mut ws.probs);
+            self.forward_from(start, &mut ws.acts, &mut ws.probs);
 
             // Batch loss (before the update), for curve fitting.
             let mut loss = 0.0f64;
@@ -602,7 +578,6 @@ impl Mlp {
 
             self.backward_into(
                 &ws.acts,
-                &ws.masks,
                 &ws.probs,
                 &ws.labels,
                 &mut ws.delta,
@@ -691,6 +666,11 @@ impl Sgd {
         Self { lr, momentum, vel_w, vel_b }
     }
 
+    /// One momentum step on every trainable layer: `v = v·momentum + g`,
+    /// then `w += v·(-lr)`, element by element in one pass. That is the
+    /// rounding sequence of `v *= momentum; v += g·1; w += v·(-lr)` run as
+    /// three whole-matrix passes (`g·1` is `g`), and each element's
+    /// update reads no other element, so fusing the passes changes no bit.
     fn apply(&mut self, model: &mut Mlp, gw: &[Matrix], gb: &[Vec<f32>]) {
         for i in 0..model.layers.len() {
             if !model.trainable[i] {
@@ -701,9 +681,17 @@ impl Sgd {
                 self.vel_w[i] = Matrix::zeros(gw[i].rows(), gw[i].cols());
                 self.vel_b[i] = vec![0.0; gb[i].len()];
             }
-            self.vel_w[i].scale(self.momentum);
-            self.vel_w[i].add_scaled(&gw[i], 1.0);
-            model.layers[i].w.add_scaled(&self.vel_w[i], -self.lr);
+            let (momentum, step) = (self.momentum, -self.lr);
+            for ((w, v), &g) in model.layers[i]
+                .w
+                .data_mut()
+                .iter_mut()
+                .zip(self.vel_w[i].data_mut())
+                .zip(gw[i].data())
+            {
+                *v = *v * momentum + g;
+                *w += *v * step;
+            }
             for ((v, &g), b) in
                 self.vel_b[i].iter_mut().zip(gb[i].iter()).zip(model.layers[i].b.iter_mut())
             {
@@ -840,9 +828,8 @@ mod tests {
 
         let mut ws = Workspace::new(&model);
         for (pass, x) in [&x_big, &x_small].into_iter().enumerate() {
-            model.forward_into(x, &mut ws.acts, &mut ws.masks, &mut ws.probs);
-            let (acts, masks, probs) = model.forward_full(x);
-            assert_eq!(masks, ws.masks, "pass {pass}: masks diverged");
+            model.forward_into(x, &mut ws.acts, &mut ws.probs);
+            let (acts, probs) = model.forward_full(x);
             for (i, (fresh, reused)) in acts.iter().zip(&ws.acts).enumerate() {
                 assert_eq!((fresh.rows(), fresh.cols()), (reused.rows(), reused.cols()));
                 for (f, r) in fresh.data().iter().zip(reused.data().iter()) {
@@ -929,63 +916,139 @@ mod tests {
         assert_eq!(deep.predict_into(&batch, &mut scratch).to_vec(), deep.predict(&batch));
     }
 
-    /// The per-epoch training loop before frozen inputs: every minibatch
-    /// gathered from `Sample` rows and run through all layers. The oracle
-    /// for [`Mlp::train_epoch`]'s freeze-once path.
-    fn train_epoch_reference(
-        model: &mut Mlp,
-        data: DataView<'_>,
-        opt: &mut Sgd,
-        batch_size: usize,
-        epoch_seed: u64,
-    ) -> f64 {
-        use rand::seq::SliceRandom;
-        if data.is_empty() {
-            return 0.0;
-        }
-        let batch_size = batch_size.max(1);
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut rng = StdRng::seed_from_u64(epoch_seed);
-        order.shuffle(&mut rng);
+    /// The training step's arithmetic before the tiled GEMM kernel, the
+    /// mask-free backward and the one-pass update, written apart from the
+    /// production code so this oracle moves only when the bits it pins
+    /// do: naive ascending-k GEMM folds, the bias then a ReLU that records
+    /// its mask, [`softmax_rows`], the masked backward, and the momentum
+    /// update as three whole-matrix passes.
+    mod reference {
+        use super::*;
+        use crate::tensor::naive::{matmul, transpose};
 
-        let mut ws = Workspace::new(model);
-        let mut x = Matrix::zeros(0, 0);
-        let input_dim = model.arch.input_dim;
-        let mut total_loss = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(batch_size) {
-            ws.labels.clear();
-            x.resize_zeroed(chunk.len(), input_dim);
-            for (r, &i) in chunk.iter().enumerate() {
-                let s = &data.samples[i];
-                assert_eq!(s.x.len(), input_dim, "sample dimensionality mismatch");
-                x.row_mut(r).copy_from_slice(&s.x);
-                ws.labels.push(s.y);
+        /// Layer `i` on a batch: `x W`, then the bias, then (hidden
+        /// layers only) ReLU, returning the activations and the mask of
+        /// entries that were positive.
+        fn layer(model: &Mlp, i: usize, x: &Matrix) -> (Matrix, Vec<bool>) {
+            let layer = &model.layers[i];
+            let mut z = matmul(x, &layer.w);
+            for r in 0..z.rows() {
+                for (v, &b) in z.row_mut(r).iter_mut().zip(&layer.b) {
+                    *v += b;
+                }
             }
-            model.forward_into(&x, &mut ws.acts, &mut ws.masks, &mut ws.probs);
+            let mut mask = Vec::new();
+            if i + 1 < model.layers.len() {
+                for v in z.data_mut() {
+                    let positive = *v > 0.0;
+                    if !positive {
+                        *v = 0.0;
+                    }
+                    mask.push(positive);
+                }
+            }
+            (z, mask)
+        }
 
+        /// One minibatch of SGD on `x` / `labels`: returns the batch's
+        /// mean loss before the update.
+        fn step(model: &mut Mlp, opt: &mut Sgd, x: Matrix, labels: &[usize]) -> f64 {
+            let n_layers = model.layers.len();
+            let (mut acts, mut masks) = (vec![x], Vec::new());
+            for i in 0..n_layers {
+                let (z, mask) = layer(model, i, &acts[i]);
+                acts.push(z);
+                masks.push(mask);
+            }
+            let mut probs = acts[n_layers].clone();
+            softmax_rows(&mut probs);
             let mut loss = 0.0f64;
-            for (r, &y) in ws.labels.iter().enumerate() {
-                loss -= (ws.probs.get(r, y).max(1e-12) as f64).ln();
+            for (r, &y) in labels.iter().enumerate() {
+                loss -= (probs.get(r, y).max(1e-12) as f64).ln();
             }
-            total_loss += loss / ws.labels.len() as f64;
-            batches += 1;
 
-            model.backward_into(
-                &ws.acts,
-                &ws.masks,
-                &ws.probs,
-                &ws.labels,
-                &mut ws.delta,
-                &mut ws.delta_next,
-                &mut ws.gw,
-                &mut ws.gb,
-            );
-            opt.apply(model, &ws.gw, &ws.gb);
+            // dL/dz = (p - y) / batch at the output, then down to the
+            // lowest trainable layer through each hidden layer's mask.
+            let lowest = model.trainable.iter().position(|t| *t).unwrap_or(n_layers);
+            let mut delta = probs;
+            for (r, &y) in labels.iter().enumerate() {
+                delta.set(r, y, delta.get(r, y) - 1.0);
+            }
+            let scale = 1.0 / labels.len() as f32;
+            for v in delta.data_mut() {
+                *v *= scale;
+            }
+            let mut grads = vec![None; n_layers];
+            for i in (lowest..n_layers).rev() {
+                if model.trainable[i] {
+                    let gb: Vec<f32> = (0..delta.cols())
+                        .map(|c| (0..delta.rows()).fold(0.0f32, |acc, r| acc + delta.get(r, c)))
+                        .collect();
+                    grads[i] = Some((matmul(&transpose(&acts[i]), &delta), gb));
+                }
+                if i > lowest {
+                    let mut next = matmul(&delta, &transpose(&model.layers[i].w));
+                    for (v, &m) in next.data_mut().iter_mut().zip(&masks[i - 1]) {
+                        if !m {
+                            *v = 0.0;
+                        }
+                    }
+                    delta = next;
+                }
+            }
+
+            for (i, grad) in grads.iter().enumerate() {
+                let Some((gw, gb)) = grad else { continue };
+                if (opt.vel_w[i].rows(), opt.vel_w[i].cols()) != (gw.rows(), gw.cols()) {
+                    opt.vel_w[i] = Matrix::zeros(gw.rows(), gw.cols());
+                    opt.vel_b[i] = vec![0.0; gb.len()];
+                }
+                let vel = opt.vel_w[i].data_mut();
+                for v in vel.iter_mut() {
+                    *v *= opt.momentum;
+                }
+                for (v, &g) in vel.iter_mut().zip(gw.data()) {
+                    *v += g * 1.0;
+                }
+                let scale = -opt.lr;
+                for (w, &v) in model.layers[i].w.data_mut().iter_mut().zip(vel.iter()) {
+                    *w += v * scale;
+                }
+                let bias = model.layers[i].b.iter_mut();
+                for ((v, &g), b) in opt.vel_b[i].iter_mut().zip(gb).zip(bias) {
+                    *v = *v * opt.momentum + g;
+                    *b -= opt.lr * *v;
+                }
+            }
+            loss / labels.len() as f64
         }
-        if batches == 0 {
-            0.0
-        } else {
+
+        /// The per-epoch training loop before frozen inputs: every
+        /// minibatch gathered from `Sample` rows and run through all
+        /// layers. The oracle for [`Mlp::train_epoch`] and
+        /// [`Mlp::train_epoch_frozen`].
+        pub(super) fn train_epoch(
+            model: &mut Mlp,
+            data: DataView<'_>,
+            opt: &mut Sgd,
+            batch_size: usize,
+            epoch_seed: u64,
+        ) -> f64 {
+            use rand::seq::SliceRandom;
+            if data.is_empty() {
+                return 0.0;
+            }
+            let mut order: Vec<usize> = (0..data.len()).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(epoch_seed));
+            let input_dim = model.arch.input_dim;
+            let mut total_loss = 0.0f64;
+            let mut batches = 0usize;
+            for chunk in order.chunks(batch_size.max(1)) {
+                let x = Matrix::from_fn(chunk.len(), input_dim, |r, c| data.samples[chunk[r]].x[c]);
+                let labels: Vec<usize> = chunk.iter().map(|&i| data.samples[i].y).collect();
+                total_loss += step(model, opt, x, &labels);
+                batches += 1;
+            }
             total_loss / batches as f64
         }
     }
@@ -1043,7 +1106,7 @@ mod tests {
             let frozen_val = model.frozen_inputs(val_view);
             for e in 0..epochs {
                 let want =
-                    train_epoch_reference(&mut reference, train_view, &mut ref_opt, batch_size, e);
+                    reference::train_epoch(&mut reference, train_view, &mut ref_opt, batch_size, e);
                 let got = model.train_epoch_frozen(&frozen_train, &mut opt, batch_size, e);
                 assert_eq!(got.to_bits(), want.to_bits(), "case {case} epoch {e}: loss");
                 assert_eq!(weight_bits(&model), weight_bits(&reference), "case {case} epoch {e}");
@@ -1057,7 +1120,7 @@ mod tests {
             let mut one_shot = reference.clone();
             let mut opt = ref_opt.clone();
             let want =
-                train_epoch_reference(&mut reference, train_view, &mut ref_opt, batch_size, 9);
+                reference::train_epoch(&mut reference, train_view, &mut ref_opt, batch_size, 9);
             let got = one_shot.train_epoch(train_view, &mut opt, batch_size, 9);
             assert_eq!(got.to_bits(), want.to_bits(), "case {case}: train_epoch loss");
             assert_eq!(weight_bits(&one_shot), weight_bits(&reference), "case {case}: train_epoch");
@@ -1068,7 +1131,7 @@ mod tests {
     /// row, and the logits it was taken over.
     fn training_argmax(model: &Mlp, samples: &[Sample]) -> (Vec<usize>, Matrix) {
         let x = batch_features(samples, model.arch.input_dim);
-        let (mut acts, _, probs) = model.forward_full(&x);
+        let (mut acts, probs) = model.forward_full(&x);
         let preds = (0..probs.rows()).map(|r| argmax(probs.row(r))).collect();
         (preds, acts.pop().expect("the output layer's logits"))
     }

@@ -1,9 +1,45 @@
 //! Minimal dense row-major matrix used by the MLP substrate.
 //!
-//! Design goals mirror the networking guides' idioms: simplicity and
-//! robustness over cleverness. No BLAS, no SIMD intrinsics, no lifetime
-//! tricks — just `Vec<f32>` with explicit shape checks that panic early on
-//! programmer error (shape mismatches are bugs, not runtime conditions).
+//! Simplicity and robustness over cleverness: no BLAS, no SIMD
+//! intrinsics, no `unsafe` — `Vec<f32>` with explicit shape checks that
+//! panic early on programmer error (shape mismatches are bugs, not
+//! runtime conditions).
+//!
+//! # The GEMM kernel
+//!
+//! All three products run one kernel: [`Matrix::matmul_into`] (`A · B`,
+//! every forward layer), [`Matrix::t_matmul_into`] (`Aᵀ · B`, the weight
+//! gradient) and [`Matrix::matmul_t_into`] (`A · Bᵀ`, the backpropagated
+//! delta). It computes `out[i][j] = Σ a(i, kk) · b(j, kk)` in register
+//! tiles of 4 output rows × 8 output columns, with 4-column, 1-column and
+//! 1-row tails. It reads each operand as lanes of `k` elements: the left
+//! operand's lanes are the output rows, the right operand's the output
+//! columns. A lane is either a row of the stored matrix (contiguous) or a
+//! column of it (one element per stored row):
+//!
+//! | product | left lanes | right lanes |
+//! |---|---|---|
+//! | `matmul_into`, `self (m x k) · rhs (k x n)` | rows of `self`, stride `k` | columns of `rhs`, stride `n` |
+//! | `t_matmul_into`, `selfᵀ · rhs`, `self (k x m)` | columns of `self`, stride `m` | columns of `rhs`, stride `n` |
+//! | `matmul_t_into`, `self · rhsᵀ`, `rhs (n x k)` | rows of `self`, stride `k` | rows of `rhs`, stride `k` |
+//!
+//! **Why the bits are fixed.** Every output element is the f32 fold
+//! `(((+0.0 + a₀b₀) + a₁b₁) + …)` over `kk` ascending: each tile
+//! accumulator starts at `+0.0` and takes its products in that order,
+//! the order of the tests' naive oracles and of every pinned output
+//! byte. The same additions round the same way, so the results are the
+//! same bits, `-0.0` and NaN included. Rust never contracts
+//! `a * b + c` into a fused multiply-add. Output row `i` reads only lane
+//! `i` of the left operand, so a row's bits do not depend on which other
+//! rows share the batch — the property that lets training compute frozen
+//! layers once per job ([`crate::mlp::Mlp::frozen_inputs`]).
+//!
+//! **No zero-skip.** The kernel has no data-dependent branch. Skipping
+//! zero inputs (about half of a post-ReLU row) would give the same bits
+//! for finite operands: a sum started at `+0.0` is never `-0.0` under
+//! round-to-nearest, and adding a `±0.0` product leaves any other value
+//! unchanged. But IEEE 754 makes `0 · ∞` NaN, and a zero-skip would hide
+//! that NaN.
 
 use serde::{Deserialize, Serialize};
 
@@ -104,121 +140,33 @@ impl Matrix {
     }
 
     /// `self (m x k) * rhs (k x n) -> (m x n)`, written into a
-    /// caller-owned output matrix (reshaped and zeroed here), so hot loops
-    /// can reuse one allocation across calls.
+    /// caller-owned output matrix (reshaped here), so hot loops can reuse
+    /// one allocation across calls. Runs the module's one GEMM kernel.
     ///
     /// # Panics
     /// Panics if inner dimensions disagree.
-    ///
-    /// Output row `i` is built from input row `i` alone, so a row's bits
-    /// do not depend on which other rows share the batch — the property
-    /// that lets training compute frozen layers once per job
-    /// ([`crate::mlp::Mlp::frozen_inputs`]).
-    ///
-    /// The inner loop has no data-dependent branch. Skipping zero inputs
-    /// (about half of a post-ReLU row) would give the same bits whenever
-    /// `rhs` is finite: each accumulator starts at `+0.0`, a sum of
-    /// round-to-nearest additions starting there is never `-0.0`, and
-    /// adding a `±0.0` product to anything else leaves it unchanged. With
-    /// a non-finite `rhs` entry, IEEE 754 makes `0 · ∞` NaN, and that NaN
-    /// reaches the output, where a zero-skip would hide it.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul inner dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        out.resize_zeroed(m, n);
-        // i-k-j loop order keeps the inner loop sequential over both
-        // `rhs` and `out` rows, which is the cache-friendly ordering for
-        // row-major data. Each output element accumulates over k in
-        // ascending order, which pins the (non-associative) f32 sum.
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                let b_row = &rhs.data[kk * n..(kk + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm(Operand::Rows(&self.data, k), Operand::Cols(&rhs.data, n), (m, k, n), out);
     }
 
     /// `self^T (k x m) * rhs (k x n)` computed without materialising the
     /// transpose, written into a caller-owned `m x n` output matrix — the
-    /// backprop weight-gradient kernel, allocation-free when the caller
-    /// reuses `out`. Branch free like [`Matrix::matmul_into`], with the
-    /// same consequence: a zero in `self` times a non-finite `rhs` entry
-    /// yields NaN.
+    /// backprop weight-gradient kernel.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "t_matmul leading dimension mismatch");
         let (k, m, n) = (self.rows, self.cols, rhs.cols);
-        out.resize_zeroed(m, n);
-        for kk in 0..k {
-            let a_row = &self.data[kk * m..(kk + 1) * m];
-            let b_row = &rhs.data[kk * n..(kk + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm(Operand::Cols(&self.data, m), Operand::Cols(&rhs.data, n), (m, k, n), out);
     }
 
     /// `self (m x k) * rhs^T (n x k)` computed without materialising the
-    /// transpose, written into a caller-owned `m x n` output matrix.
-    ///
-    /// Register-blocked along the output columns: four columns per pass
-    /// share one read of the `self` row and run four independent
-    /// accumulator chains (instruction-level parallelism the scalar
-    /// dot-product loop cannot reach, since a single f32 accumulator is
-    /// a serial dependency chain). Every accumulator still sums over k
-    /// in ascending order, so results are bit-identical to the scalar
-    /// reference.
+    /// transpose, written into a caller-owned `m x n` output matrix — the
+    /// backprop delta kernel.
     pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.cols, "matmul_t trailing dimension mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
-        out.resize_zeroed(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &rhs.data[j * k..(j + 1) * k];
-                let b1 = &rhs.data[(j + 1) * k..(j + 2) * k];
-                let b2 = &rhs.data[(j + 2) * k..(j + 3) * k];
-                let b3 = &rhs.data[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (kk, &a) in a_row.iter().enumerate() {
-                    s0 += a * b0[kk];
-                    s1 += a * b1[kk];
-                    s2 += a * b2[kk];
-                    s3 += a * b3[kk];
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
-            }
-            while j < n {
-                let b_row = &rhs.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row.iter()) {
-                    acc += a * b;
-                }
-                out_row[j] = acc;
-                j += 1;
-            }
-        }
-    }
-
-    /// Adds `other * scale` element-wise in place.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!(self.rows, other.rows, "add_scaled shape mismatch");
-        assert_eq!(self.cols, other.cols, "add_scaled shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += b * scale;
-        }
+        gemm(Operand::Rows(&self.data, k), Operand::Rows(&rhs.data, k), (m, k, n), out);
     }
 
     /// Multiplies every element by `scale` in place.
@@ -229,20 +177,114 @@ impl Matrix {
     }
 }
 
-/// Applies ReLU in place and writes the activation mask used for backprop
-/// (`true` where the input was positive) into a caller-owned buffer
-/// (cleared here), so the training loop reuses one mask allocation per
-/// layer.
-pub fn relu_inplace_into(m: &mut Matrix, mask: &mut Vec<bool>) {
-    mask.clear();
-    mask.reserve(m.data.len());
-    for v in m.data.iter_mut() {
-        if *v > 0.0 {
-            mask.push(true);
-        } else {
-            *v = 0.0;
-            mask.push(false);
+/// One GEMM operand as the kernel reads it: lanes (the left operand's
+/// rows, or the right operand's columns) of `k` elements each, in one of
+/// the two layouts a row-major [`Matrix`] offers.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// Lane `r` is the contiguous run `data[r * stride..][..k]`.
+    Rows(&'a [f32], usize),
+    /// Element `kk` of lanes `r, r + 1, ...` is the contiguous run
+    /// starting at `data[kk * stride + r]`.
+    Cols(&'a [f32], usize),
+}
+
+/// `N` consecutive lanes of an [`Operand`], sliced once per tile so the
+/// `k` loop reads them without per-element bounds checks.
+enum Lanes<'a, const N: usize> {
+    Rows([&'a [f32]; N]),
+    Cols(&'a [f32], usize, usize),
+}
+
+impl<'a> Operand<'a> {
+    /// Lanes `r0..r0 + N`, each `k` long.
+    #[inline(always)]
+    fn lanes<const N: usize>(self, r0: usize, k: usize) -> Lanes<'a, N> {
+        match self {
+            Operand::Rows(data, stride) => {
+                Lanes::Rows(std::array::from_fn(|r| &data[(r0 + r) * stride..][..k]))
+            }
+            Operand::Cols(data, stride) => Lanes::Cols(data, r0, stride),
         }
+    }
+}
+
+impl<const N: usize> Lanes<'_, N> {
+    /// Element `kk` of each lane.
+    #[inline(always)]
+    fn at(&self, kk: usize) -> [f32; N] {
+        match self {
+            Lanes::Rows(rows) => std::array::from_fn(|r| rows[r][kk]),
+            Lanes::Cols(data, r0, stride) => {
+                let run = &data[kk * stride + r0..][..N];
+                std::array::from_fn(|r| run[r])
+            }
+        }
+    }
+}
+
+/// The GEMM kernel behind all three products: `out (m x n)[i][j] =
+/// Σ a(i, kk) · b(j, kk)` over `kk` in `0..k`, with `out` reshaped here
+/// and every element written. Rows go four at a time, then one at a
+/// time; within those rows, columns go eight at a time, then one block of
+/// four, then one at a time. Each block is one [`tile`].
+#[inline(always)]
+fn gemm(a: Operand<'_>, b: Operand<'_>, (m, k, n): (usize, usize, usize), out: &mut Matrix) {
+    out.resize_zeroed(m, n);
+    let mut i = 0;
+    while i + 4 <= m {
+        tile_row::<4>(a, b, (i, k, n), &mut out.data);
+        i += 4;
+    }
+    for i in i..m {
+        tile_row::<1>(a, b, (i, k, n), &mut out.data);
+    }
+}
+
+/// The tiles of output rows `i..i + R`.
+#[inline(always)]
+fn tile_row<const R: usize>(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    (i, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + 8 <= n {
+        tile::<R, 8>(a, b, (i, j, k, n), out);
+        j += 8;
+    }
+    if j + 4 <= n {
+        tile::<R, 4>(a, b, (i, j, k, n), out);
+        j += 4;
+    }
+    for j in j..n {
+        tile::<R, 1>(a, b, (i, j, k, n), out);
+    }
+}
+
+/// Output block `(i..i + R) x (j..j + C)`: `R x C` accumulators held in
+/// registers across the whole `k` loop, each starting at `+0.0` and
+/// taking `+= a · b` for `kk` ascending, then stored once.
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    (i, j, k, n): (usize, usize, usize, usize),
+    out: &mut [f32],
+) {
+    let (a, b) = (a.lanes::<R>(i, k), b.lanes::<C>(j, k));
+    let mut acc = [[0.0f32; C]; R];
+    for kk in 0..k {
+        let (av, bv) = (a.at(kk), b.at(kk));
+        for (acc_row, &x) in acc.iter_mut().zip(&av) {
+            for (o, &y) in acc_row.iter_mut().zip(&bv) {
+                *o += x * y;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[(i + r) * n + j..][..C].copy_from_slice(acc_row);
     }
 }
 
@@ -285,12 +327,32 @@ pub fn softmax_row(row: &mut [f32]) {
     }
 }
 
+/// The GEMM arithmetic before the tiled kernel: one plain fold per
+/// output element over `kk` ascending — the oracle every kernel test and
+/// the training reference in [`crate::mlp`] are checked against.
+#[cfg(test)]
+pub(crate) mod naive {
+    use super::Matrix;
+
+    /// `a (m x k) · b (k x n)`.
+    pub(crate) fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.rows(), "naive matmul inner dimension mismatch");
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            (0..a.cols()).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * b.get(kk, j))
+        })
+    }
+
+    /// The stored transpose of `a`.
+    pub(crate) fn transpose(a: &Matrix) -> Matrix {
+        Matrix::from_fn(a.cols(), a.rows(), |r, c| a.get(c, r))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Allocating forms of the kernels — the tests' oracles and
-    /// shorthands.
+    /// Allocating forms of the kernels — the tests' shorthands.
     impl Matrix {
         fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
             assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
@@ -314,12 +376,6 @@ mod tests {
             self.matmul_t_into(rhs, &mut out);
             out
         }
-    }
-
-    fn relu_inplace(m: &mut Matrix) -> Vec<bool> {
-        let mut mask = Vec::new();
-        relu_inplace_into(m, &mut mask);
-        mask
     }
 
     #[test]
@@ -354,14 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn relu_masks_negatives() {
-        let mut m = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
-        let mask = relu_inplace(&mut m);
-        assert_eq!(m.data(), &[0.0, 0.0, 2.0, 0.0]);
-        assert_eq!(mask, vec![false, false, true, false]);
-    }
-
-    #[test]
     fn softmax_rows_sum_to_one() {
         let mut m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
         softmax_rows(&mut m);
@@ -384,14 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.data(), &[0.5, 1.0, 1.5, 2.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "matmul inner dimension mismatch")]
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
@@ -407,9 +447,9 @@ mod tests {
     }
 
     /// Asserts two matrices are **bit**-identical — stricter than `==`
-    /// (which would let `-0.0` slide) and the contract the kernel
-    /// optimisations pin: same shapes, same ascending-k accumulation
-    /// order, same bits.
+    /// (which would let `-0.0` slide and fail on NaN) and the contract
+    /// the kernel pins: same shapes, same ascending-k accumulation order,
+    /// same bits.
     fn assert_bits(label: &str, got: &Matrix, want: &Matrix) {
         assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{label}: shape");
         for (i, (g, w)) in got.data().iter().zip(want.data().iter()).enumerate() {
@@ -417,58 +457,55 @@ mod tests {
         }
     }
 
-    /// The optimised kernels (i-k-j `matmul`, transpose-free `t_matmul`,
-    /// register-blocked `matmul_t`) against naive triple loops that
-    /// accumulate over ascending k — the pre-optimisation order. Shapes
-    /// make the 4-wide block cover one full block *and* a scalar
-    /// remainder (n = 6).
+    /// Runs all three products of the logical `a (m x k) · b (k x n)`,
+    /// each on the operands stored the way it reads them, into an output
+    /// buffer primed with NaNs (no residue may survive), and checks each
+    /// against the naive fold bit for bit. Returns the fold.
+    fn assert_products_match_naive(label: &str, a: &Matrix, b: &Matrix) -> Matrix {
+        let want = naive::matmul(a, b);
+        let dirty = || Matrix::from_fn(11, 37, |_, _| f32::NAN);
+        let mut out = dirty();
+        a.matmul_into(b, &mut out);
+        assert_bits(&format!("matmul {label}"), &out, &want);
+        let mut out = dirty();
+        naive::transpose(a).t_matmul_into(b, &mut out);
+        assert_bits(&format!("t_matmul {label}"), &out, &want);
+        let mut out = dirty();
+        a.matmul_t_into(&naive::transpose(b), &mut out);
+        assert_bits(&format!("matmul_t {label}"), &out, &want);
+        want
+    }
+
+    /// All three kernels against the naive ascending-k fold over every
+    /// tile path: m from 1 to 9 (each `m mod 4`, so 4-row blocks and the
+    /// 1-row tail), n from 1 to 32 (8-column blocks, the 4-column tail
+    /// and the 1-column tail, alone and together), k from 1 to 24; plain
+    /// left operands and ReLU-shaped ones holding `±0.0`; outputs written
+    /// into NaN-primed dirty buffers. On ReLU-shaped operands
+    /// `matmul` and `t_matmul` also match the zero-skip loops they once
+    /// were (finite operands, so the skip cannot hide a NaN).
     #[test]
     fn gemm_kernels_are_bit_identical_to_naive_reference() {
-        let (m, k, n) = (5, 7, 6);
-        let a = fill(m, k, 1);
+        for m in 1..=9 {
+            for n in [1, 3, 4, 5, 6, 8, 9, 12, 16, 24, 32] {
+                for k in [1, 2, 16, 24] {
+                    let b = fill(k, n, n + k);
+                    let label = format!("{m}x{k}x{n}");
+                    assert_products_match_naive(&label, &fill(m, k, m), &b);
 
-        let b = fill(k, n, 2);
-        let c = a.matmul(&b);
-        let naive = Matrix::from_fn(m, n, |i, j| {
-            (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * b.get(kk, j))
-        });
-        assert_bits("matmul", &c, &naive);
-
-        let at = fill(k, m, 3); // k x m — t_matmul computes at^T * b
-        let c = at.t_matmul(&b);
-        let naive = Matrix::from_fn(m, n, |i, j| {
-            (0..k).fold(0.0f32, |acc, kk| acc + at.get(kk, i) * b.get(kk, j))
-        });
-        assert_bits("t_matmul", &c, &naive);
-
-        let bt = fill(n, k, 4); // n x k — matmul_t computes a * bt^T
-        let c = a.matmul_t(&bt);
-        let naive = Matrix::from_fn(m, n, |i, j| {
-            (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * bt.get(j, kk))
-        });
-        assert_bits("matmul_t", &c, &naive);
-
-        // ReLU-shaped left operands: a third exact `+0.0`, a sixth
-        // `-0.0`. The branch-free kernels must match both the naive fold
-        // and the zero-skip kernels they replaced, bit for bit.
-        for (m, k, n) in [(5, 7, 6), (1, 16, 24), (8, 24, 16), (3, 1, 5), (6, 16, 6)] {
-            let a = relu_fill(m, k, m + k);
-            let b = fill(k, n, n);
-            let label = format!("matmul {m}x{k}x{n} (zeros)");
-            let naive = Matrix::from_fn(m, n, |i, j| {
-                (0..k).fold(0.0f32, |acc, kk| acc + a.get(i, kk) * b.get(kk, j))
-            });
-            assert_bits(&label, &a.matmul(&b), &naive);
-            assert_bits(&label, &a.matmul(&b), &matmul_skip_reference(&a, &b));
-
-            let at = relu_fill(k, m, m * k);
-            let label = format!("t_matmul {m}x{k}x{n} (zeros)");
-            let naive = Matrix::from_fn(m, n, |i, j| {
-                (0..k).fold(0.0f32, |acc, kk| acc + at.get(kk, i) * b.get(kk, j))
-            });
-            assert_bits(&label, &at.t_matmul(&b), &naive);
-            assert_bits(&label, &at.t_matmul(&b), &t_matmul_skip_reference(&at, &b));
+                    let a = relu_fill(m, k, m + k);
+                    let label = format!("{label} (zeros)");
+                    let want = assert_products_match_naive(&label, &a, &b);
+                    assert_bits(&label, &matmul_skip_reference(&a, &b), &want);
+                    let at = naive::transpose(&a);
+                    assert_bits(&label, &t_matmul_skip_reference(&at, &b), &want);
+                }
+            }
         }
+        // No inner dimension: every product is `+0.0`.
+        let want =
+            assert_products_match_naive("5x0x13", &Matrix::zeros(5, 0), &Matrix::zeros(0, 13));
+        assert!(want.data().iter().all(|v| v.to_bits() == 0));
     }
 
     /// [`fill`] with ReLU's zeros punched in: every third element `+0.0`,
@@ -522,9 +559,13 @@ mod tests {
         out
     }
 
-    /// The one documented change of the branch-free kernels: a zero left
-    /// operand no longer hides a non-finite right operand — `0 · ∞` is
-    /// NaN, per IEEE 754.
+    /// The one documented change of the branch-free kernels: a zero
+    /// operand no longer hides a non-finite one — `0 · ∞` is NaN, per
+    /// IEEE 754 — in all three products. Then a `±∞` meets a `±0.0` under
+    /// every output position of a 5 x 13 product (4-row block and 1-row
+    /// tail; 8-column block, 4-column tail and 1-column tail), from either
+    /// side, and every kernel must put NaN there with the naive fold's
+    /// bits.
     #[test]
     fn zero_times_infinity_is_nan_in_both_kernels() {
         let a = Matrix::from_vec(1, 2, vec![0.0, 1.0]);
@@ -534,6 +575,26 @@ mod tests {
         let at = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
         assert!(at.t_matmul(&b).get(0, 0).is_nan());
         assert_eq!(t_matmul_skip_reference(&at, &b).get(0, 0), 2.0);
+        let bt = Matrix::from_vec(1, 2, vec![f32::INFINITY, 2.0]);
+        assert!(a.matmul_t(&bt).get(0, 0).is_nan());
+
+        let (m, k, n) = (5, 3, 13);
+        for i in 0..m {
+            for j in 0..n {
+                let kk = (i + j) % k;
+                let (zero, inf) =
+                    if (i + j) % 2 == 0 { (0.0, f32::INFINITY) } else { (-0.0, f32::NEG_INFINITY) };
+                for inf_on_left in [false, true] {
+                    let (mut a, mut b) = (fill(m, k, i), fill(k, n, j));
+                    let (a_val, b_val) = if inf_on_left { (inf, zero) } else { (zero, inf) };
+                    a.set(i, kk, a_val);
+                    b.set(kk, j, b_val);
+                    let label = format!("({i}, {j}), infinity on the left: {inf_on_left}");
+                    let want = assert_products_match_naive(&label, &a, &b);
+                    assert!(want.get(i, j).is_nan(), "{label}");
+                }
+            }
+        }
     }
 
     /// A row's product does not depend on its batch: row `r` of an
