@@ -6,7 +6,10 @@
 #                     frozen-input and inference-pass bit-identity
 #                     oracles) + the four fnv1a byte pins a training-bit
 #                     change would move (RunReport, trace, cloud,
-#                     status_view; ≈0.3 s warm) + a quick-mode harness
+#                     status_view; ≈0.3 s warm) + the actor-mailbox and
+#                     harness-pool unit tests (actors::, harness::; the
+#                     two concurrency primitives every daemon message
+#                     and grid cell rides on) + a quick-mode harness
 #                     smoke across several bins (including a 2-shard +
 #                     ekya_grid merge byte-identity check and a supervised
 #                     ekya_grid run with an injected shard kill) + the
@@ -63,6 +66,15 @@ case "$MODE" in
     # trained weight moves one of these, so the fast tier runs them too.
     echo "==> cargo test --release -q (RunReport, trace, cloud, status_view fnv1a pins)"
     cargo test --release -q -p ekya-sim -p ekya-baselines -p ekya-server pinned_across_refactors
+
+    # The two concurrency primitives everything above the nn rides on:
+    # the actor mailboxes (std::sync::mpsc — backpressure, arrival order,
+    # supervised restarts, asks that fail instead of hanging) and the
+    # grid harness's shared-queue pool (item order, panic isolation,
+    # cells running at the same time). Under a second in release.
+    echo "==> cargo test --release -q (actors:: mailboxes, harness:: pool)"
+    cargo test --release -q -p ekya-server --lib actors::
+    cargo test --release -q -p ekya-bench --lib harness::
 
     echo "==> cargo build --release -p ekya-bench (harness + launcher bins)"
     cargo build --release -p ekya-bench --bins

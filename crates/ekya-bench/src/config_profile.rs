@@ -81,7 +81,7 @@ pub fn config_grid(quick: bool) -> Vec<RetrainConfig> {
 ///
 /// Preparing it is the sweep's one-off cost (a full 30-epoch warm-up
 /// retraining); [`ConfigSweep::measure`] then profiles any list of
-/// configurations on the work-stealing pool with **per-config seeding**
+/// configurations on the harness worker pool with **per-config seeding**
 /// (`base_seed ^ fnv1a("cfg|" + label)`), so every configuration's
 /// numbers are a pure function of (model, data, config) — independent of
 /// which other configurations run alongside it, so the sweep's bytes do

@@ -1,9 +1,9 @@
-//! Parallel experiment harness: env knobs, a crossbeam work-stealing
-//! worker pool with panic isolation, and structured grid results —
-//! sharded across processes and resumable after a kill.
+//! Parallel experiment harness: env knobs, a shared-queue worker pool
+//! with panic isolation, and structured grid results — sharded across
+//! processes and resumable after a kill.
 //!
 //! Grid cells are independent simulations, so the harness fans them out
-//! across threads, one cell per stealable task, and still produces
+//! across threads, one cell per task, and still produces
 //! **byte-identical** output to a serial run: every cell's RNG seed is a
 //! pure function of the cell itself (see [`crate::grid`]), results are
 //! written back by cell index, and wall-clock timing lives outside the
@@ -96,12 +96,7 @@ impl Knobs {
     /// shard's plan, or a malformed `EKYA_SHARD` later merging as an
     /// overlap) would be far worse than failing fast.
     pub fn from_env() -> Self {
-        fn var(name: &str) -> Option<String> {
-            std::env::var(name).ok().filter(|v| !v.is_empty())
-        }
-        fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-            var(name).map(|v| v.parse().unwrap_or_else(|_| panic!("{name}: cannot parse `{v}`")))
-        }
+        use crate::knob::{parse, var};
         fn flag(name: &str) -> bool {
             match var(name).as_deref() {
                 None | Some("0") => false,
@@ -172,15 +167,14 @@ pub fn default_workers() -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing fan-out
+// Shared-queue fan-out
 // ---------------------------------------------------------------------
 
-/// Runs `f` over every item on a work-stealing pool of `workers`
-/// threads and returns the results **in item order**.
+/// Runs `f` over every item on a pool of `workers` threads and returns
+/// the results **in item order**.
 ///
-/// Every item is its own task. Items are dealt round-robin into
-/// per-worker FIFO deques; a worker that drains its own deque steals
-/// from its siblings one item at a time, so stragglers (cells vary
+/// Every item is its own task. The items wait in one shared FIFO queue
+/// and an idle worker takes the next one, so stragglers (cells vary
 /// wildly in cost — more streams, more windows, Ekya vs uniform) do not
 /// idle the rest of the pool. With `workers == 1` everything runs inline
 /// on the calling thread.
@@ -218,39 +212,17 @@ where
         return items.into_iter().enumerate().map(|(i, item)| run(i, item)).collect();
     }
 
-    let queues: Vec<crossbeam::deque::Worker<(usize, T)>> =
-        (0..workers).map(|_| crossbeam::deque::Worker::new_fifo()).collect();
-    let stealers: Vec<crossbeam::deque::Stealer<(usize, T)>> =
-        queues.iter().map(|q| q.stealer()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        queues[i % workers].push((i, item));
-    }
-
+    let queue = Mutex::new(items.into_iter().enumerate());
     let slots: Mutex<Vec<Option<Result<R, String>>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
-        for (w, local) in queues.into_iter().enumerate() {
-            let stealers = &stealers;
-            let slots = &slots;
-            let run = &run;
-            scope.spawn(move || {
-                loop {
-                    // Own deque first, then steal round-robin from the
-                    // next sibling onwards. No task spawns new tasks, so
-                    // an all-empty sweep means the pool is drained.
-                    let task = local.pop().or_else(|| {
-                        (1..stealers.len())
-                            .map(|k| &stealers[(w + k) % stealers.len()])
-                            .find_map(steal_retrying)
-                    });
-                    let Some((i, item)) = task else { break };
-                    let result = run(i, item);
-                    slots
-                        .lock()
-                        .expect("result slots")
-                        .get_mut(i)
-                        .expect("slot index")
-                        .replace(result);
-                }
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // Bound first, so the queue's lock is released before
+                // the cell runs rather than held through it.
+                let next = queue.lock().expect("cell queue").next();
+                let Some((i, item)) = next else { break };
+                let result = run(i, item);
+                slots.lock().expect("result slots").get_mut(i).expect("slot index").replace(result);
             });
         }
     });
@@ -260,20 +232,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("every cell ran to completion"))
         .collect()
-}
-
-/// Steals from a victim, retrying on `Steal::Retry` (a lost race is not
-/// an empty deque — treating it as one could leave a queued task behind
-/// and deadlock the order-indexed result collection).
-fn steal_retrying<T>(stealer: &crossbeam::deque::Stealer<T>) -> Option<T> {
-    let _steal_wall = ekya_telemetry::timing::wall_span("bench.pool", "steal");
-    loop {
-        match stealer.steal() {
-            crossbeam::deque::Steal::Success(task) => return Some(task),
-            crossbeam::deque::Steal::Empty => return None,
-            crossbeam::deque::Steal::Retry => continue,
-        }
-    }
 }
 
 /// Evaluates one item under panic isolation.
@@ -558,8 +516,9 @@ impl GridExec {
         let envelope = (self.name.as_str(), total, self.shard);
         let completed = std::sync::atomic::AtomicUsize::new(0);
 
-        // One cell, one task: per-cell stealing rebalances however lopsided
-        // cell costs are, and every completion is checkpointed as it lands.
+        // One cell, one task: an idle worker takes the next cell from the
+        // shared queue, which rebalances however lopsided cell costs are,
+        // and every completion is checkpointed as it lands.
         let started = Instant::now();
         let results = run_parallel(
             pending.iter().map(|(_, sc)| sc).collect(),
@@ -1100,6 +1059,26 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), i as i32 + 1);
             }
         }
+    }
+
+    /// Two items on two workers must run at the same time: each tells
+    /// the other it started and waits for the other's word. A pool that
+    /// held its queue lock through a cell would run them one after the
+    /// other, and the first wait would time out instead of hanging.
+    #[test]
+    fn run_parallel_runs_items_concurrently() {
+        let (to_b, from_a) = std::sync::mpsc::channel::<()>();
+        let (to_a, from_b) = std::sync::mpsc::channel::<()>();
+        let out = run_parallel(
+            vec![(to_b, from_b), (to_a, from_a)],
+            2,
+            |_, (tx, rx)| {
+                let _ = tx.send(());
+                rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok()
+            },
+            |_, _| {},
+        );
+        assert_eq!(out, vec![Ok(true), Ok(true)], "each item must see the other running");
     }
 
     #[test]

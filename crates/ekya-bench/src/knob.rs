@@ -1,19 +1,43 @@
-//! The sanctioned home of every environment knob that is *not* one of
-//! the shared grid knobs parsed by [`crate::Knobs::from_env`].
+//! The sanctioned home of every environment read but `results_dir`'s:
+//! the bin-specific knobs below, one accessor each, and the `var` and
+//! `parse` readers [`crate::Knobs::from_env`] parses the shared grid
+//! knobs with.
 //!
 //! Determinism contract: `plan.json` pins the environment a supervised
 //! run executes under, and `ekya-lint`'s `ambient-env` rule forbids
-//! `std::env::var` anywhere outside `Knobs::from_env`, `results_dir`,
-//! and this module — an env read that lives here is documented, listed
+//! `std::env::var` anywhere outside `results_dir` and this module — an
+//! env read that lives here is documented, listed
 //! in the operator guide's env-knob table (`crates/ekya-bench/README.md`;
 //! the `knob_tables_match_the_env_reads` test fails when a knob and its
 //! row drift apart), and therefore coverable by a plan. One accessor per
 //! knob; callers never spell the variable name themselves.
+//!
+//! Unset or empty means unset, and a numeric knob that does not parse
+//! stops the process naming the variable: a typo silently running the
+//! default (or a fault-injection test passing vacuously) would be far
+//! worse than failing fast.
+
+/// Reads knob `name`; unset or empty means `None`.
+pub(crate) fn var(name: &str) -> Option<String> {
+    std::env::var(name).ok().filter(|v| !v.is_empty())
+}
+
+/// Parses knob `name`; unset or empty means `None`.
+///
+/// # Panics
+/// On a value that does not parse, naming the variable and the value.
+pub(crate) fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+    var(name).map(|v| v.parse().unwrap_or_else(|_| panic!("{name}: cannot parse `{v}`")))
+}
 
 /// Reads a float environment knob (used by bin-specific knobs like
-/// `EKYA_THRESHOLD`; the shared grid knobs all live in [`crate::Knobs`]).
+/// `EKYA_THRESHOLD`; the shared grid knobs all live in [`crate::Knobs`]),
+/// `default` when unset or empty.
+///
+/// # Panics
+/// On a malformed value, naming the variable.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    parse(name).unwrap_or(default)
 }
 
 /// `EKYA_ORCH_CRASH_AFTER` — fault injection for the orchestrator
@@ -21,14 +45,14 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
 /// supervise/retry/resume paths can be exercised deterministically.
 /// Unset (the production state) means never crash.
 pub fn orch_crash_after() -> Option<usize> {
-    std::env::var("EKYA_ORCH_CRASH_AFTER").ok().and_then(|v| v.parse().ok())
+    parse("EKYA_ORCH_CRASH_AFTER")
 }
 
 /// `EKYA_STREAMS_LIVE` — fleet size for the serving-path bins
 /// (`ekya_serve`, `ekya_loadgen`): how many concurrent camera streams
 /// the daemon admits. Unset means each bin's documented default.
 pub fn streams_live() -> Option<usize> {
-    std::env::var("EKYA_STREAMS_LIVE").ok().and_then(|v| v.parse().ok())
+    parse("EKYA_STREAMS_LIVE")
 }
 
 /// `EKYA_ARRIVAL` — frame-arrival pattern for the serving-path bins:
@@ -48,11 +72,7 @@ pub fn arrival() -> String {
 /// worker counts, and shard merges — see the operator guide's
 /// "Observability" section.
 pub fn trace() -> Option<String> {
-    match std::env::var("EKYA_TRACE") {
-        Ok(v) if v.is_empty() || v == "0" => None,
-        Ok(v) => Some(v),
-        Err(_) => None,
-    }
+    var("EKYA_TRACE").filter(|v| v != "0")
 }
 
 /// `EKYA_SERVE_CRASH_AFTER` — fault injection for the serving daemon:
@@ -62,7 +82,7 @@ pub fn trace() -> Option<String> {
 /// still a consistent prefix of the run. Unset (the production state)
 /// means never crash.
 pub fn serve_crash_after() -> Option<usize> {
-    std::env::var("EKYA_SERVE_CRASH_AFTER").ok().and_then(|v| v.parse().ok())
+    parse("EKYA_SERVE_CRASH_AFTER")
 }
 
 #[cfg(test)]
@@ -70,10 +90,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_f64_falls_back_on_absent_or_garbage() {
+    fn env_f64_falls_back_when_absent_and_panics_on_garbage() {
         assert_eq!(env_f64("EKYA_TEST_KNOB_ABSENT", 1.5), 1.5);
-        std::env::set_var("EKYA_TEST_KNOB_GARBAGE", "not-a-number");
-        assert_eq!(env_f64("EKYA_TEST_KNOB_GARBAGE", 2.5), 2.5);
+        std::env::set_var("EKYA_TEST_KNOB_EMPTY", "");
+        assert_eq!(env_f64("EKYA_TEST_KNOB_EMPTY", 2.5), 2.5);
+        std::env::set_var("EKYA_TEST_KNOB_GARBAGE", "0,7");
+        let err = std::panic::catch_unwind(|| env_f64("EKYA_TEST_KNOB_GARBAGE", 0.65))
+            .expect_err("a malformed value must not run at the default");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("EKYA_TEST_KNOB_GARBAGE") && msg.contains("0,7"), "{msg}");
+        std::env::remove_var("EKYA_TEST_KNOB_EMPTY");
         std::env::remove_var("EKYA_TEST_KNOB_GARBAGE");
     }
 

@@ -8,7 +8,7 @@
 //! The paper's result grids — (dataset × streams × GPUs × policy) — are
 //! embarrassingly parallel, so the bins no longer hand-roll serial
 //! nested-for sweeps: [`grid`] declares a sweep as data and [`harness`]
-//! fans its cells out across a work-stealing worker pool with
+//! fans its cells out across a shared-queue worker pool with
 //! deterministic per-cell seeding (parallel ≡ serial, byte for byte).
 //!
 //! Environment knobs shared by all binaries (parsed once, by

@@ -442,5 +442,12 @@ fn malformed_knobs_fail_fast_naming_the_variable() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "EKYA_SEED=0x2a must not run under the default seed");
     assert!(stderr.contains("EKYA_SEED"), "{stderr}");
+    // A fault-injection knob too: a crash count that does not parse must
+    // not run the grid crash-free and let a fault test pass vacuously.
+    let env = [("EKYA_ORCH_CRASH_AFTER", "two")];
+    let out = ekya_grid(&["worker", "--bin", "fig09_allocation"], &dir, &env);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "EKYA_ORCH_CRASH_AFTER=two must not run crash-free");
+    assert!(stderr.contains("EKYA_ORCH_CRASH_AFTER") && stderr.contains("two"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -143,6 +143,18 @@ fn serve_snapshots_are_byte_identical_across_worker_counts_and_crash() {
     assert_ne!(w1, crash1, "crashed daemon froze at an earlier window than the clean run");
 }
 
+/// A fleet size that does not parse stops the daemon before it admits a
+/// stream, instead of silently serving the default fleet.
+#[test]
+fn malformed_streams_live_fails_fast() {
+    let dir = temp("bad_streams_live");
+    let env = [("EKYA_STREAMS_LIVE", "eight"), ("EKYA_WINDOWS", "1")];
+    let status = run_bin(env!("CARGO_BIN_EXE_ekya_serve"), &dir, &env);
+    assert!(!status.success(), "EKYA_STREAMS_LIVE=eight must not serve the default fleet");
+    assert!(!dir.join("serve_status.json").exists(), "no stream may have been served");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Crash injection: `ekya_serve` killed in the middle of window 1 (exit
 /// 17, mid-retraining) must leave the *window-0* snapshot on disk —
 /// valid JSON, internally consistent, counters frozen at the last

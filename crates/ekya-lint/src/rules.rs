@@ -70,11 +70,10 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             path_allow: vec![
-                // The single sanctioned env surface: Knobs::from_env
-                // reads the documented EKYA_* grid knobs, and the knob
-                // module houses the non-grid tuning knobs. Both are
-                // exactly what plan.json pins.
-                ("ambient-env", "crates/ekya-bench/src/harness.rs"),
+                // The single sanctioned env surface: the knob module
+                // reads every documented EKYA_* knob (Knobs::from_env
+                // parses the grid knobs through it) — exactly what
+                // plan.json pins.
                 ("ambient-env", "crates/ekya-bench/src/knob.rs"),
                 // results_dir() resolves EKYA_RESULTS_DIR/CARGO_MANIFEST_DIR
                 // to decide *where* reports go — never what's in them.

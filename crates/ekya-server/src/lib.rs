@@ -18,8 +18,8 @@
 //! The paper implements Ekya's modules — scheduler, micro-profiler and
 //! per-stream training/inference jobs — as long-running Ray actors (§5).
 //! [`actors`] is the dependency-light Rust stand-in: typed mailboxes over
-//! crossbeam channels on OS threads (CPU-bound work does not belong on an
-//! async runtime), blocking and deferred asks, request queueing while an
+//! `std::sync::mpsc` channels on OS threads (CPU-bound work does not
+//! belong on an async runtime), blocking and deferred asks, request queueing while an
 //! actor is busy (the §5 model-reload behaviour), and supervised restart
 //! on panic (the §5 "failure recovery"). Every mailbox is **bounded** —
 //! [`actors::spawn_bounded`] and [`actors::spawn_supervised_bounded`]

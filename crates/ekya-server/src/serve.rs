@@ -1116,14 +1116,6 @@ impl EdgeDaemon {
     /// their feature buffers included — are recycled through a free
     /// list, so a steady-state round allocates nothing.
     fn pump_once(&mut self, w_idx: usize, cursor: usize, live_served: &mut [u64]) {
-        if ekya_telemetry::enabled() {
-            let depth = self.shards.iter().map(|h| h.mailbox_len()).max().unwrap_or(0);
-            ekya_telemetry::timing::wall_gauge_max(
-                "server.daemon",
-                "shard_mailbox_depth",
-                depth as u64,
-            );
-        }
         let nshards = self.shards.len();
         for st in &self.streams {
             let val = &st.ds.window(w_idx).val;

@@ -14,8 +14,8 @@
 //!   records are buffered in memory, stamped with a per-context
 //!   sequence number, and globally sorted at flush, so the file is
 //!   byte-identical across runs, worker counts, and shard merges.
-//! * the **wall-clock plane** ([`timing`]) — span durations, queue
-//!   depths, steal latencies. It is the *only* module in the workspace
+//! * the **wall-clock plane** ([`timing`]) — span durations and
+//!   high-water gauges. It is the *only* module in the workspace
 //!   outside the existing sanctioned paths that reads
 //!   `std::time::Instant` (enforced by `ekya-lint`'s `wallclock-in-cell`
 //!   rule), and it never writes into the fingerprinted JSONL: wall

@@ -62,7 +62,7 @@ fn prelude_symbols_importable() {
 }
 
 /// The experiment harness surface of `ekya-bench` (scenario grids, the
-/// work-stealing pool, the policy registry) stays importable — these are
+/// worker pool, the policy registry) stays importable — these are
 /// the entry points CI's quick tier and the fig/table bins ride on.
 #[test]
 fn harness_symbols_importable() {
@@ -95,10 +95,6 @@ fn harness_symbols_importable() {
     let _ = ekya_bench::load_report as *const ();
     let _ = ekya_bench::report_path as *const ();
     let _ = ekya_bench::coverage_order as *const ();
-
-    // The pool's building blocks in the crossbeam shim.
-    let _ = std::any::type_name::<crossbeam::deque::Worker<u8>>();
-    let _ = std::any::type_name::<crossbeam::deque::Stealer<u8>>();
 
     // Policies are thread-safe by construction: `Policy: Send` holds for
     // boxed registry output.
