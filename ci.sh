@@ -6,10 +6,13 @@
 #                     frozen-input and inference-pass bit-identity
 #                     oracles) + the four fnv1a byte pins a training-bit
 #                     change would move (RunReport, trace, cloud,
-#                     status_view; ≈0.3 s warm) + the actor-mailbox and
-#                     harness-pool unit tests (actors::, harness::; the
-#                     two concurrency primitives every daemon message
-#                     and grid cell rides on) + a quick-mode harness
+#                     status_view; ≈0.3 s warm) + the ekya-server unit
+#                     tests (actor mailboxes, serving slots incl. the
+#                     poisoned-slot outcome, trainer swaps) and the
+#                     harness-pool unit tests (harness::) + the daemon's
+#                     serving suite (ekya-server's tests/serve.rs:
+#                     per-stream slots, hot-swaps, shutdown, the status
+#                     pin) + a quick-mode harness
 #                     smoke across several bins (including a 2-shard +
 #                     ekya_grid merge byte-identity check and a supervised
 #                     ekya_grid run with an injected shard kill) + the
@@ -67,14 +70,25 @@ case "$MODE" in
     echo "==> cargo test --release -q (RunReport, trace, cloud, status_view fnv1a pins)"
     cargo test --release -q -p ekya-sim -p ekya-baselines -p ekya-server pinned_across_refactors
 
-    # The two concurrency primitives everything above the nn rides on:
-    # the actor mailboxes (std::sync::mpsc — backpressure, arrival order,
-    # supervised restarts, asks that fail instead of hanging) and the
-    # grid harness's shared-queue pool (item order, panic isolation,
-    # cells running at the same time). Under a second in release.
-    echo "==> cargo test --release -q (actors:: mailboxes, harness:: pool)"
-    cargo test --release -q -p ekya-server --lib actors::
+    # The concurrency primitives the trainers, the daemon and the grid
+    # ride on: ekya-server's unit tests — the actor mailboxes
+    # (std::sync::mpsc — backpressure, arrival order, supervised
+    # restarts, asks that fail instead of hanging; trainer jobs ride
+    # them, daemon frames do not), the per-stream serving slots (a panic
+    # while classifying poisons one stream, the rest keep serving) and
+    # the trainer's swaps — and the grid harness's shared-queue pool
+    # (item order, panic isolation, cells running at the same time).
+    # Under a second in release.
+    echo "==> cargo test --release -q (ekya-server lib: actors, slots, trainer; harness:: pool)"
+    cargo test --release -q -p ekya-server --lib
     cargo test --release -q -p ekya-bench --lib harness::
+
+    # The daemon's serving suite: frames classified while trainers run,
+    # hot-swaps visible and monotone, clients that reach later
+    # admissions and are refused after shutdown, typed admission and
+    # malformed-frame refusals, the paper preset's shape invariance.
+    echo "==> cargo test --release -q -p ekya-server --test serve (daemon serving suite)"
+    cargo test --release -q -p ekya-server --test serve
 
     echo "==> cargo build --release -p ekya-bench (harness + launcher bins)"
     cargo build --release -p ekya-bench --bins

@@ -47,19 +47,12 @@ fn main() {
     let streams = knob::streams_live().unwrap_or(200);
     let windows = knobs.windows(2);
     let workers = knobs.workers();
-    let arrival_raw = knob::arrival();
-    let Some(arrival) = ArrivalPattern::parse(&arrival_raw) else {
-        eprintln!(
-            "ekya_loadgen: unknown EKYA_ARRIVAL '{arrival_raw}' \
-             (expected uniform | bursty | staggered)"
-        );
-        std::process::exit(2);
-    };
+    let arrival = knob::arrival();
     let cfg =
         FleetConfig { arrival, ..FleetConfig::parallel(streams, windows, knobs.seed, workers) };
 
     println!(
-        "ekya_loadgen: {streams} streams × {windows} windows, {arrival_raw} arrivals, \
+        "ekya_loadgen: {streams} streams × {windows} windows, {arrival:?} arrivals, \
          seed {}, {} trainers / {} planner threads …",
         cfg.seed, cfg.trainer_shards, cfg.planner_workers
     );

@@ -21,7 +21,7 @@
 
 use ekya_bench::serve::{build_daemon, report_for, FleetConfig};
 use ekya_bench::{knob, results_dir, write_json, Knobs};
-use ekya_server::{ArrivalPattern, StatusSnapshot};
+use ekya_server::StatusSnapshot;
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -99,23 +99,15 @@ fn main() {
     let knobs = Knobs::from_env();
     let streams = knob::streams_live().unwrap_or(8);
     let windows = knobs.windows(3);
-    let arrival_raw = knob::arrival();
-    let Some(arrival) = ArrivalPattern::parse(&arrival_raw) else {
-        eprintln!(
-            "ekya_serve: unknown EKYA_ARRIVAL '{arrival_raw}' \
-             (expected uniform | bursty | staggered)"
-        );
-        std::process::exit(2);
-    };
     let cfg = FleetConfig {
-        arrival,
+        arrival: knob::arrival(),
         crash_mid_window: knob::serve_crash_after(),
         ..FleetConfig::parallel(streams, windows, knobs.seed, knobs.workers())
     };
 
     println!(
-        "ekya_serve: admitting {streams} streams ({arrival_raw} arrivals, seed {}) …",
-        cfg.seed
+        "ekya_serve: admitting {streams} streams ({:?} arrivals, seed {}) …",
+        cfg.arrival, cfg.seed
     );
     // Telemetry session for the daemon's lifetime. Unlike the grid bins,
     // the trace is flushed (atomically, tmp + rename) after *every*

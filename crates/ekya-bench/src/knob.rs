@@ -17,6 +17,8 @@
 //! default (or a fault-injection test passing vacuously) would be far
 //! worse than failing fast.
 
+use ekya_server::ArrivalPattern;
+
 /// Reads knob `name`; unset or empty means `None`.
 pub(crate) fn var(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|v| !v.is_empty())
@@ -56,10 +58,17 @@ pub fn streams_live() -> Option<usize> {
 }
 
 /// `EKYA_ARRIVAL` — frame-arrival pattern for the serving-path bins:
-/// `uniform` (default), `bursty`, or `staggered`. The raw string is
-/// returned so the bin can reject typos with a proper usage error.
-pub fn arrival() -> String {
-    std::env::var("EKYA_ARRIVAL").unwrap_or_else(|_| "uniform".to_string())
+/// `uniform` (the default, also when unset or empty), `bursty`, or
+/// `staggered`.
+///
+/// # Panics
+/// On any other value, naming the variable and the value.
+pub fn arrival() -> ArrivalPattern {
+    var("EKYA_ARRIVAL").map_or(ArrivalPattern::Uniform, |v| {
+        ArrivalPattern::parse(&v).unwrap_or_else(|| {
+            panic!("EKYA_ARRIVAL: cannot parse `{v}` (expected uniform | bursty | staggered)")
+        })
+    })
 }
 
 /// `EKYA_TRACE` — two-plane telemetry (`ekya-telemetry`). Unset, empty,
@@ -116,7 +125,7 @@ mod tests {
         assert_eq!(orch_crash_after(), None);
         assert_eq!(serve_crash_after(), None);
         assert_eq!(streams_live(), None);
-        assert_eq!(arrival(), "uniform");
+        assert_eq!(arrival(), ArrivalPattern::Uniform);
     }
 
     /// The leading `[A-Z0-9_]` run of `s` — a knob name without `EKYA_`.

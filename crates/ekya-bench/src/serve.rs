@@ -10,7 +10,7 @@
 //! daemon and a parallel one produce **byte-identical** reports for the
 //! same fleet.
 
-use ekya_server::{ArrivalPattern, EdgeDaemon, ServeConfig, ShardLive, StatusSnapshot};
+use ekya_server::{ArrivalPattern, EdgeDaemon, LiveStats, ServeConfig, StatusSnapshot};
 use ekya_video::{DatasetKind, DatasetSpec, VideoDataset};
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +57,7 @@ pub struct FleetConfig {
     pub arrival: ArrivalPattern,
     /// Base seed (fleet generation and daemon).
     pub seed: u64,
-    /// Inference shards.
+    /// Live-pump groups (`ServeConfig::infer_shards`).
     pub infer_shards: usize,
     /// Supervised trainers.
     pub trainer_shards: usize,
@@ -72,7 +72,7 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// The serial reference shape: one shard, one trainer, one planner
+    /// The serial reference shape: one pump group, one trainer, one planner
     /// thread. [`run_fleet`] must produce the identical report for this
     /// and for any parallel shape.
     pub fn serial(streams: usize, windows: usize, seed: u64) -> Self {
@@ -90,7 +90,7 @@ impl FleetConfig {
     }
 
     /// A parallel shape with `workers` planner threads and trainers and
-    /// two inference shards.
+    /// two pump groups.
     pub fn parallel(streams: usize, windows: usize, seed: u64, workers: usize) -> Self {
         Self {
             infer_shards: 2,
@@ -174,9 +174,9 @@ pub fn report_for(cfg: &FleetConfig, daemon: &EdgeDaemon) -> LoadgenReport {
 
 /// Runs a whole fleet to completion: admit, serve every window, report.
 /// Returns the deterministic report plus the wall-plane live counters
-/// (frames actually classified by the shards — nonzero proves the
+/// (frames actually classified in the serving slots — nonzero proves the
 /// serving path stayed live, but never serialised).
-pub fn run_fleet(cfg: &FleetConfig) -> (LoadgenReport, ShardLive) {
+pub fn run_fleet(cfg: &FleetConfig) -> (LoadgenReport, LiveStats) {
     let mut daemon = build_daemon(cfg);
     for _ in 0..cfg.windows {
         daemon.run_window();

@@ -15,8 +15,8 @@ fn temp(tag: &str) -> PathBuf {
 }
 
 /// Runs a serving-path bin hermetically: stray knobs scrubbed, results
-/// redirected to `dir`.
-fn run_bin(bin: &str, dir: &Path, extra: &[(&str, &str)]) -> std::process::ExitStatus {
+/// redirected to `dir`, stdout and stderr captured.
+fn run_bin(bin: &str, dir: &Path, extra: &[(&str, &str)]) -> std::process::Output {
     let mut cmd = std::process::Command::new(bin);
     for var in [
         "EKYA_SHARD",
@@ -36,13 +36,13 @@ fn run_bin(bin: &str, dir: &Path, extra: &[(&str, &str)]) -> std::process::ExitS
     cmd.env("EKYA_RESULTS_DIR", dir)
         .env("EKYA_WORKERS", "2")
         .envs(extra.iter().copied())
-        .status()
+        .output()
         .expect("serving bin spawns")
 }
 
 /// The daemon's serialized plane is deterministic: the same seed
 /// produces byte-identical reports run over run, and the concurrency
-/// shape (shards, trainers, planner threads) changes nothing.
+/// shape (pump groups, trainers, planner threads) changes nothing.
 #[test]
 fn fleet_reports_are_deterministic_across_runs_and_shapes() {
     let first = run_fleet(&FleetConfig::parallel(8, 2, 42, 3)).0;
@@ -59,8 +59,8 @@ fn fleet_reports_are_deterministic_across_runs_and_shapes() {
     assert_ne!(bytes(&first), bytes(&other), "seed must matter");
 
     // The live pump is wall plane only on every shape: after a warm-up,
-    // steady-state rounds classify the same frames on a 1-shard and a
-    // multi-shard daemon and move no byte of either status view.
+    // steady-state rounds classify the same frames on a 1-group and a
+    // 2-group pump and move no byte of either status view.
     let pump = |cfg: &FleetConfig| {
         let mut daemon = build_daemon(cfg);
         assert!(daemon.pump_rounds(2) > 0, "warm-up pump must classify frames");
@@ -86,10 +86,10 @@ fn loadgen_snapshots_are_byte_identical_across_processes() {
         &[("EKYA_STREAMS_LIVE", "6"), ("EKYA_WINDOWS", "2"), ("EKYA_SEED", "42")];
     let dir_a = temp("lg_a");
     let dir_b = temp("lg_b");
-    assert!(run_bin(bin, &dir_a, base).success(), "first loadgen run failed");
+    assert!(run_bin(bin, &dir_a, base).status.success(), "first loadgen run failed");
     let mut with_workers = base.to_vec();
     with_workers.push(("EKYA_WORKERS", "4"));
-    assert!(run_bin(bin, &dir_b, &with_workers).success(), "second loadgen run failed");
+    assert!(run_bin(bin, &dir_b, &with_workers).status.success(), "second loadgen run failed");
 
     let snap_a = std::fs::read(dir_a.join("serve_status.json")).expect("first snapshot");
     let snap_b = std::fs::read(dir_b.join("serve_status.json")).expect("second snapshot");
@@ -121,7 +121,7 @@ fn serve_snapshots_are_byte_identical_across_worker_counts_and_crash() {
         let dir = temp(tag);
         let mut env = base.to_vec();
         env.extend_from_slice(extra);
-        let status = run_bin(bin, &dir, &env);
+        let status = run_bin(bin, &dir, &env).status;
         match want_code {
             Some(code) => assert_eq!(status.code(), Some(code), "{tag}: wrong exit code"),
             None => assert!(status.success(), "{tag}: run failed"),
@@ -149,8 +149,38 @@ fn serve_snapshots_are_byte_identical_across_worker_counts_and_crash() {
 fn malformed_streams_live_fails_fast() {
     let dir = temp("bad_streams_live");
     let env = [("EKYA_STREAMS_LIVE", "eight"), ("EKYA_WINDOWS", "1")];
-    let status = run_bin(env!("CARGO_BIN_EXE_ekya_serve"), &dir, &env);
+    let status = run_bin(env!("CARGO_BIN_EXE_ekya_serve"), &dir, &env).status;
     assert!(!status.success(), "EKYA_STREAMS_LIVE=eight must not serve the default fleet");
+    assert!(!dir.join("serve_status.json").exists(), "no stream may have been served");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `EKYA_ARRIVAL` follows the knob contract: empty means unset, so the
+/// fleet runs `uniform` arrivals, and a typo stops the bin naming the
+/// variable before it admits a stream, instead of serving some default.
+#[test]
+fn arrival_knob_empty_means_uniform_and_a_typo_fails_fast() {
+    let dir = temp("arrival_empty");
+    let env = [("EKYA_ARRIVAL", ""), ("EKYA_STREAMS_LIVE", "2"), ("EKYA_WINDOWS", "1")];
+    let out = run_bin(env!("CARGO_BIN_EXE_ekya_loadgen"), &dir, &env);
+    assert!(
+        out.status.success(),
+        "EKYA_ARRIVAL='' must run: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let metrics: serde::Value = serde_json::from_str(
+        &std::fs::read_to_string(dir.join("loadgen_metrics.json")).expect("metrics file"),
+    )
+    .expect("metrics parse");
+    assert_eq!(metrics.get("arrival"), Some(&serde::Value::Str("Uniform".into())));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = temp("arrival_typo");
+    let env = [("EKYA_ARRIVAL", "burstyy"), ("EKYA_STREAMS_LIVE", "2"), ("EKYA_WINDOWS", "1")];
+    let out = run_bin(env!("CARGO_BIN_EXE_ekya_serve"), &dir, &env);
+    assert!(!out.status.success(), "EKYA_ARRIVAL=burstyy must not serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("EKYA_ARRIVAL") && stderr.contains("burstyy"), "{stderr}");
     assert!(!dir.join("serve_status.json").exists(), "no stream may have been served");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -168,7 +198,7 @@ fn killed_daemon_leaves_consistent_snapshot() {
 
     let mut crash = base.to_vec();
     crash.push(("EKYA_SERVE_CRASH_AFTER", "1"));
-    let status = run_bin(bin, &dir, &crash);
+    let status = run_bin(bin, &dir, &crash).status;
     assert_eq!(status.code(), Some(17), "crash injection must exit 17");
 
     let raw = std::fs::read_to_string(dir.join("serve_status.json"))

@@ -1,5 +1,5 @@
-//! The actor runtime the daemon runs on: long-running worker threads with
-//! typed, bounded mailboxes.
+//! The actor runtime the daemon's trainers run on: long-running worker
+//! threads with typed, bounded mailboxes.
 //!
 //! Ekya's implementation runs its scheduler, micro-profiler and
 //! training/inference jobs as long-running Ray actors (§5): "a benefit of
@@ -181,10 +181,9 @@ fn spawn<A: Actor>(
 ///
 /// Backpressure, not buffering: an ask issued while the mailbox is full
 /// *blocks the producer* until the actor drains a slot. This is what
-/// keeps a fast producer (e.g. a load generator pumping inference
-/// batches) from growing an unbounded queue behind a slow consumer — the
-/// §5 concern that a busy trainer must not let the inference queue eat
-/// all memory. A panic in `handle` ends the actor; the asks queued
+/// keeps a fast producer (e.g. a daemon dispatching retraining jobs)
+/// from growing an unbounded queue behind a slow consumer — the §5
+/// concern that a busy trainer must not let a queue eat all memory. A panic in `handle` ends the actor; the asks queued
 /// behind it fail with [`ActorError::Panicked`].
 pub fn spawn_bounded<A: Actor>(
     name: impl Into<String>,

@@ -2,14 +2,15 @@
 //!
 //! Two OS threads per camera does not admit the "hundreds of streams" a
 //! production edge box serves, so [`EdgeDaemon`] — the workspace's one
-//! serving shape — is a small fixed pool of **inference shards** (each
-//! a bounded-mailbox actor multiplexing many stream slots and batching
-//! classification requests), a supervised **trainer pool** that absorbs
-//! panics without dropping any stream's serving, **admission control**
-//! with typed rejections, and checkpoint hot-swaps whose model pulls are
-//! accounted against an `ekya_core::net` link model. Every mailbox has a
-//! capacity: a producer that outruns a shard blocks, it never grows a
-//! queue.
+//! serving shape — keeps one **serving slot** per stream (a `Mutex` over
+//! its model, version, forward-pass scratch and counters) that the
+//! daemon's pump, every [`DaemonClient`], the stream's trainer and the
+//! window phases touch directly, a supervised **trainer pool** that
+//! absorbs panics without dropping any stream's serving, **admission
+//! control** with typed rejections, and checkpoint hot-swaps whose model
+//! pulls are accounted against an `ekya_core::net` link model. A slot's
+//! lock is held only to classify one batch or to read or replace the
+//! model: a retraining job never queues behind another stream's frames.
 //!
 //! A window runs in phases. Phase A prepares every stream through its
 //! [`StreamLearner`] — label the train pool then val with the golden
@@ -19,20 +20,26 @@
 //! dispatches retraining, D pumps live frames while trainers run, E
 //! measures the final serving models and F advances the ledger.
 //!
+//! A panic while classifying poisons only that stream's slot. Its
+//! clients and its pump batches are then refused
+//! ([`ServeError::Unavailable`], counted in [`LiveStats::refused`]) while
+//! every other stream keeps serving. The logical plane is unaffected: a
+//! panic can only interrupt a forward pass, which writes nothing but the
+//! slot's scratch, so Phases A and E still read the slot's model and
+//! version and its trainer still installs checkpoints.
+//!
 //! Two metric planes, deliberately separated:
 //! * the **logical plane** — a deterministic arrival/queue ledger
 //!   (offered, served, backlogged, peak depth) driven by
 //!   [`ArrivalPattern`] over fixed ticks — is what
 //!   [`EdgeDaemon::status_snapshot`] serialises; two runs with the same
-//!   seed produce byte-identical snapshots regardless of shard count or
-//!   thread timing;
-//! * the **live plane** — frames actually classified by the shards while
+//!   seed produce byte-identical snapshots regardless of pump groups,
+//!   trainers or thread timing;
+//! * the **live plane** — frames actually classified by the pump while
 //!   trainers ran — proves liveness under real concurrency and is
 //!   reported per window, never serialised.
 
-use crate::actors::{
-    spawn_bounded, spawn_supervised_bounded, Actor, ActorHandle, Address, Pending,
-};
+use crate::actors::{spawn_supervised_bounded, ActorHandle};
 use crate::metrics::{StatusSnapshot, StatusView, StreamStatus};
 use crate::trainer::{
     SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply,
@@ -47,8 +54,9 @@ use ekya_nn::cost::CostModel;
 use ekya_nn::data::{DataView, Sample};
 use ekya_nn::mlp::{Mlp, MlpArch, PredictScratch};
 use ekya_video::{StreamId, VideoDataset};
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Why the daemon refused to admit a stream. Rejection is immediate and
@@ -91,7 +99,8 @@ impl std::error::Error for AdmissionError {}
 /// A serving-path request failure, as seen by [`DaemonClient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
-    /// The daemon (or its shard) has shut down.
+    /// The daemon has shut down, or the stream's serving slot was
+    /// poisoned by a panic while classifying.
     Unavailable,
     /// No admitted stream has this id.
     UnknownStream,
@@ -130,7 +139,7 @@ pub enum ArrivalPattern {
     /// ticks — the rush that exercises queue depth and backlog.
     Bursty,
     /// Uniform, but each stream's arrivals are phase-shifted by its id,
-    /// so shards never see all streams peak on the same tick.
+    /// so the pump never sees all streams peak on the same tick.
     Staggered,
 }
 
@@ -185,17 +194,15 @@ pub struct ServeConfig {
     /// Aggregate fps budget across admitted streams
     /// (`f64::INFINITY` disables the rate check).
     pub serve_fps_capacity: f64,
-    /// Inference shards (each one bounded-mailbox actor thread).
+    /// Pump groups: the live pump splits the streams `id % infer_shards`
+    /// ways. One group pumps inline on the daemon thread; k ≥ 2 groups
+    /// pump on k − 1 scoped threads beside it.
     pub infer_shards: usize,
     /// Supervised trainer actors in the pool.
     pub trainer_shards: usize,
     /// Threads fanning out the per-stream label/profile/evaluate work at
     /// each window boundary.
     pub planner_workers: usize,
-    /// Bounded mailbox capacity per inference shard (backpressure: a
-    /// producer pumping faster than a shard drains blocks instead of
-    /// growing an unbounded queue).
-    pub shard_mailbox: usize,
     /// Frames per logical serving batch (the per-tick service capacity
     /// of the ledger and the chunk size of live pumping).
     pub batch_size: usize,
@@ -243,7 +250,6 @@ impl ServeConfig {
             infer_shards: 2,
             trainer_shards: 2,
             planner_workers: 2,
-            shard_mailbox: 128,
             batch_size: 16,
             ticks_per_window: 20,
             arrival: ArrivalPattern::Uniform,
@@ -303,249 +309,160 @@ impl ServeConfig {
     }
 }
 
+/// One stream's serving state, behind its [`StreamSlot`]'s lock.
 struct Slot {
-    /// Shared handle to the serving model: `GetModel` hands out clones
-    /// of the `Arc`, and a hot-swap installs a new `Arc` (copy-on-write
-    /// at the swap boundary — readers keep the version they fetched).
+    /// Shared handle to the serving model: readers clone the `Arc`, and a
+    /// hot-swap installs a new one (copy-on-write at the swap boundary —
+    /// readers keep the version they fetched).
     model: Arc<Mlp>,
-    /// Per-slot forward-pass workspace; classification and evaluation
-    /// reuse its buffers, so steady-state serving allocates nothing.
-    scratch: PredictScratch,
     version: u64,
-    num_classes: usize,
+    /// Forward-pass workspace; classification reuses its buffers, so
+    /// steady-state serving allocates nothing.
+    scratch: PredictScratch,
+    /// Frames classified (pump and clients).
+    served: u64,
+    /// Checkpoints installed.
+    swaps: u64,
 }
 
-/// Live counters of one shard (wall plane, never serialised).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardLive {
-    /// Frames classified since spawn.
-    pub served: u64,
-    /// Checkpoint swaps applied.
-    pub swaps: u64,
+/// One admitted stream's serving slot, shared by the daemon, its
+/// clients and the stream's trainer. The lock is held only to classify
+/// one batch or to read or replace the model, never across training or
+/// a reload.
+pub(crate) struct StreamSlot {
+    state: Mutex<Slot>,
+    /// Batches refused because `state` is poisoned.
+    refused: AtomicU64,
 }
 
-/// One stream's slice of a coalesced classification round
-/// ([`ShardMsg::ClassifyMany`]). Carriers are recycled through a free
-/// list by the daemon's pump: both `frames` and `preds` keep their
-/// allocations across rounds, so steady-state pumping allocates nothing.
-#[derive(Debug, Default)]
-pub struct ClassifyJob {
-    /// Stream id (input).
-    pub stream: u32,
-    /// Frames to classify (input).
-    pub frames: Vec<Sample>,
-    /// Predicted classes, filled in place by the shard (output).
-    pub preds: Vec<usize>,
-    /// Serving-model version that produced `preds` (output).
-    pub version: u64,
-    /// Whether the stream had a slot on this shard (output; `preds` is
-    /// empty when it did not).
-    pub known: bool,
-}
+impl StreamSlot {
+    pub(crate) fn new(model: Arc<Mlp>) -> Self {
+        Self {
+            state: Mutex::new(Slot {
+                model,
+                version: 0,
+                scratch: PredictScratch::new(),
+                served: 0,
+                swaps: 0,
+            }),
+            refused: AtomicU64::new(0),
+        }
+    }
 
-/// Messages understood by an inference shard.
-pub enum ShardMsg {
-    /// Install a new stream slot.
-    Admit {
-        /// Stream id.
-        stream: u32,
-        /// Initial serving model.
-        model: Arc<Mlp>,
-        /// Number of classes.
-        num_classes: usize,
-    },
-    /// Classify a batch of frames for one stream. This is the outside
-    /// boundary ([`DaemonClient::classify`]), so frame shapes are checked
-    /// here: one frame of the wrong length refuses the whole batch with
-    /// [`ShardReply::MalformedFrame`].
-    ClassifyBatch {
-        /// Stream id.
-        stream: u32,
-        /// The frames.
-        frames: Vec<Sample>,
-    },
-    /// Classify batches for many streams under **one** mailbox dequeue —
-    /// the daemon's pump coalesces a whole round into one of these per
-    /// shard, so mailbox traffic scales with shard count, not stream
-    /// count. Carriers come back in the same order via
-    /// [`ShardReply::ClassifiedMany`].
-    ClassifyMany(Vec<ClassifyJob>),
-    /// Hot-swap a stream's serving model; bumps its version.
-    Swap {
-        /// Stream id.
-        stream: u32,
-        /// The new model.
-        model: Arc<Mlp>,
-        /// Simulated weight-reload duration.
-        reload: Duration,
-    },
-    /// Measure a stream's serving accuracy on a labelled batch.
-    Evaluate {
-        /// Stream id.
-        stream: u32,
-        /// The labelled batch (shared, not copied).
-        batch: Arc<Vec<Sample>>,
-    },
-    /// A copy of a stream's serving model and version.
-    GetModel {
-        /// Stream id.
-        stream: u32,
-    },
-    /// Current live counters.
-    LiveStats,
-}
+    /// The slot for the logical plane (model, version, counters): read
+    /// through poison, since a panic can only have interrupted a forward
+    /// pass, which leaves all three intact.
+    fn logical(&self) -> MutexGuard<'_, Slot> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Replies from an inference shard.
-pub enum ShardReply {
-    /// Slot installed.
-    Admitted,
-    /// Predictions plus the model version that produced them.
-    Predictions {
-        /// Predicted classes, one per frame.
-        preds: Vec<usize>,
-        /// Serving-model version used.
-        version: u64,
-    },
-    /// Swap applied; the slot's new version.
-    Swapped {
-        /// Version after the swap.
-        version: u64,
-    },
-    /// Carriers from a coalesced round, in request order, with `preds`,
-    /// `version` and `known` filled in.
-    ClassifiedMany(Vec<ClassifyJob>),
-    /// Accuracy for `Evaluate`.
-    Accuracy(f64),
-    /// Shared model handle and version for `GetModel`.
-    Model {
-        /// The serving model (an `Arc` clone, not a deep copy).
-        model: Arc<Mlp>,
-        /// Its version.
-        version: u64,
-    },
-    /// Live counters.
-    Live(ShardLive),
-    /// The stream id has no slot on this shard.
-    NoSuchStream,
-    /// A `ClassifyBatch` frame does not fit the slot's serving model;
-    /// nothing was classified.
-    MalformedFrame {
-        /// Feature dimension the serving model takes.
-        expected: usize,
-        /// Length of the first offending frame.
-        got: usize,
-    },
-}
+    /// The slot for the wall plane (classifying frames), or `None` —
+    /// counted as a refusal — when a panic poisoned it.
+    fn serving(&self) -> Option<MutexGuard<'_, Slot>> {
+        let slot = self.state.lock().ok();
+        if slot.is_none() {
+            self.refused.fetch_add(1, Ordering::Relaxed);
+        }
+        slot
+    }
 
-/// One inference shard: a single actor thread multiplexing many stream
-/// slots. Batching is intrinsic — every classify request carries a batch
-/// and the whole batch runs under one mailbox dequeue.
-#[derive(Default)]
-pub struct InferenceShard {
-    slots: BTreeMap<u32, Slot>,
-    live: ShardLive,
-}
+    /// The serving model and its version.
+    pub(crate) fn model(&self) -> (Arc<Mlp>, u64) {
+        let slot = self.logical();
+        (Arc::clone(&slot.model), slot.version)
+    }
 
-impl Actor for InferenceShard {
-    type Msg = ShardMsg;
-    type Reply = ShardReply;
+    /// Installs `model` as the serving model and bumps the version.
+    pub(crate) fn install(&self, model: Arc<Mlp>) {
+        let mut slot = self.logical();
+        slot.model = model;
+        slot.version += 1;
+        slot.swaps += 1;
+    }
 
-    fn handle(&mut self, msg: ShardMsg) -> ShardReply {
-        match msg {
-            ShardMsg::Admit { stream, model, num_classes } => {
-                self.slots.insert(
-                    stream,
-                    Slot { model, scratch: PredictScratch::new(), version: 0, num_classes },
-                );
-                ShardReply::Admitted
-            }
-            ShardMsg::ClassifyBatch { stream, frames } => match self.slots.get_mut(&stream) {
-                Some(slot) => {
-                    let expected = slot.model.arch().input_dim;
-                    if let Some(bad) = frames.iter().find(|s| s.x.len() != expected) {
-                        return ShardReply::MalformedFrame { expected, got: bad.x.len() };
-                    }
-                    self.live.served += frames.len() as u64;
-                    ShardReply::Predictions {
-                        preds: slot.model.predict_into(&frames, &mut slot.scratch).to_vec(),
-                        version: slot.version,
-                    }
-                }
-                None => ShardReply::NoSuchStream,
-            },
-            ShardMsg::ClassifyMany(mut jobs) => {
-                for job in &mut jobs {
-                    job.preds.clear();
-                    match self.slots.get_mut(&job.stream) {
-                        Some(slot) => {
-                            self.live.served += job.frames.len() as u64;
-                            job.preds.extend_from_slice(
-                                slot.model.predict_into(&job.frames, &mut slot.scratch),
-                            );
-                            job.version = slot.version;
-                            job.known = true;
-                        }
-                        None => job.known = false,
-                    }
-                }
-                ShardReply::ClassifiedMany(jobs)
-            }
-            ShardMsg::Swap { stream, model, reload } => match self.slots.get_mut(&stream) {
-                Some(slot) => {
-                    if !reload.is_zero() {
-                        std::thread::sleep(reload);
-                    }
-                    slot.model = model;
-                    slot.version += 1;
-                    self.live.swaps += 1;
-                    ShardReply::Swapped { version: slot.version }
-                }
-                None => ShardReply::NoSuchStream,
-            },
-            ShardMsg::Evaluate { stream, batch } => match self.slots.get_mut(&stream) {
-                Some(slot) => ShardReply::Accuracy(
-                    slot.model
-                        .accuracy_with(DataView::new(&batch, slot.num_classes), &mut slot.scratch),
-                ),
-                None => ShardReply::NoSuchStream,
-            },
-            ShardMsg::GetModel { stream } => match self.slots.get(&stream) {
-                Some(slot) => {
-                    ShardReply::Model { model: Arc::clone(&slot.model), version: slot.version }
-                }
-                None => ShardReply::NoSuchStream,
-            },
-            ShardMsg::LiveStats => ShardReply::Live(self.live),
+    /// Classifies one client batch. A frame whose length does not fit
+    /// the serving model refuses the whole batch before anything runs.
+    fn classify(&self, frames: &[Sample]) -> Result<(Vec<usize>, u64), ServeError> {
+        let mut slot = self.serving().ok_or(ServeError::Unavailable)?;
+        let Slot { model, version, scratch, served, .. } = &mut *slot;
+        let expected = model.arch().input_dim;
+        if let Some(bad) = frames.iter().find(|s| s.x.len() != expected) {
+            return Err(ServeError::MalformedFrame { expected, got: bad.x.len() });
+        }
+        let preds = model.predict_into(frames, scratch).to_vec();
+        *served += preds.len() as u64;
+        Ok((preds, *version))
+    }
+
+    /// One pump batch: `want` frames cycled from `val` starting at
+    /// `cursor`, classified straight out of `val` (a batch that wraps is
+    /// two or more calls; rows are classified independently, so the
+    /// split changes no prediction). Returns the frames classified.
+    fn pump(&self, val: &[Sample], cursor: usize, want: usize) -> u64 {
+        if val.is_empty() {
+            return 0;
+        }
+        let Some(mut slot) = self.serving() else { return 0 };
+        let Slot { model, scratch, served, .. } = &mut *slot;
+        let (mut start, mut left) = (cursor % val.len(), want);
+        while left > 0 {
+            let end = val.len().min(start + left);
+            model.predict_into(&val[start..end], scratch);
+            left -= end - start;
+            start = 0;
+        }
+        *served += want as u64;
+        want as u64
+    }
+
+    fn live(&self) -> LiveStats {
+        let slot = self.logical();
+        LiveStats {
+            served: slot.served,
+            swaps: slot.swaps,
+            refused: self.refused.load(Ordering::Relaxed),
         }
     }
 }
 
+/// Live counters of the serving slots (wall plane, never serialised).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LiveStats {
+    /// Frames classified since admission (pump and clients).
+    pub served: u64,
+    /// Checkpoint swaps applied.
+    pub swaps: u64,
+    /// Client requests and pump batches refused because a panic while
+    /// classifying poisoned their stream's slot.
+    pub refused: u64,
+}
+
+/// Every admitted stream's slot, by stream id, as the daemon's clients
+/// see it; `None` once the daemon has shut down.
+type SlotTable = RwLock<Option<Vec<Arc<StreamSlot>>>>;
+
 /// A cloneable client for sending live inference traffic to the daemon
-/// from any thread, concurrent with retraining windows.
+/// from any thread, concurrent with retraining windows. It reaches every
+/// stream the daemon admits, including streams admitted after the client
+/// was made.
 #[derive(Clone)]
 pub struct DaemonClient {
-    shards: Vec<Address<InferenceShard>>,
+    slots: Arc<SlotTable>,
 }
 
 impl DaemonClient {
     /// Classifies a batch of frames for `stream`; returns the predictions
     /// and the serving-model version that produced them. A frame whose
     /// feature vector does not fit the serving model refuses the whole
-    /// batch with [`ServeError::MalformedFrame`] — the shard stays up.
+    /// batch with [`ServeError::MalformedFrame`] — the slot stays up.
     pub fn classify(
         &self,
         stream: StreamId,
         frames: Vec<Sample>,
     ) -> Result<(Vec<usize>, u64), ServeError> {
-        let shard = &self.shards[stream.0 as usize % self.shards.len()];
-        match shard.ask(ShardMsg::ClassifyBatch { stream: stream.0, frames }) {
-            Ok(ShardReply::Predictions { preds, version }) => Ok((preds, version)),
-            Ok(ShardReply::NoSuchStream) => Err(ServeError::UnknownStream),
-            Ok(ShardReply::MalformedFrame { expected, got }) => {
-                Err(ServeError::MalformedFrame { expected, got })
-            }
-            _ => Err(ServeError::Unavailable),
-        }
+        let table = self.slots.read().map_err(|_| ServeError::Unavailable)?;
+        let slots = table.as_ref().ok_or(ServeError::Unavailable)?;
+        slots.get(stream.0 as usize).ok_or(ServeError::UnknownStream)?.classify(&frames)
     }
 }
 
@@ -570,6 +487,7 @@ pub struct ServeWindowReport {
 
 struct StreamState {
     id: StreamId,
+    slot: Arc<StreamSlot>,
     ds: VideoDataset,
     learner: StreamLearner,
     status: StreamStatus,
@@ -587,62 +505,42 @@ struct PhaseAOut {
 /// returns `(stream index, outcome)` pairs (`None` = trainer panicked).
 type TrainWaiter = std::thread::JoinHandle<Vec<(usize, Option<TrainOutcome>)>>;
 
-/// Refills a recycled frame carrier with `want` frames cycled from `val`
-/// starting at `cursor`, reusing the carrier's `Vec` and each `Sample`'s
-/// feature buffer instead of cloning fresh ones.
-fn refill_frames(frames: &mut Vec<Sample>, val: &[Sample], cursor: usize, want: usize) {
-    if val.is_empty() {
-        frames.clear();
-        return;
-    }
-    frames.truncate(want);
-    let mut src = val.iter().cycle().skip(cursor % val.len());
-    for i in 0..want {
-        let s = src.next().expect("cycled non-empty slice is infinite");
-        if let Some(dst) = frames.get_mut(i) {
-            dst.x.clear();
-            dst.x.extend_from_slice(&s.x);
-            dst.y = s.y;
-        } else {
-            frames.push(s.clone());
-        }
-    }
-}
-
-/// Runs `work(stream index, stream, its shard)` for every stream, fanned
-/// over `workers` scoped threads in fixed index chunks (Phases A and E).
+/// Runs `work(stream index, stream)` for every stream, fanned over
+/// `workers` scoped threads in fixed index chunks (Phases A and E).
 /// Results land by stream index, so the worker count cannot change a byte
 /// of the outcome. `chunk_span`, when given, names the `server.daemon`
 /// wall span each chunk records.
 fn fan_out<T: Send>(
     streams: &mut [StreamState],
-    shards: &[ActorHandle<InferenceShard>],
     workers: usize,
     chunk_span: Option<&'static str>,
-    work: impl Fn(usize, &mut StreamState, &Address<InferenceShard>) -> T + Sync,
+    work: impl Fn(usize, &mut StreamState) -> T + Sync,
 ) -> Vec<T> {
     let n = streams.len();
     let workers = workers.max(1).min(n.max(1));
     let chunk = n.div_ceil(workers).max(1);
-    let mut outs: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let shards: Vec<Address<InferenceShard>> = shards.iter().map(|h| h.address()).collect();
     let work = &work;
     std::thread::scope(|scope| {
-        for (c, (states, slots)) in
-            streams.chunks_mut(chunk).zip(outs.chunks_mut(chunk)).enumerate()
-        {
-            let shards = shards.clone();
-            scope.spawn(move || {
-                let _chunk_wall =
-                    chunk_span.map(|name| ekya_telemetry::timing::wall_span("server.daemon", name));
-                for (i, (st, slot)) in states.iter_mut().zip(slots.iter_mut()).enumerate() {
-                    let shard = &shards[st.id.0 as usize % shards.len()];
-                    *slot = Some(work(c * chunk + i, st, shard));
-                }
-            });
-        }
-    });
-    outs.into_iter().map(|o| o.expect("every stream's slot filled")).collect()
+        let chunks: Vec<_> = streams
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(c, states)| {
+                scope.spawn(move || {
+                    let _chunk_wall = chunk_span
+                        .map(|name| ekya_telemetry::timing::wall_span("server.daemon", name));
+                    states
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(i, st)| work(c * chunk + i, st))
+                        .collect::<Vec<T>>()
+                })
+            })
+            .collect();
+        chunks
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
 }
 
 /// A per-window snapshot consumer (see [`EdgeDaemon::set_snapshot_sink`]).
@@ -651,53 +549,33 @@ type SnapshotSink = Box<dyn FnMut(&StatusView<'_>) + Send>;
 /// The long-running multi-tenant serving daemon.
 pub struct EdgeDaemon {
     cfg: ServeConfig,
-    shards: Vec<ActorHandle<InferenceShard>>,
+    /// The streams' slots as clients see them.
+    slots: Arc<SlotTable>,
     trainers: Vec<ActorHandle<TrainerActor>>,
     streams: Vec<StreamState>,
     rejected: u64,
     window_idx: usize,
     faults: BTreeSet<u32>,
-    /// Free list of recycled pump carriers (wall plane only).
-    carrier_pool: Vec<ClassifyJob>,
-    /// Per-shard staging for one coalesced pump round (kept here so the
-    /// staging `Vec`s themselves are reused across rounds).
-    shard_jobs: Vec<Vec<ClassifyJob>>,
     snapshot_sink: Option<SnapshotSink>,
 }
 
 impl EdgeDaemon {
-    /// Boots the daemon with no streams admitted: `infer_shards` bounded
-    /// inference shards and `trainer_shards` supervised trainers.
+    /// Boots the daemon with no streams admitted and `trainer_shards`
+    /// supervised trainers.
     pub fn new(cfg: ServeConfig) -> Self {
-        let shards = (0..cfg.infer_shards.max(1))
-            .map(|i| {
-                spawn_bounded(
-                    format!("infer-shard-{i}"),
-                    InferenceShard::default(),
-                    cfg.shard_mailbox,
-                )
-            })
-            .collect();
         let trainers = (0..cfg.trainer_shards.max(1))
             .map(|i| spawn_supervised_bounded(format!("trainer-{i}"), || TrainerActor, 2))
             .collect();
-        let shard_jobs = (0..cfg.infer_shards.max(1)).map(|_| Vec::new()).collect();
         Self {
             cfg,
-            shards,
+            slots: Arc::new(RwLock::new(Some(Vec::new()))),
             trainers,
             streams: Vec::new(),
             rejected: 0,
             window_idx: 0,
             faults: BTreeSet::new(),
-            carrier_pool: Vec::new(),
-            shard_jobs,
             snapshot_sink: None,
         }
-    }
-
-    fn shard_for(&self, stream: u32) -> &ActorHandle<InferenceShard> {
-        &self.shards[stream as usize % self.shards.len()]
     }
 
     /// Admits a camera stream, or rejects it with a typed error (counted
@@ -744,15 +622,10 @@ impl EdgeDaemon {
         let id = StreamId(self.streams.len() as u32);
         let seed = stream_seed(self.cfg.seed, id.0 as usize);
         let model = Mlp::new(MlpArch::edge(ds.feature_dim, ds.num_classes, 16), seed);
-        let reply = self
-            .shard_for(id.0)
-            .ask(ShardMsg::Admit {
-                stream: id.0,
-                model: Arc::new(model),
-                num_classes: ds.num_classes,
-            })
-            .expect("shard alive at admission");
-        assert!(matches!(reply, ShardReply::Admitted));
+        let slot = Arc::new(StreamSlot::new(Arc::new(model)));
+        if let Some(slots) = self.slots.write().unwrap_or_else(PoisonError::into_inner).as_mut() {
+            slots.push(Arc::clone(&slot));
+        }
         let status = StreamStatus {
             stream: id.0,
             dataset: ds.spec.kind.name().to_string(),
@@ -773,6 +646,7 @@ impl EdgeDaemon {
         };
         self.streams.push(StreamState {
             id,
+            slot,
             learner: StreamLearner::new(
                 seed,
                 ds.num_classes,
@@ -803,7 +677,7 @@ impl EdgeDaemon {
     /// A client handle for live inference traffic, usable from any
     /// thread concurrently with [`EdgeDaemon::run_window`].
     pub fn client(&self) -> DaemonClient {
-        DaemonClient { shards: self.shards.iter().map(|h| h.address()).collect() }
+        DaemonClient { slots: Arc::clone(&self.slots) }
     }
 
     /// Marks `stream` so its *next* planned retraining job panics after
@@ -818,16 +692,13 @@ impl EdgeDaemon {
         self.trainers.iter().map(ActorHandle::restarts).sum()
     }
 
-    /// Aggregate live-plane counters across all shards.
-    pub fn live_stats(&self) -> ShardLive {
-        let mut total = ShardLive::default();
-        for shard in &self.shards {
-            if let Ok(ShardReply::Live(l)) = shard.ask(ShardMsg::LiveStats) {
-                total.served += l.served;
-                total.swaps += l.swaps;
-            }
-        }
-        total
+    /// Aggregate live-plane counters across all streams' slots.
+    pub fn live_stats(&self) -> LiveStats {
+        self.streams.iter().map(|st| st.slot.live()).fold(LiveStats::default(), |a, b| LiveStats {
+            served: a.served + b.served,
+            swaps: a.swaps + b.swaps,
+            refused: a.refused + b.refused,
+        })
     }
 
     /// Runs one retraining window online: micro-profile + thief-schedule
@@ -932,10 +803,7 @@ impl EdgeDaemon {
                 hyper: self.cfg.hyper,
                 seed: self.cfg.seed.wrapping_add((w_idx as u64) << 20).wrapping_add(s as u64),
                 checkpoint_every: self.cfg.checkpoint_every,
-                swap_target: Some(SwapTarget {
-                    addr: self.shards[st.id.0 as usize % self.shards.len()].address(),
-                    stream: st.id.0,
-                }),
+                swap_target: Some(SwapTarget::new(Arc::clone(&st.slot))),
                 swap_reload: self.cfg.swap_reload,
                 val: Arc::clone(&prep[s].sys_val),
                 fail_after_epochs: self.faults.remove(&st.id.0).then_some(1),
@@ -1108,43 +976,34 @@ impl EdgeDaemon {
         reports
     }
 
-    /// One round of live pumping: every stream's batch of this window's
-    /// frames, coalesced into at most one [`ShardMsg::ClassifyMany`] per
-    /// shard, dispatched concurrently via deferred asks (the replies are
-    /// the proof of liveness). Mailbox traffic scales with shard count,
-    /// not stream count, and the batch carriers — frame `Vec`s and
-    /// their feature buffers included — are recycled through a free
-    /// list, so a steady-state round allocates nothing.
-    fn pump_once(&mut self, w_idx: usize, cursor: usize, live_served: &mut [u64]) {
-        let nshards = self.shards.len();
-        for st in &self.streams {
-            let val = &st.ds.window(w_idx).val;
-            let mut job = self.carrier_pool.pop().unwrap_or_default();
-            job.stream = st.id.0;
-            refill_frames(&mut job.frames, val, cursor, self.cfg.batch_size);
-            self.shard_jobs[st.id.0 as usize % nshards].push(job);
-        }
-        let pending: Vec<Option<Pending<ShardReply>>> = self
-            .shards
-            .iter()
-            .zip(self.shard_jobs.iter_mut())
-            .map(|(shard, jobs)| {
-                if jobs.is_empty() {
-                    return None;
-                }
-                shard.ask_deferred(ShardMsg::ClassifyMany(std::mem::take(jobs))).ok()
-            })
-            .collect();
-        for p in pending.into_iter().flatten() {
-            if let Ok(ShardReply::ClassifiedMany(jobs)) = p.wait() {
-                for job in jobs {
-                    if job.known {
-                        live_served[job.stream as usize] += job.preds.len() as u64;
-                    }
-                    self.carrier_pool.push(job);
+    /// One round of live pumping: a batch of this window's frames for
+    /// every stream, classified in its slot. The streams split `id % k`
+    /// over `k = infer_shards` pump groups: group 0 runs on this thread,
+    /// the others on scoped threads beside it. Nothing is copied or
+    /// allocated per stream; each slot's lock is held for one batch.
+    fn pump_once(&self, w_idx: usize, cursor: usize, live_served: &mut [u64]) {
+        let groups = self.cfg.infer_shards.max(1);
+        let batch = self.cfg.batch_size;
+        let pump = |st: &StreamState| st.slot.pump(&st.ds.window(w_idx).val, cursor, batch);
+        let streams = &self.streams;
+        std::thread::scope(|scope| {
+            let others: Vec<_> = (1..groups)
+                .map(|g| {
+                    scope.spawn(move || {
+                        streams.iter().skip(g).step_by(groups).map(pump).collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            for (served, st) in live_served.iter_mut().zip(streams).step_by(groups) {
+                *served += pump(st);
+            }
+            for (g, group) in (1..groups).zip(others) {
+                let counts = group.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                for (served, n) in live_served.iter_mut().skip(g).step_by(groups).zip(counts) {
+                    *served += n;
                 }
             }
-        }
+        });
     }
 
     /// Drives `rounds` rounds of the live pump against the *current*
@@ -1184,7 +1043,7 @@ impl EdgeDaemon {
         let retrain_grid = &self.cfg.retrain_grid;
         let base_seed = self.cfg.seed;
         let workers = self.cfg.planner_workers;
-        fan_out(&mut self.streams, &self.shards, workers, Some("phase_a_chunk"), |s, st, shard| {
+        fan_out(&mut self.streams, workers, Some("phase_a_chunk"), |s, st| {
             // Contexts are thread-local: re-key this worker's deep
             // emissions (micro-profiler spans) to the (window, stream)
             // they belong to, so planner worker count never reorders the
@@ -1192,11 +1051,7 @@ impl EdgeDaemon {
             let _s_ctx = ekya_telemetry::enabled().then(|| {
                 ekya_telemetry::Ctx::current().window(w_idx as i64).stream(st.id.0 as i64).enter()
             });
-            let Ok(ShardReply::Model { model, .. }) =
-                shard.ask(ShardMsg::GetModel { stream: st.id.0 })
-            else {
-                unreachable!("admitted stream has a slot")
-            };
+            let (model, _) = st.slot.model();
             let profile_seed = base_seed.wrapping_add((w_idx as u64) << 16).wrapping_add(s as u64);
             let prep =
                 st.learner.prepare(&model, st.ds.window(w_idx), retrain_grid, Some(profile_seed));
@@ -1217,12 +1072,8 @@ impl EdgeDaemon {
     fn phase_e(&mut self, w_idx: usize) -> Vec<(u64, f64, f64)> {
         let cost = &self.cfg.cost;
         let workers = self.cfg.planner_workers;
-        fan_out(&mut self.streams, &self.shards, workers, None, |_, st, shard| {
-            let Ok(ShardReply::Model { model, version }) =
-                shard.ask(ShardMsg::GetModel { stream: st.id.0 })
-            else {
-                unreachable!("admitted stream has a slot")
-            };
+        fan_out(&mut self.streams, workers, None, |_, st| {
+            let (model, version) = st.slot.model();
             let accuracy =
                 model.accuracy(DataView::new(&st.ds.window(w_idx).val, st.ds.num_classes));
             (version, accuracy, cost.model_size_mbits * cost.size_factor(&model))
@@ -1266,13 +1117,105 @@ impl EdgeDaemon {
         }
     }
 
-    /// Graceful shutdown: stops every shard and trainer.
+    /// Graceful shutdown: closes the slots to every client (their
+    /// requests get [`ServeError::Unavailable`] from now on) and stops
+    /// every trainer. Dropping the daemon does the same.
     pub fn shutdown(self) {
-        for shard in self.shards {
-            shard.stop();
-        }
-        for trainer in self.trainers {
-            trainer.stop();
+        drop(self);
+    }
+}
+
+impl Drop for EdgeDaemon {
+    fn drop(&mut self) {
+        *self.slots.write().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ekya_video::{DatasetKind, DatasetSpec};
+
+    fn tiny_fleet(n: usize, seed: u64) -> Vec<VideoDataset> {
+        (0..n)
+            .map(|i| {
+                VideoDataset::generate(DatasetSpec {
+                    kind: DatasetKind::Waymo,
+                    num_windows: 2,
+                    window_secs: 10.0,
+                    fps: 4.0,
+                    label_fraction: 0.5,
+                    val_samples: 24,
+                    seed: seed.wrapping_add(1000 * i as u64),
+                })
+            })
+            .collect()
+    }
+
+    /// Hot-swapping a slot to a *smaller* model (fewer layers, narrower
+    /// output) must not leak stale bytes from the slot's reused scratch:
+    /// predictions through it equal a fresh allocating `predict`.
+    #[test]
+    fn classify_after_hot_swap_to_smaller_model_reads_no_stale_tail() {
+        let big = Mlp::new(MlpArch { input_dim: 6, hidden: vec![32, 24, 16], num_classes: 7 }, 11);
+        let small = Mlp::new(MlpArch { input_dim: 6, hidden: vec![4], num_classes: 3 }, 13);
+        let slot = StreamSlot::new(Arc::new(big));
+        let frames: Vec<Sample> = (0..33)
+            .map(|i| Sample::new((0..6).map(|d| ((i * 7 + d) as f32).sin()).collect(), 0))
+            .collect();
+        // A large batch through the deep model sizes the scratch up.
+        assert_eq!(slot.classify(&frames).map(|(p, v)| (p.len(), v)), Ok((frames.len(), 0)));
+        slot.install(Arc::new(small.clone()));
+        // A smaller batch through the smaller model reuses the oversized
+        // scratch; its predictions must match a fresh forward pass exactly.
+        let tail = &frames[..5];
+        assert_eq!(slot.classify(tail), Ok((small.predict(tail), 1)));
+        // A pump batch that wraps `val` twice is still exactly `want` frames.
+        assert_eq!(slot.pump(tail, 3, 12), 12);
+        assert_eq!(slot.live(), LiveStats { served: 33 + 5 + 12, swaps: 1, refused: 0 });
+    }
+
+    /// A panic while classifying poisons one stream's slot. That stream
+    /// is refused — its clients get `Unavailable` and its pump batches are
+    /// skipped, each refusal counted — while the other streams keep
+    /// serving through both paths, on one pump group and on two, and a
+    /// window still runs to completion with a valid ledger.
+    #[test]
+    fn poisoned_slot_refuses_its_stream_and_the_rest_keep_serving() {
+        for groups in [1, 2] {
+            let cfg = ServeConfig { infer_shards: groups, ..ServeConfig::quick(2.0) };
+            let batch = cfg.batch_size as u64;
+            let mut daemon = EdgeDaemon::new(cfg);
+            let fleet = tiny_fleet(3, 7);
+            let probe: Vec<Sample> = fleet[0].window(0).val[..4].to_vec();
+            let ids: Vec<StreamId> =
+                fleet.into_iter().map(|ds| daemon.admit(ds).unwrap()).collect();
+            let client = daemon.client();
+
+            let slot = Arc::clone(&daemon.streams[1].slot);
+            let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = slot.state.lock();
+                panic!("injected fault while classifying");
+            }));
+            assert!(poisoned.is_err() && slot.state.is_poisoned());
+
+            assert_eq!(client.classify(ids[1], probe.clone()), Err(ServeError::Unavailable));
+            assert_eq!(daemon.live_stats().refused, 1);
+            for id in [ids[0], ids[2]] {
+                assert_eq!(client.classify(id, probe.clone()).map(|(p, _)| p.len()), Ok(4));
+            }
+            assert_eq!(daemon.pump_rounds(2), 2 * 2 * batch, "{groups} groups: two streams pump");
+            assert_eq!(daemon.live_stats().refused, 1 + 2);
+
+            let reports = daemon.run_window();
+            assert_eq!(reports.len(), 3);
+            assert_eq!(daemon.status_snapshot().validate(), Vec::<String>::new());
+            // The logical plane still reads the poisoned slot: its version
+            // is the one the snapshot credits.
+            assert_eq!(daemon.status_snapshot().streams[1].model_version, slot.model().1);
+            assert_eq!(client.classify(ids[1], probe.clone()), Err(ServeError::Unavailable));
+            assert!(client.classify(ids[0], probe).is_ok());
+            daemon.shutdown();
         }
     }
 }

@@ -1,81 +1,62 @@
 //! Per-stream trainer actor.
 //!
 //! Runs a retraining configuration to completion with real SGD, and —
-//! when given the stream's inference address — hot-swaps improved
-//! checkpoints into serving mid-run (§5 "Ekya can improve inference
-//! accuracy by checkpointing the model during retraining and dynamically
-//! loading it as the inference model").
+//! when given the stream's serving slot — hot-swaps improved checkpoints
+//! into serving mid-run (§5 "Ekya can improve inference accuracy by
+//! checkpointing the model during retraining and dynamically loading it
+//! as the inference model").
 //!
-//! The trainer never blocks on the shard for an answer it does not need
-//! yet. The serving bar's `Evaluate` and every checkpoint `Swap` go out
-//! as deferred asks:
+//! The swap bar is the accuracy of the model serving when the job
+//! starts, on the job's validation batch: the trainer clones the slot's
+//! model and evaluates it outside the lock. Only this job swaps this
+//! stream in this window, so the bar cannot move under it except by its
+//! own swaps. Each better checkpoint is **installed before the job
+//! continues**, and so before it replies: Phase E, the next window and
+//! every client see every swap without any ordering argument.
 //!
-//! * the bar is queued before the first epoch and read at the first
-//!   checkpoint;
-//! * swap *k* is settled at checkpoint *k + 1*, before that checkpoint's
-//!   `acc > serving_accuracy` comparison, so every decision sees exactly
-//!   the bar a blocking trainer would have seen;
-//! * a job's **final** swap is never awaited. The shard's mailbox is one
-//!   FIFO queue and the swap is enqueued before the trainer replies, so
-//!   the swap is applied before anything sent after that reply — Phase
-//!   E's `GetModel`, the next window's `Evaluate`, any client request.
-//!   Waiting for it would only idle the trainer through the shard's
-//!   modelled reload.
-//!
-//! The shard still sleeps its `reload` per swap, and requests still
-//! queue behind it (§5's serving pause); only the trainer stops waiting.
-//! Because the last swap is not awaited, a [`TrainOutcome`] does not say
-//! how many swaps landed — the daemon credits swaps from the shard's
-//! model versions.
+//! A swap first pays the modelled weight reload (`swap_reload`, timed as
+//! the wall span `server.trainer/reload`) on the trainer's own thread,
+//! outside the slot's lock, so no stream's serving pauses for it.
 //!
 //! The job runs `val` through its frozen layers once
 //! ([`RetrainExecution::freeze`]); the accuracy of the last checkpoint is
 //! the job's final accuracy.
 
-use crate::actors::{Actor, ActorError, Address, Pending};
-use crate::serve::{InferenceShard, ShardMsg, ShardReply};
+use crate::actors::Actor;
+use crate::serve::StreamSlot;
 use ekya_core::{RetrainConfig, RetrainExecution, TrainHyper};
-use ekya_nn::data::Sample;
+use ekya_nn::data::{DataView, Sample};
 use ekya_nn::mlp::Mlp;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Where a trainer hot-swaps improved checkpoints: one stream's slot
-/// inside a multiplexed inference shard.
+/// Where a trainer hot-swaps improved checkpoints: one stream's serving
+/// slot.
 pub struct SwapTarget {
-    /// The shard serving this stream.
-    pub addr: Address<InferenceShard>,
-    /// Stream id within the shard.
-    pub stream: u32,
+    slot: Arc<StreamSlot>,
 }
-
-/// A shard reply the trainer has asked for but not yet read.
-type Deferred = Result<Pending<ShardReply>, ActorError>;
 
 impl SwapTarget {
-    /// Queues an evaluation of the serving model on `val`: the bar a
-    /// checkpoint must clear before it is worth swapping in.
-    fn ask_serving_accuracy(&self, val: &Arc<Vec<Sample>>) -> Deferred {
-        self.addr.ask_deferred(ShardMsg::Evaluate { stream: self.stream, batch: Arc::clone(val) })
+    pub(crate) fn new(slot: Arc<StreamSlot>) -> Self {
+        Self { slot }
     }
 
-    /// Queues a swap of `model` into serving. The `Arc::new` here is the
-    /// copy-on-write boundary: a freshly materialised checkpoint enters
-    /// shared ownership exactly once.
-    fn ask_swap(&self, model: Mlp, reload: Duration) -> Deferred {
-        self.addr.ask_deferred(ShardMsg::Swap {
-            stream: self.stream,
-            model: Arc::new(model),
-            reload,
-        })
+    /// The serving model's accuracy on `val`: the bar a checkpoint must
+    /// clear before it is worth swapping in.
+    fn serving_accuracy(&self, val: &[Sample], num_classes: usize) -> f64 {
+        self.slot.model().0.accuracy(DataView::new(val, num_classes))
     }
-}
 
-/// Blocks on a deferred shard reply, timed as the wall span
-/// `server.trainer/shard_wait`.
-fn shard_wait(reply: Deferred) -> Result<ShardReply, ActorError> {
-    let _wall = ekya_telemetry::timing::wall_span("server.trainer", "shard_wait");
-    reply?.wait()
+    /// Pays the modelled reload, then installs `model` into serving. The
+    /// `Arc::new` here is the copy-on-write boundary: a freshly
+    /// materialised checkpoint enters shared ownership exactly once.
+    fn swap(&self, model: Mlp, reload: Duration) {
+        if !reload.is_zero() {
+            let _wall = ekya_telemetry::timing::wall_span("server.trainer", "reload");
+            std::thread::sleep(reload);
+        }
+        self.slot.install(Arc::new(model));
+    }
 }
 
 /// One retraining job. Model and data inputs are `Arc`-shared: the
@@ -151,13 +132,10 @@ impl Actor for TrainerActor {
             spec.seed,
         );
         let val = exec.freeze(&spec.val);
-        // The swap bar: the serving side's current accuracy, asked for
-        // now and read at the first checkpoint.
-        let mut bar = spec.swap_target.as_ref().map(|t| t.ask_serving_accuracy(&spec.val));
-        let mut serving_accuracy = 0.0;
-        // The newest swap sent, with the accuracy that becomes the bar
-        // once the shard confirms it.
-        let mut in_flight: Option<(Deferred, f64)> = None;
+        let mut serving_accuracy = spec
+            .swap_target
+            .as_ref()
+            .map_or(0.0, |t| t.serving_accuracy(&spec.val, spec.num_classes));
         let mut last_accuracy = None;
         while !exec.is_complete() {
             exec.step_epoch();
@@ -174,24 +152,13 @@ impl Actor for TrainerActor {
             let acc = exec.accuracy_frozen(&val);
             last_accuracy = Some(acc);
             let Some(target) = &spec.swap_target else { continue };
-            if let Some(reply) = bar.take() {
-                if let Ok(ShardReply::Accuracy(a)) = shard_wait(reply) {
-                    serving_accuracy = a;
-                }
-            }
-            if let Some((reply, swapped_acc)) = in_flight.take() {
-                if let Ok(ShardReply::Swapped { .. }) = shard_wait(reply) {
-                    serving_accuracy = swapped_acc;
-                }
-            }
             if acc > serving_accuracy {
                 let mut model = exec.model().clone();
                 model.set_layers_trained(usize::MAX);
-                in_flight = Some((target.ask_swap(model, spec.swap_reload), acc));
+                target.swap(model, spec.swap_reload);
+                serving_accuracy = acc;
             }
         }
-        // `in_flight` — the final swap — drops here unread; see the
-        // module doc for why it is still applied before anything later.
         let final_accuracy = last_accuracy.unwrap_or_else(|| exec.accuracy_frozen(&val));
         let mut model = exec.model().clone();
         model.set_layers_trained(usize::MAX);
@@ -206,7 +173,7 @@ impl Actor for TrainerActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actors::{spawn_bounded, spawn_supervised_bounded};
+    use crate::actors::{spawn_bounded, spawn_supervised_bounded, ActorError};
     use ekya_nn::mlp::MlpArch;
     use rand::Rng;
     use rand::SeedableRng;
@@ -256,81 +223,50 @@ mod tests {
         assert_eq!(out.epochs, 20);
         assert!(out.final_accuracy > 0.9, "toy problem learnable: {}", out.final_accuracy);
         // The reused last-checkpoint evaluation is the returned model's.
-        let direct = out.model.accuracy(ekya_nn::data::DataView::new(&val, 2));
+        let direct = out.model.accuracy(DataView::new(&val, 2));
         assert_eq!(out.final_accuracy.to_bits(), direct.to_bits());
         trainer.stop();
     }
 
     #[test]
-    fn trainer_hot_swaps_into_shard() {
+    fn trainer_hot_swaps_into_slot() {
         let trainer = spawn_bounded("trainer", TrainerActor, 2);
         let job = spec(None);
         // Serve the *same untrained base model* the trainer starts from,
         // so the retrained model is better by construction and at least
         // the final swap must land.
-        let shard = spawn_bounded("shard", InferenceShard::default(), 8);
-        assert!(matches!(
-            shard.ask(ShardMsg::Admit {
-                stream: 0,
-                model: Arc::clone(&job.base_model),
-                num_classes: 2
-            }),
-            Ok(ShardReply::Admitted)
-        ));
-        let job = TrainJobSpec {
-            swap_target: Some(SwapTarget { addr: shard.address(), stream: 0 }),
-            ..job
-        };
+        let slot = Arc::new(StreamSlot::new(Arc::clone(&job.base_model)));
+        let job = TrainJobSpec { swap_target: Some(SwapTarget::new(Arc::clone(&slot))), ..job };
         let val = Arc::clone(&job.val);
         let TrainerReply::Done(_) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
-        let Ok(ShardReply::Model { version, .. }) = shard.ask(ShardMsg::GetModel { stream: 0 })
-        else {
-            panic!("wrong reply")
-        };
+        let (model, version) = slot.model();
         assert!(version >= 1, "at least one checkpoint should land");
-        // The shard now serves a model at least as good as the trainer's
+        // The slot now serves a model at least as good as the trainer's
         // last-swapped checkpoint bar.
-        let Ok(ShardReply::Accuracy(acc)) = shard.ask(ShardMsg::Evaluate { stream: 0, batch: val })
-        else {
-            panic!("wrong reply")
-        };
+        let acc = model.accuracy(DataView::new(&val, 2));
         assert!(acc > 0.85, "serving accuracy after swaps: {acc}");
         trainer.stop();
-        shard.stop();
     }
 
-    /// The trainer replies without waiting for its final swap, which the
-    /// shard is still reloading — yet the shard's FIFO mailbox applies
-    /// it before any message sent after the reply.
+    /// The final swap — here the only one, behind a real reload — is in
+    /// the slot by the time the trainer replies.
     #[test]
-    fn unawaited_final_swap_lands_before_later_messages() {
+    fn final_swap_is_installed_before_the_job_replies() {
         let trainer = spawn_bounded("trainer", TrainerActor, 2);
-        let shard = spawn_bounded("shard", InferenceShard::default(), 8);
         let job = spec(None);
-        assert!(matches!(
-            shard.ask(ShardMsg::Admit {
-                stream: 0,
-                model: Arc::clone(&job.base_model),
-                num_classes: 2
-            }),
-            Ok(ShardReply::Admitted)
-        ));
+        let slot = Arc::new(StreamSlot::new(Arc::clone(&job.base_model)));
         // No mid-run checkpoints: the only swap is the final one.
         let job = TrainJobSpec {
             checkpoint_every: None,
-            swap_target: Some(SwapTarget { addr: shard.address(), stream: 0 }),
-            swap_reload: Duration::from_millis(50),
+            swap_target: Some(SwapTarget::new(Arc::clone(&slot))),
+            swap_reload: Duration::from_millis(5),
             ..job
         };
         let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
-        let Ok(ShardReply::Model { model, version }) = shard.ask(ShardMsg::GetModel { stream: 0 })
-        else {
-            panic!("wrong reply")
-        };
-        assert_eq!(version, 1, "the final swap was applied first");
+        let (model, version) = slot.model();
+        assert_eq!(version, 1, "the final swap was installed before the reply");
         assert_eq!(format!("{:?}", *model), format!("{:?}", out.model));
         trainer.stop();
-        shard.stop();
     }
 
     #[test]

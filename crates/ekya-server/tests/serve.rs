@@ -4,11 +4,7 @@
 //! trainer faults.
 
 use ekya_nn::data::Sample;
-use ekya_nn::mlp::{Mlp, MlpArch};
-use ekya_server::{
-    AdmissionError, ClassifyJob, EdgeDaemon, InferenceShard, ServeConfig, ServeError, ShardMsg,
-    ShardReply,
-};
+use ekya_server::{AdmissionError, EdgeDaemon, ServeConfig, ServeError};
 use ekya_video::{DatasetKind, DatasetSpec, VideoDataset};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -106,6 +102,37 @@ fn hot_swapped_checkpoints_are_visible_and_monotone() {
     daemon.shutdown();
 }
 
+/// A client is a handle on the daemon, not a copy of its streams: one
+/// made before an admission still reaches the stream admitted after it,
+/// and once the daemon shuts down — or is dropped — every request it
+/// makes, for a stream that was admitted or one that never was, is
+/// refused as unavailable instead of being served from a daemon that no
+/// longer exists.
+#[test]
+fn client_reaches_later_admissions_and_is_unavailable_after_shutdown() {
+    let mut daemon = EdgeDaemon::new(ServeConfig::quick(2.0));
+    let early = daemon.client();
+    let fleet = tiny_fleet(2, 61);
+    let probe: Vec<_> = fleet[0].window(0).val.iter().take(3).cloned().collect();
+    let ids: Vec<_> = fleet.into_iter().map(|ds| daemon.admit(ds).unwrap()).collect();
+    for &id in &ids {
+        let (preds, version) = early.classify(id, probe.clone()).unwrap();
+        assert_eq!((preds.len(), version), (probe.len(), 0));
+    }
+    let late = daemon.client();
+    daemon.shutdown();
+    let mut dropped = EdgeDaemon::new(ServeConfig::quick(2.0));
+    let id = dropped.admit(tiny_fleet(1, 67).pop().unwrap()).unwrap();
+    let orphan = dropped.client();
+    assert!(orphan.classify(id, probe.clone()).is_ok());
+    drop(dropped);
+    for client in [&early, &late, &orphan] {
+        for id in [ids[0], ids[1], ekya_video::StreamId(9)] {
+            assert_eq!(client.classify(id, probe.clone()).err(), Some(ServeError::Unavailable));
+        }
+    }
+}
+
 /// Stream N+1 is rejected immediately with a typed error — not queued —
 /// both on the stream-count and the aggregate-rate axis, and rejections
 /// are counted in the snapshot.
@@ -145,10 +172,10 @@ fn admission_control_rejects_typed_not_queued() {
     daemon.shutdown();
 }
 
-/// A client frame of the wrong length is refused at the shard's outside
+/// A client frame of the wrong length is refused at the slot's outside
 /// boundary with a typed error — whole request, nothing classified —
-/// instead of tripping the forward pass's shape assert inside the shard
-/// thread, which would take every stream on that shard down with it.
+/// instead of tripping the forward pass's shape assert under the slot's
+/// lock, which would poison the stream's serving.
 #[test]
 fn malformed_client_frame_is_refused_and_shard_survives() {
     let mut daemon = EdgeDaemon::new(ServeConfig { infer_shards: 1, ..ServeConfig::quick(2.0) });
@@ -169,71 +196,13 @@ fn malformed_client_frame_is_refused_and_shard_survives() {
     }
     assert_eq!(daemon.live_stats().served, 0, "a refused request classifies nothing");
 
-    // The shard is alive: its other stream still classifies, a window
-    // runs to completion and the ledger validates.
+    // Serving is alive: the refused stream and the other one still
+    // classify, a window runs to completion and the ledger validates.
+    assert!(client.classify(a, probe.clone()).is_ok());
     assert_eq!(client.classify(b, probe.clone()).unwrap().0.len(), probe.len());
     assert_eq!(daemon.run_window().len(), 2);
     assert_eq!(daemon.status_snapshot().validate(), Vec::<String>::new());
     daemon.shutdown();
-}
-
-/// Hot-swapping a slot to a *smaller* model (fewer layers, narrower
-/// output) must not leak stale bytes from the slot's reused scratch
-/// buffers: predictions through the recycled scratch — on both the
-/// single-batch and the coalesced path, with a dirtied carrier — equal
-/// a fresh allocating `predict`.
-#[test]
-fn classify_after_hot_swap_to_smaller_model_reads_no_stale_tail() {
-    let shard = ekya_server::actors::spawn_bounded("shard", InferenceShard::default(), 8);
-    let big = Mlp::new(MlpArch { input_dim: 6, hidden: vec![32, 24, 16], num_classes: 7 }, 11);
-    let small = Mlp::new(MlpArch { input_dim: 6, hidden: vec![4], num_classes: 3 }, 13);
-    assert!(matches!(
-        shard.ask(ShardMsg::Admit { stream: 0, model: Arc::new(big), num_classes: 7 }),
-        Ok(ShardReply::Admitted)
-    ));
-    let frames: Vec<Sample> = (0..33)
-        .map(|i| Sample::new((0..6).map(|d| ((i * 7 + d) as f32).sin()).collect(), 0))
-        .collect();
-    // A large batch through the deep model sizes the slot's scratch up.
-    let Ok(ShardReply::Predictions { preds, .. }) =
-        shard.ask(ShardMsg::ClassifyBatch { stream: 0, frames: frames.clone() })
-    else {
-        panic!("wrong reply")
-    };
-    assert_eq!(preds.len(), frames.len());
-    assert!(matches!(
-        shard.ask(ShardMsg::Swap {
-            stream: 0,
-            model: Arc::new(small.clone()),
-            reload: Duration::ZERO
-        }),
-        Ok(ShardReply::Swapped { version: 1 })
-    ));
-    // A smaller batch through the smaller model reuses the oversized
-    // scratch; its predictions must match a fresh forward pass exactly.
-    let tail = frames[..5].to_vec();
-    let Ok(ShardReply::Predictions { preds, version }) =
-        shard.ask(ShardMsg::ClassifyBatch { stream: 0, frames: tail.clone() })
-    else {
-        panic!("wrong reply")
-    };
-    assert_eq!(version, 1);
-    assert_eq!(preds, small.predict(&tail));
-    // Same through the coalesced path, with a deliberately dirty carrier.
-    let job = ClassifyJob {
-        stream: 0,
-        frames: tail.clone(),
-        preds: vec![usize::MAX; 40],
-        version: 999,
-        known: false,
-    };
-    let Ok(ShardReply::ClassifiedMany(jobs)) = shard.ask(ShardMsg::ClassifyMany(vec![job])) else {
-        panic!("wrong reply")
-    };
-    assert!(jobs[0].known);
-    assert_eq!(jobs[0].version, 1);
-    assert_eq!(jobs[0].preds, small.predict(&tail));
-    shard.stop();
 }
 
 /// `pump_rounds` is pure wall plane: it classifies frames but leaves
@@ -272,10 +241,11 @@ fn pump_rounds_is_wall_plane_only_and_sink_gets_snapshot_bytes() {
 /// The paper preset, which every other daemon test here swaps for the
 /// quick one: the full retraining grid (head-only configurations
 /// included, so trainers run from frozen-layer blocks) and a real 5 ms
-/// reload per swap, which trainers do not wait out. Four paper streams
-/// over two windows give the same status bytes on one trainer and one
-/// shard as on two of each, run after run — the unawaited swaps land
-/// before Phase E reads the serving models.
+/// reload per swap, which trainers pay before installing. Four paper
+/// streams over two windows give the same status bytes on one trainer and
+/// one pump group as on two of each, run after run — every swap is
+/// installed before its job replies, so before Phase E reads the serving
+/// models.
 #[test]
 fn paper_preset_with_real_reloads_is_shard_count_invariant() {
     let run = |trainer_shards: usize, infer_shards: usize| -> (String, u64) {
@@ -306,7 +276,7 @@ fn paper_preset_with_real_reloads_is_shard_count_invariant() {
     let runs: Vec<(String, u64)> =
         [(1, 1), (1, 1), (2, 2), (2, 2)].into_iter().map(|(t, i)| run(t, i)).collect();
     for (k, (bytes, _)) in runs.iter().enumerate().skip(1) {
-        assert_eq!(bytes, &runs[0].0, "run {k}: status bytes moved with shard count or timing");
+        assert_eq!(bytes, &runs[0].0, "run {k}: status bytes moved with the shape or timing");
     }
     assert!(runs[0].1 >= 2, "some stream must swap two checkpoints in one window");
 }

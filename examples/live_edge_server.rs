@@ -3,7 +3,7 @@
 //! Admits three cameras into an `EdgeDaemon`, then runs three retraining
 //! windows in wall-clock time: the micro-profiler and thief scheduler
 //! plan each window, supervised trainer actors run real SGD on their own
-//! threads, checkpoints hot-swap into the inference shards — and a
+//! threads, checkpoints hot-swap into the streams' serving slots — and a
 //! client on its own thread keeps classifying frames through all of it,
 //! watching the model version rise. One camera's first retraining job is
 //! made to panic, to show the trainer pool restarting underneath a
@@ -27,8 +27,9 @@ fn main() {
     println!("edge daemon up: {cameras} cameras, 2 GPUs\n");
 
     // Live traffic from outside the daemon: camera 0's frames, classified
-    // in a loop for the whole run. Requests that arrive while new weights
-    // load simply wait in the shard's (bounded) mailbox.
+    // in a loop for the whole run. A hot-swap holds camera 0's slot only
+    // to replace the model pointer; the trainer pays the weight reload on
+    // its own thread, so requests never wait behind it.
     let (_, cam0) = streams.iter().next().expect("at least one camera");
     let probe: Vec<_> = cam0.window(0).val.iter().take(16).cloned().collect();
     let client = daemon.client();

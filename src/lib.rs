@@ -11,9 +11,10 @@
 //! * [`video`] (`ekya-video`) — synthetic drifting video workloads;
 //! * [`sim`] (`ekya-sim`) — discrete-event execution + trace replay;
 //! * [`server`] (`ekya-server`) — the live deployment: one serving shape,
-//!   `EdgeDaemon` (inference shards, supervised trainers, hot-swaps), on
-//!   the actor runtime re-exported as [`actors`] (the paper's Ray, §5:
-//!   typed, bounded mailboxes and supervised restart);
+//!   `EdgeDaemon` (per-stream serving slots, supervised trainers,
+//!   hot-swaps); its trainers run on the actor runtime re-exported as
+//!   [`actors`] (the paper's Ray, §5: typed, bounded mailboxes and
+//!   supervised restart);
 //! * [`baselines`] (`ekya-baselines`) — uniform/ablation/cloud/cache
 //!   comparisons;
 //! * [`telemetry`] (`ekya-telemetry`) — two-plane structured tracing:

@@ -218,11 +218,11 @@ fn serving_path_registered() {
     let _ = std::any::type_name::<ekya::server::AdmissionError>();
     let _ = std::any::type_name::<ekya::server::ServeError>();
     let _ = std::any::type_name::<ekya::server::ArrivalPattern>();
-    let _ = std::any::type_name::<ekya::server::InferenceShard>();
+    let _ = std::any::type_name::<ekya::server::LiveStats>();
     let _ = std::any::type_name::<ekya::server::SwapTarget>();
     let _ = std::any::type_name::<ekya::server::StatusSnapshot>();
     let _ = std::any::type_name::<ekya::server::StreamStatus>();
-    // Backpressure substrate the daemon's shards ride on (exercised, not
+    // Backpressure substrate the daemon's trainers ride on (exercised, not
     // just named: `impl Into<String>` params cannot be turbofished).
     let bounded = ekya::actors::spawn_bounded("smoke-bounded", DummyActor, 1);
     bounded.ask(()).expect("bounded mailbox delivers");
@@ -239,7 +239,7 @@ fn serving_path_registered() {
     let _ = ekya_bench::quick_fleet as *const ();
     let _ = ekya_bench::knob::streams_live as fn() -> Option<usize>;
     let _ = ekya_bench::knob::serve_crash_after as fn() -> Option<usize>;
-    let _ = ekya_bench::knob::arrival as fn() -> String;
+    let _ = ekya_bench::knob::arrival as fn() -> ekya::server::ArrivalPattern;
 
     // Both serving suites exist where cargo auto-discovers them.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
