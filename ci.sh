@@ -3,8 +3,11 @@
 #
 #   ./ci.sh quick   — fmt + clippy + ekya-lint + the ekya-nn unit tests
 #                     (≈1 s in release: the GEMM kernel, training-step,
-#                     frozen-input and inference-pass bit-identity
-#                     oracles) + the four fnv1a byte pins a training-bit
+#                     frozen-input, inference-pass and NNLS / curve-fit
+#                     bit-identity oracles) + the ekya-core scheduler
+#                     tests (≈0.4 s: the thief against its reference on
+#                     600 instances, the re-score shortcut's decisions)
+#                     + the four fnv1a byte pins a training-bit
 #                     change would move (RunReport, trace, cloud,
 #                     status_view; ≈0.3 s warm) + the ekya-server unit
 #                     tests (actor mailboxes, serving slots incl. the
@@ -58,10 +61,17 @@ case "$MODE" in
 
     # The nn oracles pin every kernel and forward-pass shortcut to its
     # reference bit for bit (GEMM vs naive folds, freeze-once training vs
-    # per-epoch, the inference pass's class vs training's softmax argmax).
+    # per-epoch, the inference pass's class vs training's softmax argmax,
+    # the fixed-width NNLS and curve fit vs the slice-of-Vec solver).
     # They take about a second in release, so the fast tier runs them too.
-    echo "==> cargo test --release -q -p ekya-nn (kernel, frozen-input, classify oracles)"
+    echo "==> cargo test --release -q -p ekya-nn (kernel, frozen-input, classify, NNLS oracles)"
     cargo test --release -q -p ekya-nn
+
+    # The thief's oracles: the incremental search against the full
+    # re-walk on 600 random instances, and the mean re-score shortcut
+    # against the full re-score at every attempt (≈0.4 s in release).
+    echo "==> cargo test --release -q -p ekya-core scheduler:: (thief oracle, shortcut decisions)"
+    cargo test --release -q -p ekya-core scheduler::
 
     # The fnv1a byte pins downstream of the nn: the simulator's RunReport
     # and window trace, the cloud baseline's report, and the daemon's

@@ -347,6 +347,39 @@ fn pick_configs_for_stream(
     }
 }
 
+/// The net two-stream gain below which a steal cannot win under
+/// [`SchedulerObjective::Mean`], so the thief rejects it without
+/// re-summing the n-element accuracy vector.
+///
+/// Premise: every per-stream accuracy lies in [0, 1] (the estimator's
+/// window averages do; the thief `debug_assert`s it). Let `u = ε/2` be the
+/// unit roundoff, `v` the best schedule's accuracies and `v'` an attempt's,
+/// which differ in the two touched streams by an exact net gain `D`. The
+/// thief accepts when `fl(Ŝ(v')/n) > fl(best + 1e-12)`, with `Ŝ` the
+/// in-order sum and `best = fl(Ŝ(v)/n)`. Then:
+///
+/// * in-order summation of n values of magnitude ≤ 1 is off by at most
+///   `γ(n−1)·n ≤ 1.01·n²u` (`γ(k) = ku/(1−ku)`), so
+///   `Ŝ(v') − Ŝ(v) ≤ D + 2.02·n²u`;
+/// * the divisions and the `+ 1e-12` each round a value of magnitude
+///   ≤ 1.01 by at most `1.01u`, so acceptance needs
+///   `Ŝ(v') − Ŝ(v) > n·1e-12 − 3.03·n·u`;
+/// * the computed gain `d = fl(fl(new_lo − old_lo) + fl(new_hi − old_hi))`
+///   is within `4.01u` of `D`.
+///
+/// Together, an accepted attempt has `d > n·1e-12 − 2.02·n²u − 3.03·n·u −
+/// 4.01u`. The threshold returned, `n·1e-12 − 4·n²·ε − 1e-15`
+/// (`4n²ε = 8n²u` covers both n-dependent terms from n = 1, `1e-15` the
+/// last; computing it rounds by ~1e-25), lies below that, so `d` under it
+/// means the full re-score would reject too. The attempts that survive
+/// re-sum in order, so the best score keeps its bits. A NaN gain compares
+/// false and falls through to the full re-score. Past about 1100 streams
+/// the threshold is negative and the shortcut rejects only net losses.
+fn mean_gain_hopeless_below(n: usize) -> f64 {
+    let n = n as f64;
+    n * 1e-12 - 4.0 * n * n * f64::EPSILON - 1e-15
+}
+
 /// The thief scheduler (Algorithm 1).
 ///
 /// `horizon_secs` is the (remaining) window duration ‖T‖. Returns the
@@ -362,17 +395,26 @@ fn pick_configs_for_stream(
 /// differs from the current best schedule in two jobs, so it consults the
 /// `PickConfigs` memo for at most two streams (one when both jobs belong
 /// to the same stream) and runs Algorithm 2 only for an `(infer, train)`
-/// unit pair that stream has not held before — 4405 calls for ~160 000
-/// attempts at 200 streams. If neither touched stream's accuracy rose,
-/// the attempt is rejected on the spot; only otherwise (typically a
-/// training thief whose retraining now completes or improves) is the
-/// n-element accuracy vector re-scored, which is the one O(n) step left.
+/// unit pair that stream has not held before. If neither touched stream's
+/// accuracy rose, the attempt is rejected on the spot. Under the mean
+/// objective it is also rejected when the two streams' net gain is below
+/// `mean_gain_hopeless_below` (typically one stream rose and the other
+/// fell further). Only the attempts left (typically a training thief whose
+/// retraining now completes or improves) re-score the n-element accuracy
+/// vector, which is the one O(n) step left. On the `fleet-plan` benchmark's
+/// 200-stream instance one schedule makes 85 109 attempts, 170 032 memo
+/// lookups and 4405 `PickConfigs` calls; 25 306 attempts pass the
+/// rose-at-all test and 1210 of those survive the net-gain test to be
+/// re-summed.
 ///
-/// The shortcut picks exactly the steals the full re-score would: IEEE
+/// Both shortcuts pick exactly the steals the full re-score would. IEEE
 /// round-to-nearest addition, the division by n, `min` and the `MaxMin`
 /// fold `min + 1e-3·mean` are all monotone, so a vector that is
 /// element-wise ≤ the current best cannot score above it in the same
-/// summation order, let alone above `best + 1e-12`.
+/// summation order, let alone above `best + 1e-12`. The net-gain test
+/// bounds the rounding of both in-order sums instead (derived on
+/// `mean_gain_hopeless_below`); `MaxMin`, whose `min` a net gain says
+/// nothing about, always re-scores.
 pub fn thief_schedule(
     streams: &[StreamInput<'_>],
     horizon_secs: f64,
@@ -429,7 +471,13 @@ pub fn thief_schedule(
                 &params.estimate,
             )
         });
-        eval.estimate.avg_accuracy
+        let accuracy = eval.estimate.avg_accuracy;
+        // The premise of the mean shortcut's error bound.
+        debug_assert!(
+            accuracy.is_nan() || (0.0..=1.0).contains(&accuracy),
+            "stream {s} accuracy {accuracy} outside [0, 1]"
+        );
+        accuracy
     };
 
     // Per-stream accuracies of the best schedule, in stream order — the
@@ -437,6 +485,10 @@ pub fn thief_schedule(
     let mut acc: Vec<f64> =
         (0..n).map(|s| accuracy_at(s, &alloc, &mut memo, &mut evaluations)).collect();
     let mut best_score = params.objective.score(&acc);
+    let hopeless_below = match params.objective {
+        SchedulerObjective::Mean => Some(mean_gain_hopeless_below(n)),
+        SchedulerObjective::MaxMin => None,
+    };
 
     // Thief resource stealing (Algorithm 1, lines 4-20).
     for thief in 0..num_jobs {
@@ -468,17 +520,29 @@ pub fn thief_schedule(
                 } else {
                     accuracy_at(hi, &alloc, &mut memo, &mut evaluations)
                 };
-                // Re-score only if a touched stream improved (see the
-                // function docs); `acc` is restored when the steal loses.
+                // Re-score only if a touched stream improved and, under the
+                // mean, the two streams' net gain can still clear the
+                // acceptance margin (see the function docs); `acc` is
+                // restored when the steal loses.
                 let mut accepted = false;
                 if new_lo > old_lo || new_hi > old_hi {
+                    let gain = (new_lo - old_lo) + if hi == lo { 0.0 } else { new_hi - old_hi };
+                    let hopeless = hopeless_below.is_some_and(|below| gain < below);
                     acc[lo] = new_lo;
                     acc[hi] = new_hi;
-                    let score = params.objective.score(&acc);
-                    if score > best_score + 1e-12 {
-                        accepted = true;
-                        best_score = score;
-                    } else {
+                    #[cfg(test)]
+                    tests::rescore_probe::record(
+                        hopeless,
+                        params.objective.score(&acc) > best_score + 1e-12,
+                    );
+                    if !hopeless {
+                        let score = params.objective.score(&acc);
+                        if score > best_score + 1e-12 {
+                            accepted = true;
+                            best_score = score;
+                        }
+                    }
+                    if !accepted {
                         acc[lo] = old_lo;
                         acc[hi] = old_hi;
                     }
@@ -585,6 +649,34 @@ mod tests {
     use ekya_nn::cost::CostModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// A record of the re-score decisions the thief reaches: for each,
+    /// whether the mean shortcut rejected it and whether the full re-score
+    /// would have accepted it. Records only between `start` and `take`, on
+    /// the calling thread.
+    pub(super) mod rescore_probe {
+        use std::cell::RefCell;
+
+        thread_local! {
+            static DECISIONS: RefCell<Option<Vec<(bool, bool)>>> = const { RefCell::new(None) };
+        }
+
+        pub(in crate::scheduler) fn start() {
+            DECISIONS.with(|d| *d.borrow_mut() = Some(Vec::new()));
+        }
+
+        pub(in crate::scheduler) fn record(hopeless: bool, full_accepts: bool) {
+            DECISIONS.with(|d| {
+                if let Some(log) = d.borrow_mut().as_mut() {
+                    log.push((hopeless, full_accepts));
+                }
+            });
+        }
+
+        pub(in crate::scheduler) fn take() -> Vec<(bool, bool)> {
+            DECISIONS.with(|d| d.borrow_mut().take().unwrap_or_default())
+        }
+    }
 
     fn infer_profiles() -> Vec<InferenceProfile> {
         build_inference_profiles(&CostModel::default(), 1.0, 30.0, &default_inference_grid())
@@ -1144,5 +1236,89 @@ mod tests {
         ] {
             assert!(count >= 60, "only {count} of 600 cases hit: {what}");
         }
+    }
+
+    #[test]
+    fn thief_shortcut_decides_as_the_full_rescore() {
+        // On `thief_matches_reference`'s 600 instances, every attempt the
+        // mean net-gain shortcut rejects is one the full re-score rejects
+        // too (attempts it lets through are re-scored in full), and a
+        // `MaxMin` schedule never takes it.
+        let (mut mean_rescores, mut mean_hopeless, mut maxmin_rescores) = (0, 0, 0);
+        for case in 0..600u64 {
+            let mut rng = StdRng::seed_from_u64(0x7e1e ^ case.wrapping_mul(0x9E3779B97F4A7C15));
+            let inst = arb_instance(&mut rng);
+            let streams = inst.streams();
+            let horizon = [200.0, 73.0][(case % 2) as usize];
+            rescore_probe::start();
+            thief_schedule(&streams, horizon, &inst.params);
+            let decisions = rescore_probe::take();
+            for (attempt, &(hopeless, full_accepts)) in decisions.iter().enumerate() {
+                assert!(
+                    !(hopeless && full_accepts),
+                    "case {case}, re-score {attempt}: the shortcut rejected a winning steal"
+                );
+            }
+            let hopeless = decisions.iter().filter(|d| d.0).count();
+            match inst.params.objective {
+                SchedulerObjective::Mean => {
+                    mean_rescores += decisions.len();
+                    mean_hopeless += hopeless;
+                }
+                SchedulerObjective::MaxMin => {
+                    assert_eq!(hopeless, 0, "case {case}: MaxMin took the mean shortcut");
+                    maxmin_rescores += decisions.len();
+                }
+            }
+        }
+        // The checks above ran on both objectives, and the shortcut fired.
+        assert!(maxmin_rescores >= 1000, "only {maxmin_rescores} MaxMin re-score decisions");
+        assert!(
+            mean_hopeless >= 1000 && mean_hopeless < mean_rescores,
+            "shortcut took {mean_hopeless} of {mean_rescores} mean re-score decisions"
+        );
+    }
+
+    #[test]
+    fn mean_shortcut_is_safe_at_its_threshold() {
+        // Gains a few ulps either side of the threshold, on random accuracy
+        // vectors up to past the size where the threshold turns negative:
+        // whenever the shortcut would reject, the in-order mean re-score
+        // (exactly as the thief computes it) rejects too.
+        let mut rng = StdRng::seed_from_u64(0x5c0e);
+        let mut rejected = 0;
+        for case in 0..20_000 {
+            let n = if case % 4 == 0 { rng.gen_range(1..=1500) } else { rng.gen_range(1..=300) };
+            let old: Vec<f64> = (0..n)
+                .map(|_| if rng.gen_bool(0.2) { 1.0 } else { rng.gen_range(0.0..=1.0) })
+                .collect();
+            let best = SchedulerObjective::Mean.score(&old);
+            let below = mean_gain_hopeless_below(n);
+            let (lo, hi) = {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                (a.min(b), a.max(b))
+            };
+            // Aim the net gain at the threshold, off by a few ulps.
+            let ulps = rng.gen_range(-8i64..=8);
+            let target = f64::from_bits((below.to_bits() as i64 + ulps) as u64);
+            let mut new = old.clone();
+            if lo == hi {
+                new[lo] = (old[lo] + target).clamp(0.0, 1.0);
+            } else {
+                let split = rng.gen_range(0.0..=1.0);
+                new[lo] = (old[lo] + target * split + 0.3).clamp(0.0, 1.0);
+                new[hi] = (old[hi] + (target - (new[lo] - old[lo]))).clamp(0.0, 1.0);
+            }
+            let gain = (new[lo] - old[lo]) + if hi == lo { 0.0 } else { new[hi] - old[hi] };
+            if gain < below {
+                rejected += 1;
+                let score = SchedulerObjective::Mean.score(&new);
+                assert!(
+                    score <= best + 1e-12,
+                    "case {case}: n {n}, gain {gain:e} < {below:e} but {score} beats {best}"
+                );
+            }
+        }
+        assert!(rejected >= 5_000, "only {rejected} of 20000 cases reached the shortcut");
     }
 }

@@ -41,7 +41,7 @@ pub mod tensor;
 pub use continual::ExemplarMemory;
 pub use cost::CostModel;
 pub use data::{subsample, DataView, Sample};
-pub use fit::{lstsq, nnls, solve_linear, LearningCurve};
+pub use fit::{nnls, LearningCurve};
 pub use gauss::sample_gaussian;
 pub use golden::{distill_labels, OracleTeacher, Teacher};
 pub use mlp::{Dense, FrozenInputs, Mlp, MlpArch, PredictScratch, Sgd};

@@ -65,11 +65,11 @@ fn curve_fit_never_panics() {
 fn nnls_nonnegative_and_sane() {
     for_cases("nnls_nonnegative_and_sane", |case, rng| {
         let rows = rng.gen_range(1..10);
-        let a: Vec<Vec<f64>> =
-            (0..rows).map(|_| (0..2).map(|_| rng.gen_range(-3.0..3.0)).collect()).collect();
+        let a: Vec<[f64; 2]> =
+            (0..rows).map(|_| [rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)]).collect();
         let y: Vec<f64> = (0..rows).map(|_| rng.gen_range(-3.0..3.0)).collect();
-        let x = nnls(&a, &y);
-        assert_eq!(x.len(), 2, "case {case}");
+        // One entry per column: the fixed-width solver's return type says so.
+        let x: [f64; 2] = nnls(&a, &y);
         assert!(x.iter().all(|&v| v >= 0.0), "case {case}: {x:?}");
         let res = |xv: &[f64]| -> f64 {
             a.iter()
