@@ -6,7 +6,10 @@
 #                     frozen-input, inference-pass and NNLS / curve-fit
 #                     bit-identity oracles) + the ekya-core scheduler
 #                     tests (≈0.4 s: the thief against its reference on
-#                     600 instances, the re-score shortcut's decisions)
+#                     600 instances, the re-score shortcut's decisions,
+#                     the steal caches' coverage) + the ekya-core learner
+#                     and micro-profiler tests (Phase A's reused serving
+#                     accuracy against a direct profile, bit for bit)
 #                     + the four fnv1a byte pins a training-bit
 #                     change would move (RunReport, trace, cloud,
 #                     status_view; ≈0.3 s warm) + the ekya-server unit
@@ -67,11 +70,19 @@ case "$MODE" in
     echo "==> cargo test --release -q -p ekya-nn (kernel, frozen-input, classify, NNLS oracles)"
     cargo test --release -q -p ekya-nn
 
-    # The thief's oracles: the incremental search against the full
-    # re-walk on 600 random instances, and the mean re-score shortcut
-    # against the full re-score at every attempt (≈0.4 s in release).
+    # The thief's oracles: the incremental search (steal caches and
+    # known-loser skips included) against the full re-walk on 600 random
+    # instances, and the mean re-score shortcut against the full re-score
+    # at every attempt (≈0.4 s in release).
     echo "==> cargo test --release -q -p ekya-core scheduler:: (thief oracle, shortcut decisions)"
     cargo test --release -q -p ekya-core scheduler::
+
+    # Phase A's other half: StreamLearner::prepare hands the micro-profiler
+    # the serving accuracy it measured, and its profiles must equal a
+    # direct MicroProfiler::profile call's bit for bit; the profiler's own
+    # tests ride along (well under a second in release).
+    echo "==> cargo test --release -q -p ekya-core -- learner:: microprofiler:: (Phase A reuse)"
+    cargo test --release -q -p ekya-core -- learner:: microprofiler::
 
     # The fnv1a byte pins downstream of the nn: the simulator's RunReport
     # and window trace, the cloud baseline's report, and the daemon's

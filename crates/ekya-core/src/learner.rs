@@ -101,7 +101,15 @@ impl StreamLearner {
         let sys_val = self.label(&window.val);
         let serving_sys = model.accuracy(DataView::new(&sys_val, self.num_classes));
         let profile = profile_seed.map(|seed| {
-            self.profiler.profile(model, &pool, &sys_val, retrain_grid, self.num_classes, seed)
+            self.profiler.profile_measured(
+                model,
+                &pool,
+                &sys_val,
+                retrain_grid,
+                self.num_classes,
+                seed,
+                Some(serving_sys),
+            )
         });
         PreparedWindow { pool, fresh_len, sys_val, serving_sys, profile }
     }
@@ -121,6 +129,8 @@ impl StreamLearner {
 mod tests {
     use super::*;
     use crate::config::default_retrain_grid;
+    use crate::exec::resizes_head;
+    use ekya_nn::fit::LearningCurve;
     use ekya_nn::mlp::MlpArch;
     use ekya_video::{DatasetKind, DatasetSpec, VideoDataset};
 
@@ -161,5 +171,81 @@ mod tests {
         let exemplars = &second.pool[second.fresh().len()..];
         assert!(!exemplars.is_empty());
         assert!(exemplars.iter().all(|s| first.fresh().contains(s)), "exemplars follow fresh data");
+    }
+
+    /// Every number of a profiling pass, as bits.
+    fn profile_bits(out: &ProfileOutput) -> (Vec<(RetrainConfig, [u64; 4])>, u64, usize) {
+        let profiles = out
+            .profiles
+            .iter()
+            .map(|p| {
+                let LearningCurve { a, b, c } = p.curve;
+                (p.config, [a, b, c, p.gpu_seconds_per_epoch].map(f64::to_bits))
+            })
+            .collect();
+        (profiles, out.gpu_seconds_spent.to_bits(), out.pruned)
+    }
+
+    /// `prepare` hands the profiler the serving accuracy it measured on
+    /// `sys_val` instead of letting it measure the same model on the same
+    /// split again: its profiles must be the bits that `MicroProfiler::profile`
+    /// returns when called directly on a clone of the same learner.
+    #[test]
+    fn prepare_profiles_as_the_profiler_does_alone() {
+        let (_, ds, _) = setup();
+        // `ServeConfig::quick`'s grid and profiler settings (ekya-server).
+        let quick_grid: Vec<RetrainConfig> = [3, 6]
+            .map(|epochs| RetrainConfig {
+                epochs,
+                batch_size: 8,
+                last_layer_neurons: 16,
+                layers_trained: 2,
+                data_fraction: 1.0,
+            })
+            .to_vec();
+        let quick = MicroProfilerParams {
+            profile_epochs: 2,
+            profile_data_fraction: 0.5,
+            ..MicroProfilerParams::default()
+        };
+        let (mut kept, mut resized) = (0, 0);
+        for (grid, params) in
+            [(default_retrain_grid(), MicroProfilerParams::default()), (quick_grid, quick)]
+        {
+            // Both grids train 16-wide heads: a 16-wide serving head is
+            // kept by every variant, an 8-wide one resized by every variant.
+            for head in [16, 8] {
+                let model = Mlp::new(MlpArch::edge(ds.feature_dim, ds.num_classes, head), 5);
+                let mut learner = StreamLearner::new(
+                    stream_seed(5, 1),
+                    ds.num_classes,
+                    0.02,
+                    4,
+                    params,
+                    CostModel::default(),
+                );
+                // The second window profiles with exemplars in the pool
+                // and, on the default grid, a pruning history.
+                for w in 0..2 {
+                    let mut direct = learner.clone();
+                    let seed = 11 + w as u64;
+                    let prep = learner.prepare(&model, ds.window(w), &grid, Some(seed));
+                    let want = direct.profiler.profile(
+                        &model,
+                        &prep.pool,
+                        &prep.sys_val,
+                        &grid,
+                        ds.num_classes,
+                        seed,
+                    );
+                    let got = prep.profile.as_ref().expect("a profile seed was given");
+                    assert_eq!(profile_bits(got), profile_bits(&want), "head {head}, window {w}");
+                    learner.fold(prep.fresh());
+                }
+                kept += grid.iter().filter(|c| !resizes_head(&model, c)).count();
+                resized += grid.iter().filter(|c| resizes_head(&model, c)).count();
+            }
+        }
+        assert!(kept > 0 && resized > 0, "kept {kept}, resized {resized}");
     }
 }

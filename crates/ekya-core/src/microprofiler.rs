@@ -114,6 +114,15 @@ impl MicroProfiler {
     /// Profiles `configs` for a stream whose serving model is `model`,
     /// using the current window's teacher-labelled `train_pool` and `val`
     /// split. Returns extrapolated profiles plus the profiling cost.
+    ///
+    /// Each learning curve is fitted to the variant's accuracy on `val`
+    /// before micro-training (the k = 0 point) and after each profiling
+    /// epoch. A variant that keeps the serving head is, untrained, the
+    /// serving model, so its k = 0 point is `model`'s accuracy on `val`:
+    /// measured here at most once per call and shared by every such
+    /// variant, or, when [`crate::StreamLearner::prepare`] calls, the
+    /// serving accuracy it has already measured on the same split. A
+    /// variant with a resized head is measured on its own.
     pub fn profile(
         &mut self,
         model: &Mlp,
@@ -123,13 +132,28 @@ impl MicroProfiler {
         num_classes: usize,
         seed: u64,
     ) -> ProfileOutput {
+        self.profile_measured(model, train_pool, val, configs, num_classes, seed, None)
+    }
+
+    /// [`MicroProfiler::profile`], given `model`'s accuracy on `val` when
+    /// the caller has measured it already.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn profile_measured(
+        &mut self,
+        model: &Mlp,
+        train_pool: &[Sample],
+        val: &[Sample],
+        configs: &[RetrainConfig],
+        num_classes: usize,
+        seed: u64,
+        mut serving_accuracy: Option<f64>,
+    ) -> ProfileOutput {
         let (selected, pruned) = self.select_configs(configs);
 
         // One micro-training run per model variant (curve key). A variant
         // that keeps the serving head is, untrained, the serving model:
-        // its k = 0 accuracy is evaluated once here and shared.
+        // its k = 0 accuracy is evaluated at most once here and shared.
         let mut curves: BTreeMap<CurveKey, LearningCurve> = BTreeMap::new();
-        let mut serving_accuracy: Option<f64> = None;
         let mut gpu_seconds_spent = 0.0;
         for config in &selected {
             let key = config.curve_key();

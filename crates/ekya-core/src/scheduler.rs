@@ -380,6 +380,40 @@ fn mean_gain_hopeless_below(n: usize) -> f64 {
     n * 1e-12 - 4.0 * n * n * f64::EPSILON - 1e-15
 }
 
+/// Steal sizes one job's thief-side cache holds. A schedule mostly steals
+/// either Δ or a victim's whole sub-Δ share, so two sizes dominate; the
+/// spare slots absorb the odd partial steal.
+const GAIN_SLOTS: usize = 4;
+
+/// The lookups a steal attempt makes for one job's stream, remembered
+/// under the best schedule: the stream's accuracy after the job, as a
+/// victim, loses `min(Δ, its units)`, and after it, as a thief, gains `s`
+/// units (for the last [`GAIN_SLOTS`] values of `s`, replaced oldest
+/// first). Both depend only on the units of the job and its sibling, so
+/// they hold until an accepted steal moves either job of the stream.
+#[derive(Debug, Clone, Copy, Default)]
+struct StealCache {
+    loses: Option<f64>,
+    gains: [Option<(i64, f64)>; GAIN_SLOTS],
+    /// The slot the next new steal size overwrites.
+    oldest: usize,
+}
+
+impl StealCache {
+    fn gains(&self, steal: i64) -> Option<f64> {
+        self.gains.iter().flatten().find(|&&(s, _)| s == steal).map(|&(_, accuracy)| accuracy)
+    }
+
+    fn gains_or(&mut self, steal: i64, look_up: impl FnOnce() -> f64) -> f64 {
+        self.gains(steal).unwrap_or_else(|| {
+            let accuracy = look_up();
+            self.gains[self.oldest] = Some((steal, accuracy));
+            self.oldest = (self.oldest + 1) % GAIN_SLOTS;
+            accuracy
+        })
+    }
+}
+
 /// The thief scheduler (Algorithm 1).
 ///
 /// `horizon_secs` is the (remaining) window duration ‖T‖. Returns the
@@ -390,24 +424,42 @@ fn mean_gain_hopeless_below(n: usize) -> f64 {
 ///
 /// # Cost
 ///
-/// With n streams there are 2n jobs and (2n)² (thief, victim) pairs, each
-/// making at most one steal attempt more than it has accepted. An attempt
-/// differs from the current best schedule in two jobs, so it consults the
-/// `PickConfigs` memo for at most two streams (one when both jobs belong
-/// to the same stream) and runs Algorithm 2 only for an `(infer, train)`
-/// unit pair that stream has not held before. If neither touched stream's
-/// accuracy rose, the attempt is rejected on the spot. Under the mean
-/// objective it is also rejected when the two streams' net gain is below
-/// `mean_gain_hopeless_below` (typically one stream rose and the other
-/// fell further). Only the attempts left (typically a training thief whose
-/// retraining now completes or improves) re-score the n-element accuracy
-/// vector, which is the one O(n) step left. On the `fleet-plan` benchmark's
-/// 200-stream instance one schedule makes 85 109 attempts, 170 032 memo
-/// lookups and 4405 `PickConfigs` calls; 25 306 attempts pass the
-/// rose-at-all test and 1210 of those survive the net-gain test to be
-/// re-summed.
+/// With n streams there are 2n jobs and 2n(2n − 1) (thief, victim) pairs,
+/// each making at most one steal attempt more than it has accepted. An
+/// attempt differs from the current best schedule in two jobs, so it needs
+/// the accuracy of at most two streams (one when both jobs belong to the
+/// same stream). Per job, the thief keeps what attempts looked up under the
+/// best schedule (`StealCache`): the job's stream after it loses its steal
+/// as a victim, and after it gains `s` units as a thief. Between two
+/// accepted steals each of those is looked up once. A pair whose victim
+/// and thief are both cached as not rising is skipped before it touches
+/// the allocation, since the rose-at-all test would reject it. A lookup
+/// the caches miss consults the `PickConfigs` memo, which runs Algorithm 2
+/// only for an `(infer, train)` unit pair that stream has not held before.
+/// If neither touched stream's accuracy rose, the attempt is rejected on
+/// the spot. Under the mean objective it is also rejected when the two
+/// streams' net gain is below `mean_gain_hopeless_below` (typically one
+/// stream rose and the other fell further). Only the attempts left
+/// (typically a training thief whose retraining now completes or improves)
+/// re-score the n-element accuracy vector, which is the one O(n) step left.
 ///
-/// Both shortcuts pick exactly the steals the full re-score would. IEEE
+/// On the `fleet-plan` benchmark (n = 200, seed 1) the daemon's
+/// first-window schedule visits 159 600 pairs and skips 58 617 of them. Its
+/// 28 302 attempts make 5676 memo lookups (173 849 without the caches) and
+/// 4353 `PickConfigs` calls; 25 824 pass the rose-at-all test, and 1192 of
+/// those survive the net-gain test to be re-summed (and accepted). The
+/// second-window schedule accepts no steal: of the same 159 600 pairs it
+/// skips 158 402, and its 1198 attempts make 1400 memo lookups (319 000
+/// without the caches), 1400 `PickConfigs` calls and no re-sum.
+///
+/// The caches and the skip change no decision and no count. Each entry is
+/// filled by the lookup its attempt would make without the caches, and an
+/// accepted steal clears the entries of all four jobs of the two streams
+/// it moved, the only entries whose inputs it changes. A skipped pair is
+/// one whose lookups would all have hit the memo.
+///
+/// The two re-score shortcuts (rose-at-all and net gain) pick exactly the
+/// steals the full re-score would. IEEE
 /// round-to-nearest addition, the division by n, `min` and the `MaxMin`
 /// fold `min + 1e-3·mean` are all monotone, so a vector that is
 /// element-wise ≤ the current best cannot score above it in the same
@@ -490,15 +542,20 @@ pub fn thief_schedule(
         SchedulerObjective::MaxMin => None,
     };
 
+    // What attempts have already looked up under the best schedule, per
+    // job (see `StealCache`).
+    let mut known = vec![StealCache::default(); num_jobs];
+
     // Thief resource stealing (Algorithm 1, lines 4-20).
     for thief in 0..num_jobs {
         for victim in 0..num_jobs {
             if thief == victim {
                 continue;
             }
-            // The two streams a steal touches, in ascending order (the
-            // same stream twice when a job robs its sibling).
-            let (lo, hi) = ((thief / 2).min(victim / 2), (thief / 2).max(victim / 2));
+            // The thief's and the victim's streams (the same stream twice
+            // when a job robs its sibling), and the two in ascending order.
+            let (ts, vs) = (thief / 2, victim / 2);
+            let (lo, hi) = (ts.min(vs), ts.max(vs));
             loop {
                 // Steal a partial quantum when the victim holds less than
                 // Δ: under contention the fair share starts *below* Δ
@@ -511,14 +568,38 @@ pub fn thief_schedule(
                 if steal <= 0 {
                     break;
                 }
+                // A known loser: both streams' accuracies under this steal
+                // are cached and neither rose, so the rose-at-all test
+                // below would reject the attempt.
+                if ts != vs
+                    && known[victim]
+                        .loses
+                        .zip(known[thief].gains(steal))
+                        .is_some_and(|(new_v, new_t)| !(new_v > acc[vs] || new_t > acc[ts]))
+                {
+                    #[cfg(test)]
+                    tests::probe::skipped();
+                    break;
+                }
                 alloc[victim] -= steal;
                 alloc[thief] += steal;
                 let (old_lo, old_hi) = (acc[lo], acc[hi]);
-                let new_lo = accuracy_at(lo, &alloc, &mut memo, &mut evaluations);
-                let new_hi = if hi == lo {
-                    new_lo
+                let (new_lo, new_hi) = if ts == vs {
+                    let new = accuracy_at(ts, &alloc, &mut memo, &mut evaluations);
+                    (new, new)
                 } else {
-                    accuracy_at(hi, &alloc, &mut memo, &mut evaluations)
+                    let mut look_up = |job: usize, _gain: Option<i64>| {
+                        #[cfg(test)]
+                        tests::probe::filled(job, _gain);
+                        accuracy_at(job / 2, &alloc, &mut memo, &mut evaluations)
+                    };
+                    let new_v = *known[victim].loses.get_or_insert_with(|| look_up(victim, None));
+                    let new_t = known[thief].gains_or(steal, || look_up(thief, Some(steal)));
+                    if ts < vs {
+                        (new_t, new_v)
+                    } else {
+                        (new_v, new_t)
+                    }
                 };
                 // Re-score only if a touched stream improved and, under the
                 // mean, the two streams' net gain can still clear the
@@ -531,7 +612,7 @@ pub fn thief_schedule(
                     acc[lo] = new_lo;
                     acc[hi] = new_hi;
                     #[cfg(test)]
-                    tests::rescore_probe::record(
+                    tests::probe::rescore(
                         hopeless,
                         params.objective.score(&acc) > best_score + 1e-12,
                     );
@@ -551,6 +632,13 @@ pub fn thief_schedule(
                     alloc[victim] += steal;
                     alloc[thief] -= steal;
                     break;
+                }
+                // The steal moved both streams it touched, so what was
+                // known about all four of their jobs is stale.
+                for job in [2 * lo, 2 * lo + 1, 2 * hi, 2 * hi + 1] {
+                    #[cfg(test)]
+                    tests::probe::cleared(job, &known[job], job != thief && job != victim);
+                    known[job] = StealCache::default();
                 }
                 // Logical-plane telemetry: an *accepted* steal with its
                 // before/after quanta. Allocations are exact integer
@@ -650,31 +738,80 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// A record of the re-score decisions the thief reaches: for each,
-    /// whether the mean shortcut rejected it and whether the full re-score
-    /// would have accepted it. Records only between `start` and `take`, on
-    /// the calling thread.
-    pub(super) mod rescore_probe {
+    /// What the thief did on the calling thread between `start` and
+    /// `take`: its re-score decisions and how its steal caches were used.
+    pub(super) mod probe {
+        use crate::scheduler::StealCache;
         use std::cell::RefCell;
+        use std::collections::BTreeMap;
+
+        #[derive(Debug, Default)]
+        pub(in crate::scheduler) struct Log {
+            /// Per re-score: whether the mean shortcut rejected it and
+            /// whether the full re-score would have accepted it.
+            pub rescores: Vec<(bool, bool)>,
+            /// Pairs skipped as known losers.
+            pub skipped: usize,
+            /// Cache fills that looked up again what an acceptance had
+            /// cleared from a *sibling* job's cache (neither the thief nor
+            /// the victim), i.e. lookups a stale entry would have answered.
+            pub sibling_refills: usize,
+            /// What acceptances cleared from sibling jobs, not yet refilled.
+            stale: BTreeMap<usize, StealCache>,
+        }
 
         thread_local! {
-            static DECISIONS: RefCell<Option<Vec<(bool, bool)>>> = const { RefCell::new(None) };
+            static LOG: RefCell<Option<Log>> = const { RefCell::new(None) };
         }
 
-        pub(in crate::scheduler) fn start() {
-            DECISIONS.with(|d| *d.borrow_mut() = Some(Vec::new()));
-        }
-
-        pub(in crate::scheduler) fn record(hopeless: bool, full_accepts: bool) {
-            DECISIONS.with(|d| {
-                if let Some(log) = d.borrow_mut().as_mut() {
-                    log.push((hopeless, full_accepts));
+        fn with(f: impl FnOnce(&mut Log)) {
+            LOG.with(|log| {
+                if let Some(log) = log.borrow_mut().as_mut() {
+                    f(log);
                 }
             });
         }
 
-        pub(in crate::scheduler) fn take() -> Vec<(bool, bool)> {
-            DECISIONS.with(|d| d.borrow_mut().take().unwrap_or_default())
+        pub(in crate::scheduler) fn start() {
+            LOG.with(|log| *log.borrow_mut() = Some(Log::default()));
+        }
+
+        pub(in crate::scheduler) fn take() -> Log {
+            LOG.with(|log| log.borrow_mut().take().unwrap_or_default())
+        }
+
+        pub(in crate::scheduler) fn rescore(hopeless: bool, full_accepts: bool) {
+            with(|log| log.rescores.push((hopeless, full_accepts)));
+        }
+
+        pub(in crate::scheduler) fn skipped() {
+            with(|log| log.skipped += 1);
+        }
+
+        pub(in crate::scheduler) fn cleared(job: usize, entry: &StealCache, sibling: bool) {
+            with(|log| {
+                if !sibling {
+                    log.stale.remove(&job);
+                } else if entry.loses.is_some() || entry.gains.iter().any(Option::is_some) {
+                    log.stale.insert(job, *entry);
+                }
+            });
+        }
+
+        pub(in crate::scheduler) fn filled(job: usize, gain: Option<i64>) {
+            with(|log| {
+                let Some(stale) = log.stale.get_mut(&job) else { return };
+                let was_known = match gain {
+                    None => stale.loses.take().is_some(),
+                    Some(steal) => stale
+                        .gains
+                        .iter_mut()
+                        .find(|slot| slot.is_some_and(|(s, _)| s == steal))
+                        .and_then(Option::take)
+                        .is_some(),
+                };
+                log.sibling_refills += usize::from(was_known);
+            });
         }
     }
 
@@ -1203,9 +1340,14 @@ mod tests {
     fn thief_matches_reference() {
         // Regimes that must all occur: sub-Δ fair shares (partial steals),
         // jobs starting at zero units, ample GPUs — and the search must
-        // actually move off the fair start, on the `replan` path too.
+        // actually move off the fair start, on the `replan` path too. The
+        // steal caches must be exercised where they can go wrong: pairs
+        // skipped as known losers, and entries an acceptance cleared from a
+        // job it did not move (a sibling of the thief or the victim) that
+        // were looked up again.
         let (mut sub_delta, mut zero_start, mut ample) = (0, 0, 0);
         let (mut moved, mut replans) = (0, 0);
+        let (mut skips, mut sibling_refills) = (0, 0);
         for case in 0..600u64 {
             let mut rng = StdRng::seed_from_u64(0x7e1e ^ case.wrapping_mul(0x9E3779B97F4A7C15));
             let inst = arb_instance(&mut rng);
@@ -1213,7 +1355,9 @@ mod tests {
             let jobs = 2.0 * streams.len() as f64;
             let horizon = [200.0, 73.0][(case % 2) as usize];
 
+            probe::start();
             let got = thief_schedule(&streams, horizon, &inst.params);
+            let caches = probe::take();
             let want = thief_schedule_reference(&streams, horizon, &inst.params);
             assert_eq!(got, want, "case {case}: {:?}", inst.params);
             assert_eq!(got.avg_accuracy.to_bits(), want.avg_accuracy.to_bits(), "case {case}");
@@ -1226,6 +1370,8 @@ mod tests {
                 (d.train_gpus - fair).abs() > 1.5e-3 || (d.infer_gpus - fair).abs() > 1.5e-3
             }));
             replans += usize::from(inst.in_progress.iter().any(Option::is_some));
+            skips += usize::from(caches.skipped > 0);
+            sibling_refills += usize::from(caches.sibling_refills > 0);
         }
         for (what, count) in [
             ("sub-delta fair share", sub_delta),
@@ -1233,6 +1379,8 @@ mod tests {
             ("ample GPUs", ample),
             ("moved off the fair start", moved),
             ("in-progress retrain", replans),
+            ("known losers skipped", skips),
+            ("sibling entries looked up again", sibling_refills),
         ] {
             assert!(count >= 60, "only {count} of 600 cases hit: {what}");
         }
@@ -1250,9 +1398,9 @@ mod tests {
             let inst = arb_instance(&mut rng);
             let streams = inst.streams();
             let horizon = [200.0, 73.0][(case % 2) as usize];
-            rescore_probe::start();
+            probe::start();
             thief_schedule(&streams, horizon, &inst.params);
-            let decisions = rescore_probe::take();
+            let decisions = probe::take().rescores;
             for (attempt, &(hopeless, full_accepts)) in decisions.iter().enumerate() {
                 assert!(
                     !(hopeless && full_accepts),
