@@ -14,8 +14,11 @@
 #                     change would move (RunReport, trace, cloud,
 #                     status_view; ≈0.3 s warm) + the ekya-server unit
 #                     tests (actor mailboxes, serving slots incl. the
-#                     poisoned-slot outcome, trainer swaps) and the
-#                     harness-pool unit tests (harness::) + the daemon's
+#                     poisoned-slot outcome, trainer swaps and their
+#                     staging) and the harness-pool unit tests
+#                     (harness::) + the ekya-telemetry timing tests
+#                     (timing::, the due-time Deadline and the wall
+#                     aggregates) + the daemon's
 #                     serving suite (ekya-server's tests/serve.rs:
 #                     per-stream slots, hot-swaps, shutdown, the status
 #                     pin) + a quick-mode harness
@@ -97,12 +100,18 @@ case "$MODE" in
     # restarts, asks that fail instead of hanging; trainer jobs ride
     # them, daemon frames do not), the per-stream serving slots (a panic
     # while classifying poisons one stream, the rest keep serving) and
-    # the trainer's swaps — and the grid harness's shared-queue pool
-    # (item order, panic isolation, cells running at the same time).
-    # Under a second in release.
+    # the trainer's swaps and their staging contract — and the grid
+    # harness's shared-queue pool (item order, panic isolation, cells
+    # running at the same time). Under a second in release.
     echo "==> cargo test --release -q (ekya-server lib: actors, slots, trainer; harness:: pool)"
     cargo test --release -q -p ekya-server --lib
     cargo test --release -q -p ekya-bench --lib harness::
+
+    # The wall plane the staged swaps are due on: ekya-telemetry's timing
+    # tests (the Deadline arithmetic, with times passed in, and the
+    # wall-span / gauge aggregates). Well under a second.
+    echo "==> cargo test --release -q -p ekya-telemetry --lib timing:: (deadlines, wall plane)"
+    cargo test --release -q -p ekya-telemetry --lib timing::
 
     # The daemon's serving suite: frames classified while trainers run,
     # hot-swaps visible and monotone, clients that reach later

@@ -33,10 +33,12 @@
 //! Distribution across machines and actor migration are omitted; a
 //! single edge server needs neither.
 //!
-//! Implemented: serving slots, trainer actors, checkpoint hot-swaps with
-//! a modelled reload the trainer pays, end-to-end windowed operation,
-//! liveness metrics (frames served during retraining), admission control
-//! and per-stream serving ledgers. Omitted: real GPU binding and
+//! Implemented: serving slots, trainer actors, checkpoint hot-swaps
+//! behind a modelled per-stream reload that overlaps training (the
+//! daemon installs each staged checkpoint once its reload has elapsed),
+//! end-to-end windowed operation, liveness metrics (frames served
+//! during retraining), admission control and per-stream serving
+//! ledgers. Omitted: real GPU binding and
 //! fractional-share enforcement — wall-clock threads share CPU, so
 //! timing fidelity (retraining durations under fractional allocations)
 //! is the job of `ekya-sim`'s virtual-time runner. Use this crate to

@@ -17,7 +17,8 @@
 //! model, mix in the exemplars, measure the serving model, micro-profile,
 //! fold the fresh labels into memory — the same preparation the
 //! simulator's runner makes. Phase B plans with the thief scheduler, C
-//! dispatches retraining, D pumps live frames while trainers run, E
+//! dispatches retraining, D pumps live frames while trainers run and
+//! installs their staged checkpoints as each reload falls due, E
 //! measures the final serving models and F advances the ledger.
 //!
 //! A panic while classifying poisons only that stream's slot. Its
@@ -26,7 +27,7 @@
 //! every other stream keeps serving. The logical plane is unaffected: a
 //! panic can only interrupt a forward pass, which writes nothing but the
 //! slot's scratch, so Phases A and E still read the slot's model and
-//! version and its trainer still installs checkpoints.
+//! version and Phase D still installs its staged checkpoints.
 //!
 //! Two metric planes, deliberately separated:
 //! * the **logical plane** — a deterministic arrival/queue ledger
@@ -42,7 +43,7 @@
 use crate::actors::{spawn_supervised_bounded, ActorHandle};
 use crate::metrics::{StatusSnapshot, StatusView, StreamStatus};
 use crate::trainer::{
-    SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply,
+    SwapStage, SwapTarget, TrainJobSpec, TrainOutcome, TrainerActor, TrainerMsg, TrainerReply,
 };
 use ekya_core::net::{LinkModel, LinkQueue};
 use ekya_core::{
@@ -53,6 +54,7 @@ use ekya_core::{
 use ekya_nn::cost::CostModel;
 use ekya_nn::data::{DataView, Sample};
 use ekya_nn::mlp::{Mlp, MlpArch, PredictScratch};
+use ekya_telemetry::timing::Deadline;
 use ekya_video::{StreamId, VideoDataset};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -228,7 +230,10 @@ pub struct ServeConfig {
     pub exemplar_per_class: usize,
     /// Checkpoint cadence for trainer hot-swaps.
     pub checkpoint_every: Option<u32>,
-    /// Simulated weight-reload time per swap.
+    /// Modelled checkpoint reload per swap: the per-stream load latency
+    /// between a trainer staging a checkpoint and the daemon installing
+    /// it. One stream's reloads run one after another; they overlap
+    /// training and other streams' reloads.
     pub swap_reload: Duration,
     /// Link model the checkpoint pulls are accounted against.
     pub link: LinkModel,
@@ -481,7 +486,8 @@ pub struct ServeWindowReport {
     /// Ground-truth accuracy of the serving model at window end.
     pub accuracy: f64,
     /// Live-plane frames classified by the daemon's own pump while the
-    /// trainer pool was busy (the liveness signal; wall-clock dependent).
+    /// trainer pool was busy or a staged checkpoint's reload had not yet
+    /// elapsed (the liveness signal; wall-clock dependent).
     pub live_served_during_training: u64,
 }
 
@@ -703,9 +709,12 @@ impl EdgeDaemon {
 
     /// Runs one retraining window online: micro-profile + thief-schedule
     /// across all admitted streams, dispatch retraining to the supervised
-    /// pool, keep pumping live inference batches while trainers run,
+    /// pool, keep pumping live inference batches while trainers run and
+    /// install each checkpoint they stage once its modelled reload — a
+    /// per-stream load latency that overlaps training — has elapsed,
     /// credit hot-swaps (with link accounting), and advance every
-    /// stream's logical serving ledger.
+    /// stream's logical serving ledger. Every staged checkpoint is
+    /// installed before the window ends.
     ///
     /// # Panics
     /// Panics when any admitted stream's dataset has no more windows.
@@ -779,7 +788,8 @@ impl EdgeDaemon {
 
         // ---- Phase C: dispatch retraining round-robin over the
         // supervised pool; one waiter thread per trainer drains its jobs
-        // in order.
+        // in order. Their checkpoints go through this window's stage.
+        let stage = Arc::new(SwapStage::default());
         let mut queues: Vec<Vec<(usize, TrainJobSpec)>> =
             (0..self.trainers.len()).map(|_| Vec::new()).collect();
         let mut planned = vec![false; n];
@@ -803,14 +813,14 @@ impl EdgeDaemon {
                 hyper: self.cfg.hyper,
                 seed: self.cfg.seed.wrapping_add((w_idx as u64) << 20).wrapping_add(s as u64),
                 checkpoint_every: self.cfg.checkpoint_every,
-                swap_target: Some(SwapTarget::new(Arc::clone(&st.slot))),
+                swap_target: Some(SwapTarget::new(Arc::clone(&st.slot), Arc::clone(&stage))),
                 swap_reload: self.cfg.swap_reload,
                 val: Arc::clone(&prep[s].sys_val),
                 fail_after_epochs: self.faults.remove(&st.id.0).then_some(1),
             };
             queues[k % self.trainers.len()].push((s, spec));
         }
-        let waiters: Vec<TrainWaiter> = queues
+        let mut waiters: Vec<TrainWaiter> = queues
             .into_iter()
             .zip(self.trainers.iter())
             .map(|(jobs, trainer)| {
@@ -829,10 +839,13 @@ impl EdgeDaemon {
             })
             .collect();
 
-        // ---- Phase D: pump live inference batches while trainers run
-        // (the wall plane: real concurrency, counted but never
-        // serialised).
+        // ---- Phase D: pump live inference batches while trainers run,
+        // installing every due checkpoint after each round (the wall
+        // plane: real concurrency, counted but never serialised). The
+        // phase ends once every waiter is joined — so each of its jobs'
+        // stagings is visible — and nothing is left staged.
         let mut live_served = vec![0u64; n];
+        let mut outcomes: Vec<Option<Option<TrainOutcome>>> = (0..n).map(|_| None).collect();
         let mut cursor = 0usize;
         if self.cfg.crash_mid_window == Some(w_idx) {
             // Fault injection: die mid-window, after dispatch and one
@@ -844,19 +857,24 @@ impl EdgeDaemon {
         let mut pump_rounds = 0u64;
         {
             let _train_wall = ekya_telemetry::timing::wall_span("server.daemon", "train_wait");
-            while waiters.iter().any(|j| !j.is_finished()) {
+            loop {
+                let jobs_done = waiters.iter().all(|j| j.is_finished());
+                if jobs_done {
+                    for waiter in waiters.drain(..) {
+                        for (s, out) in waiter.join().expect("trainer waiter thread") {
+                            outcomes[s] = Some(out);
+                        }
+                    }
+                }
+                if stage.install_due(Deadline::now()) == 0 && jobs_done {
+                    break;
+                }
                 self.pump_once(w_idx, cursor, &mut live_served);
                 cursor += self.cfg.batch_size;
                 pump_rounds += 1;
             }
         }
         ekya_telemetry::timing::wall_gauge_max("server.daemon", "live_pump_rounds", pump_rounds);
-        let mut outcomes: Vec<Option<Option<TrainOutcome>>> = (0..n).map(|_| None).collect();
-        for waiter in waiters {
-            for (s, out) in waiter.join().expect("trainer waiter thread") {
-                outcomes[s] = Some(out);
-            }
-        }
 
         // ---- Phase E: end-of-window measurement (fanned like Phase A):
         // final serving model + ground-truth accuracy per stream.
@@ -1173,6 +1191,35 @@ mod tests {
         // A pump batch that wraps `val` twice is still exactly `want` frames.
         assert_eq!(slot.pump(tail, 3, 12), 12);
         assert_eq!(slot.live(), LiveStats { served: 33 + 5 + 12, swaps: 1, refused: 0 });
+    }
+
+    /// Every checkpoint a window's trainers stage is installed before
+    /// `run_window` returns: the slots' swap counters equal the swaps the
+    /// reports credit, window after window, and a real reload credits
+    /// the same swaps per stream as none.
+    #[test]
+    fn every_staged_checkpoint_is_installed_by_the_window_end() {
+        let swaps_per_window = |swap_reload: Duration| {
+            let mut daemon =
+                EdgeDaemon::new(ServeConfig { swap_reload, ..ServeConfig::quick(2.0) });
+            for ds in tiny_fleet(2, 31) {
+                daemon.admit(ds).unwrap();
+            }
+            let mut credited = 0;
+            let swapped: Vec<Vec<u64>> = (0..2)
+                .map(|_| {
+                    let swapped: Vec<u64> =
+                        daemon.run_window().iter().map(|r| r.checkpoints_swapped).collect();
+                    credited += swapped.iter().sum::<u64>();
+                    assert_eq!(daemon.live_stats().swaps, credited);
+                    swapped
+                })
+                .collect();
+            assert!(credited > 0, "the fleet must swap at least one checkpoint");
+            daemon.shutdown();
+            swapped
+        };
+        assert_eq!(swaps_per_window(Duration::from_millis(2)), swaps_per_window(Duration::ZERO));
     }
 
     /// A panic while classifying poisons one stream's slot. That stream

@@ -10,13 +10,18 @@
 //! starts, on the job's validation batch: the trainer clones the slot's
 //! model and evaluates it outside the lock. Only this job swaps this
 //! stream in this window, so the bar cannot move under it except by its
-//! own swaps. Each better checkpoint is **installed before the job
-//! continues**, and so before it replies: Phase E, the next window and
-//! every client see every swap without any ordering argument.
+//! own swaps.
 //!
-//! A swap first pays the modelled weight reload (`swap_reload`, timed as
-//! the wall span `server.trainer/reload`) on the trainer's own thread,
-//! outside the slot's lock, so no stream's serving pauses for it.
+//! A swap is a **staged reload**: the trainer pushes the checkpoint onto
+//! the window's `SwapStage` with a due time one `swap_reload` after
+//! the later of now and its previous checkpoint's due time, and goes
+//! straight on to its next epoch. The reload is the modelled time the
+//! stream's serving side takes to load the checkpoint: one stream's
+//! reloads run one after another, different streams' overlap, and all
+//! of them overlap training. The daemon installs each checkpoint once
+//! it is due, in staging order, and ends the window's training phase
+//! only when every job has replied and nothing is left staged — so Phase
+//! E, the next window and every client still see every swap.
 //!
 //! The job runs `val` through its frozen layers once
 //! ([`RetrainExecution::freeze`]); the accuracy of the last checkpoint is
@@ -27,18 +32,56 @@ use crate::serve::StreamSlot;
 use ekya_core::{RetrainConfig, RetrainExecution, TrainHyper};
 use ekya_nn::data::{DataView, Sample};
 use ekya_nn::mlp::Mlp;
-use std::sync::Arc;
+use ekya_telemetry::timing::Deadline;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+/// One staged checkpoint: the model a slot serves once `due` has passed.
+struct Staged {
+    due: Deadline,
+    slot: Arc<StreamSlot>,
+    model: Arc<Mlp>,
+}
+
+/// The checkpoints a window's trainers have staged and the daemon has
+/// not installed yet, in staging order.
+#[derive(Default)]
+pub(crate) struct SwapStage {
+    staged: Mutex<Vec<Staged>>,
+}
+
+impl SwapStage {
+    /// Installs every checkpoint due at `now`, in staging order, and
+    /// returns how many stay staged. When tracing is on, the largest gap
+    /// between a due time and `now` is the wall gauge
+    /// `server.daemon/reload_lag_us`.
+    pub(crate) fn install_due(&self, now: Deadline) -> usize {
+        let mut staged = self.staged.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut lag = None;
+        for ck in staged.extract_if(.., |ck| ck.due <= now) {
+            ck.slot.install(ck.model);
+            lag = lag.max(Some(now.past(ck.due)));
+        }
+        if let Some(lag) = lag {
+            let lag_us = lag.as_micros().min(u64::MAX as u128) as u64;
+            ekya_telemetry::timing::wall_gauge_max("server.daemon", "reload_lag_us", lag_us);
+        }
+        staged.len()
+    }
+}
+
 /// Where a trainer hot-swaps improved checkpoints: one stream's serving
-/// slot.
+/// slot, through the window's `SwapStage`.
 pub struct SwapTarget {
     slot: Arc<StreamSlot>,
+    stage: Arc<SwapStage>,
+    /// Due time of this job's last staged checkpoint.
+    last_due: Option<Deadline>,
 }
 
 impl SwapTarget {
-    pub(crate) fn new(slot: Arc<StreamSlot>) -> Self {
-        Self { slot }
+    pub(crate) fn new(slot: Arc<StreamSlot>, stage: Arc<SwapStage>) -> Self {
+        Self { slot, stage, last_due: None }
     }
 
     /// The serving model's accuracy on `val`: the bar a checkpoint must
@@ -47,15 +90,17 @@ impl SwapTarget {
         self.slot.model().0.accuracy(DataView::new(val, num_classes))
     }
 
-    /// Pays the modelled reload, then installs `model` into serving. The
-    /// `Arc::new` here is the copy-on-write boundary: a freshly
-    /// materialised checkpoint enters shared ownership exactly once.
-    fn swap(&self, model: Mlp, reload: Duration) {
-        if !reload.is_zero() {
-            let _wall = ekya_telemetry::timing::wall_span("server.trainer", "reload");
-            std::thread::sleep(reload);
-        }
-        self.slot.install(Arc::new(model));
+    /// Stages `model` to serve once its `reload` has elapsed, starting at
+    /// `now` or when this job's previous reload ends, whichever is later,
+    /// and returns that due time. The `Arc::new` here is the
+    /// copy-on-write boundary: a freshly materialised checkpoint enters
+    /// shared ownership exactly once.
+    fn swap(&mut self, now: Deadline, model: Mlp, reload: Duration) -> Deadline {
+        let due = self.last_due.map_or(now, |last| last.max(now)).after(reload);
+        self.last_due = Some(due);
+        let ck = Staged { due, slot: Arc::clone(&self.slot), model: Arc::new(model) };
+        self.stage.staged.lock().unwrap_or_else(PoisonError::into_inner).push(ck);
+        due
     }
 }
 
@@ -79,7 +124,8 @@ pub struct TrainJobSpec {
     pub checkpoint_every: Option<u32>,
     /// Serving-side target to hot-swap checkpoints into.
     pub swap_target: Option<SwapTarget>,
-    /// Simulated weight-reload cost per swap.
+    /// Modelled serving-side load latency per swap: how long after it is
+    /// staged a checkpoint starts serving.
     pub swap_reload: Duration,
     /// Validation batch for swap decisions (teacher-labelled).
     pub val: Arc<Vec<Sample>>,
@@ -121,7 +167,7 @@ impl Actor for TrainerActor {
     type Reply = TrainerReply;
 
     fn handle(&mut self, msg: TrainerMsg) -> TrainerReply {
-        let TrainerMsg::Run(spec) = msg;
+        let TrainerMsg::Run(mut spec) = msg;
         let _job_wall = ekya_telemetry::timing::wall_span("server.trainer", "job");
         let mut exec = RetrainExecution::new(
             &spec.base_model,
@@ -151,11 +197,11 @@ impl Actor for TrainerActor {
             }
             let acc = exec.accuracy_frozen(&val);
             last_accuracy = Some(acc);
-            let Some(target) = &spec.swap_target else { continue };
+            let Some(target) = &mut spec.swap_target else { continue };
             if acc > serving_accuracy {
                 let mut model = exec.model().clone();
                 model.set_layers_trained(usize::MAX);
-                target.swap(model, spec.swap_reload);
+                target.swap(Deadline::now(), model, spec.swap_reload);
                 serving_accuracy = acc;
             }
         }
@@ -228,6 +274,19 @@ mod tests {
         trainer.stop();
     }
 
+    /// A slot serving `base`, and a stage its swaps go through.
+    fn staged_slot(base: &Arc<Mlp>) -> (Arc<StreamSlot>, Arc<SwapStage>) {
+        (Arc::new(StreamSlot::new(Arc::clone(base))), Arc::new(SwapStage::default()))
+    }
+
+    fn toy_model(seed: u64) -> Mlp {
+        Mlp::new(MlpArch { input_dim: 2, hidden: vec![4], num_classes: 2 }, seed)
+    }
+
+    fn serves(slot: &StreamSlot, model: &Mlp) -> bool {
+        format!("{:?}", *slot.model().0) == format!("{model:?}")
+    }
+
     #[test]
     fn trainer_hot_swaps_into_slot() {
         let trainer = spawn_bounded("trainer", TrainerActor, 2);
@@ -235,10 +294,13 @@ mod tests {
         // Serve the *same untrained base model* the trainer starts from,
         // so the retrained model is better by construction and at least
         // the final swap must land.
-        let slot = Arc::new(StreamSlot::new(Arc::clone(&job.base_model)));
-        let job = TrainJobSpec { swap_target: Some(SwapTarget::new(Arc::clone(&slot))), ..job };
+        let (slot, stage) = staged_slot(&job.base_model);
+        let target = SwapTarget::new(Arc::clone(&slot), Arc::clone(&stage));
+        let job = TrainJobSpec { swap_target: Some(target), ..job };
         let val = Arc::clone(&job.val);
         let TrainerReply::Done(_) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
+        // No reload: every checkpoint was due when it was staged.
+        assert_eq!(stage.install_due(Deadline::now()), 0);
         let (model, version) = slot.model();
         assert!(version >= 1, "at least one checkpoint should land");
         // The slot now serves a model at least as good as the trainer's
@@ -248,25 +310,104 @@ mod tests {
         trainer.stop();
     }
 
-    /// The final swap — here the only one, behind a real reload — is in
-    /// the slot by the time the trainer replies.
+    /// The final swap — here the only one, behind a real reload — is
+    /// staged by the time the trainer replies, and serves once the
+    /// daemon's drain reaches its due time.
     #[test]
-    fn final_swap_is_installed_before_the_job_replies() {
+    fn final_swap_is_staged_before_the_reply_and_lands_at_the_drain() {
         let trainer = spawn_bounded("trainer", TrainerActor, 2);
         let job = spec(None);
-        let slot = Arc::new(StreamSlot::new(Arc::clone(&job.base_model)));
+        let (slot, stage) = staged_slot(&job.base_model);
+        let reload = Duration::from_millis(5);
         // No mid-run checkpoints: the only swap is the final one.
         let job = TrainJobSpec {
             checkpoint_every: None,
-            swap_target: Some(SwapTarget::new(Arc::clone(&slot))),
-            swap_reload: Duration::from_millis(5),
+            swap_target: Some(SwapTarget::new(Arc::clone(&slot), Arc::clone(&stage))),
+            swap_reload: reload,
             ..job
         };
+        let dispatched = Deadline::now();
         let TrainerReply::Done(out) = trainer.ask(TrainerMsg::Run(Box::new(job))).unwrap();
-        let (model, version) = slot.model();
-        assert_eq!(version, 1, "the final swap was installed before the reply");
-        assert_eq!(format!("{:?}", *model), format!("{:?}", out.model));
+        assert_eq!(stage.install_due(dispatched), 1, "staged, and not due before its reload");
+        assert_eq!(slot.model().1, 0, "nothing serves before its reload has elapsed");
+        assert_eq!(stage.install_due(Deadline::now().after(reload)), 0);
+        assert_eq!(slot.model().1, 1);
+        assert!(serves(&slot, &out.model), "the drain installed the job's final model");
         trainer.stop();
+    }
+
+    #[test]
+    fn a_checkpoint_installs_at_its_due_time_not_a_tick_before() {
+        let (slot, stage) = staged_slot(&Arc::new(toy_model(1)));
+        let mut target = SwapTarget::new(Arc::clone(&slot), Arc::clone(&stage));
+        let (t0, reload) = (Deadline::now(), Duration::from_millis(5));
+        let due = target.swap(t0, toy_model(2), reload);
+        assert_eq!(due, t0.after(reload));
+        assert_eq!(stage.install_due(t0.after(reload - Duration::from_nanos(1))), 1);
+        assert_eq!(slot.model().1, 0);
+        assert_eq!(stage.install_due(due), 0);
+        assert_eq!(slot.model().1, 1);
+        assert!(serves(&slot, &toy_model(2)));
+    }
+
+    #[test]
+    fn one_streams_back_to_back_checkpoints_chain_and_install_in_order() {
+        let (slot, stage) = staged_slot(&Arc::new(toy_model(1)));
+        let mut target = SwapTarget::new(Arc::clone(&slot), Arc::clone(&stage));
+        let (t0, reload) = (Deadline::now(), Duration::from_millis(5));
+        let first = target.swap(t0, toy_model(2), reload);
+        // Staged 1 ms later, the second reload still waits for the first.
+        let second = target.swap(t0.after(Duration::from_millis(1)), toy_model(3), reload);
+        assert_eq!(second, first.after(reload));
+        assert_eq!(stage.install_due(first), 1);
+        assert_eq!(slot.model().1, 1);
+        assert!(serves(&slot, &toy_model(2)));
+        assert_eq!(stage.install_due(second), 0);
+        assert_eq!(slot.model().1, 2);
+        assert!(serves(&slot, &toy_model(3)), "the later checkpoint serves");
+        // A checkpoint staged after the chain has drained reloads from then.
+        let later = second.after(Duration::from_millis(20));
+        assert_eq!(target.swap(later, toy_model(4), reload), later.after(reload));
+    }
+
+    #[test]
+    fn two_streams_staged_at_one_instant_share_a_due_time() {
+        let base = Arc::new(toy_model(1));
+        let stage = Arc::new(SwapStage::default());
+        let slots: Vec<_> = (0..2).map(|_| Arc::new(StreamSlot::new(Arc::clone(&base)))).collect();
+        let (t0, reload) = (Deadline::now(), Duration::from_millis(5));
+        let dues: Vec<_> = slots
+            .iter()
+            .zip([2, 3])
+            .map(|(slot, seed)| {
+                let mut target = SwapTarget::new(Arc::clone(slot), Arc::clone(&stage));
+                target.swap(t0, toy_model(seed), reload)
+            })
+            .collect();
+        assert_eq!(dues, vec![t0.after(reload); 2], "reloads of different streams overlap");
+        assert_eq!(stage.install_due(dues[0]), 0);
+        assert!(slots.iter().all(|slot| slot.model().1 == 1));
+    }
+
+    /// A drain past every due time installs everything in staging order,
+    /// not due order: here two jobs staged into one slot with different
+    /// reloads, the earlier-staged one due later, and the later-staged
+    /// one is what serves.
+    #[test]
+    fn a_drain_installs_everything_in_staging_order() {
+        let (slot, stage) = staged_slot(&Arc::new(toy_model(1)));
+        let other = Arc::new(StreamSlot::new(Arc::new(toy_model(1))));
+        let t0 = Deadline::now();
+        let mut slow = SwapTarget::new(Arc::clone(&slot), Arc::clone(&stage));
+        let mut fast = SwapTarget::new(Arc::clone(&slot), Arc::clone(&stage));
+        let mut beside = SwapTarget::new(Arc::clone(&other), Arc::clone(&stage));
+        slow.swap(t0, toy_model(2), Duration::from_millis(9));
+        beside.swap(t0, toy_model(3), Duration::from_millis(1));
+        fast.swap(t0, toy_model(4), Duration::ZERO);
+        assert_eq!(stage.install_due(t0.after(Duration::from_secs(1))), 0);
+        assert_eq!((slot.model().1, other.model().1), (2, 1));
+        assert!(serves(&slot, &toy_model(4)), "staged last, installed last");
+        assert!(serves(&other, &toy_model(3)));
     }
 
     #[test]

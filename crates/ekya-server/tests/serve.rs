@@ -241,22 +241,25 @@ fn pump_rounds_is_wall_plane_only_and_sink_gets_snapshot_bytes() {
 /// The paper preset, which every other daemon test here swaps for the
 /// quick one: the full retraining grid (head-only configurations
 /// included, so trainers run from frozen-layer blocks) and a real 5 ms
-/// reload per swap, which trainers pay before installing. Four paper
-/// streams over two windows give the same status bytes on one trainer and
-/// one pump group as on two of each, run after run — every swap is
-/// installed before its job replies, so before Phase E reads the serving
-/// models.
+/// reload per swap, which delays each staged checkpoint's install while
+/// training goes on. Four paper streams over two windows give the same
+/// status bytes on one trainer and one pump group as on two of each, run
+/// after run, and the same again with no reload at all: every staged
+/// checkpoint is installed, in staging order, before Phase E reads the
+/// serving models, so the reload moves only wall time.
 #[test]
 fn paper_preset_with_real_reloads_is_shard_count_invariant() {
-    let run = |trainer_shards: usize, infer_shards: usize| -> (String, u64) {
+    let run = |trainer_shards: usize, infer_shards: usize, swap_reload: Duration| {
+        let paper = ServeConfig::new(4.0);
+        assert_eq!(paper.swap_reload, Duration::from_millis(5), "the paper preset's reload");
         let cfg = ServeConfig {
             capacity: 4,
             trainer_shards,
             infer_shards,
             seed: 5,
-            ..ServeConfig::new(4.0)
+            swap_reload,
+            ..paper
         };
-        assert_eq!(cfg.swap_reload, Duration::from_millis(5), "the paper preset's reload");
         let mut daemon = EdgeDaemon::new(cfg);
         for i in 0..4u64 {
             let kind = DatasetKind::ALL[i as usize % DatasetKind::ALL.len()];
@@ -273,10 +276,17 @@ fn paper_preset_with_real_reloads_is_shard_count_invariant() {
         daemon.shutdown();
         (bytes, most_swaps)
     };
+    let (real, none) = (Duration::from_millis(5), Duration::ZERO);
     let runs: Vec<(String, u64)> =
-        [(1, 1), (1, 1), (2, 2), (2, 2)].into_iter().map(|(t, i)| run(t, i)).collect();
+        [(1, 1, real), (1, 1, real), (2, 2, real), (2, 2, real), (1, 1, none), (2, 2, none)]
+            .into_iter()
+            .map(|(t, i, reload)| run(t, i, reload))
+            .collect();
     for (k, (bytes, _)) in runs.iter().enumerate().skip(1) {
-        assert_eq!(bytes, &runs[0].0, "run {k}: status bytes moved with the shape or timing");
+        assert_eq!(
+            bytes, &runs[0].0,
+            "run {k}: status bytes moved with the shape, reload or timing"
+        );
     }
     assert!(runs[0].1 >= 2, "some stream must swap two checkpoints in one window");
 }

@@ -12,10 +12,39 @@
 //! Aggregates (not raw samples) are kept on purpose: durations and
 //! queue depths are noisy per-observation, and the sidecar is for
 //! "where did the wall time go" questions, not for replay.
+//!
+//! One reading here steers behaviour rather than measuring it: a
+//! [`Deadline`], the due time of a staged checkpoint reload. It decides
+//! only *when* a model lands in serving, never *which* model a later
+//! logical step reads, so it too stays on the wall plane.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// A wall-clock instant by which something is due. Taken with
+/// [`Deadline::now`] and moved with [`Deadline::after`]; ordering two
+/// deadlines compares the instants, so `due <= now` means "due".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Deadline(Instant);
+
+impl Deadline {
+    /// The current instant.
+    pub fn now() -> Self {
+        Self(Instant::now())
+    }
+
+    /// The deadline `by` later than this one.
+    #[must_use]
+    pub fn after(self, by: Duration) -> Self {
+        Self(self.0 + by)
+    }
+
+    /// How far this instant is past `due`; zero when it is not past.
+    pub fn past(self, due: Deadline) -> Duration {
+        self.0.saturating_duration_since(due.0)
+    }
+}
 
 /// Wall-duration aggregate for one (layer, name) span family.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -119,6 +148,18 @@ mod tests {
         wall_gauge_max("t", "depth", 9);
         assert!(crate::lock(&SPANS).is_empty());
         assert!(crate::lock(&GAUGES).is_empty());
+    }
+
+    #[test]
+    fn deadlines_chain_order_and_measure_lateness() {
+        let t0 = Deadline::now();
+        let ms = Duration::from_millis;
+        let due = t0.after(ms(5));
+        assert!(t0 < due && due.after(ms(5)) == t0.after(ms(10)));
+        assert_eq!(t0.after(Duration::ZERO), t0);
+        assert_eq!(due.max(t0.after(ms(7))), t0.after(ms(7)));
+        assert_eq!(t0.after(ms(8)).past(due), ms(3));
+        assert_eq!(t0.past(due), Duration::ZERO, "an instant before its due time is not late");
     }
 
     #[test]
